@@ -23,6 +23,7 @@ from .errors import (
     InsufficientDataError,
     NoFeasibleSampleFoundError,
     NotAvailableError,
+    ProjectionFailedError,
     SublevelEmptyError,
     ZeroNormalError,
     ZeroSubgradientError,

@@ -17,6 +17,10 @@ class InfeasiblePolyhedronError(EpscutError):
     """The halfspace intersection is empty (certified by an unbounded dual)."""
 
 
+class ProjectionFailedError(EpscutError):
+    """The projection's active-set iteration diverged or hit its iteration cap."""
+
+
 class NoFeasibleSampleFoundError(EpscutError):
     """Rejection sampling could not produce the requested feasible points."""
 

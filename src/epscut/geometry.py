@@ -2,24 +2,31 @@
 
 Points are plain 1-D ``numpy.float64`` arrays. A halfspace is ``{x : <a, x> <= b}``
 with a nonzero normal ``a``; a polyhedron is a finite intersection of halfspaces.
-The polyhedral projection is an exact small dense QP solved with a dual
-active-set method, and it returns a KKT certificate (active set plus
-nonnegative multipliers). All feasibility tests are scale-aware: violations
+The polyhedral projection is an exact small dense QP solved with the dual
+active-set method of Goldfarb and Idnani (Math. Programming 27, 1983), and it
+returns a KKT certificate (active set plus nonnegative multipliers). Its
+working set is kept as a thin QR factorization that is updated as
+constraints enter (O(n|W|)) and leave (O(n|W|) in Givens rotations, plus a
+rebuild of the triangular factor's inverse); it is never refactored from
+scratch. All feasibility tests are scale-aware: violations
 ``<a, x> - b`` are measured relative to ``||a||`` so that cuts with wildly
 different normal magnitudes are treated uniformly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 from scipy.optimize import linprog
 
 from .errors import (
     DimensionMismatchError,
     InfeasiblePolyhedronError,
     NoFeasibleSampleFoundError,
+    ProjectionFailedError,
     ZeroNormalError,
 )
 
@@ -27,10 +34,11 @@ from .errors import (
 MULTIPLIER_TOL = 1e-12
 # Relative threshold below which a normal counts as linearly dependent on the
 # current working set. Conservative on purpose: admitting a direction that
-# contributes less than ~1e-7 of the normal's magnitude would push the Gram
-# system's conditioning beyond what double precision can factor reliably, so
-# such constraints are handled by dual steps (swaps) instead. Wedges thinner
-# than this are treated as numerically empty.
+# contributes less than ~1e-7 of the normal's magnitude would put a diagonal
+# entry that small into the working set's triangular factor R, and R^-1 would
+# amplify round-off beyond what double precision resolves reliably, so such
+# constraints are handled by dual steps (swaps) instead. Wedges thinner than
+# this are treated as numerically empty.
 _DEPENDENCE_TOL = 1e-7
 
 
@@ -147,13 +155,22 @@ def project_halfspace(x0, h: Halfspace) -> np.ndarray:
 def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> ProjectionResult:
     """Project a point onto a halfspace intersection (exact dense QP).
 
-    Dual active-set iteration: starting from the unconstrained optimum
-    ``x0``, repeatedly pick the most violated constraint (ties broken by
-    lowest index), move onto it along the component of its normal that is
-    orthogonal to the current working set, and drop working-set constraints
-    whose multipliers would turn negative. Terminates finitely for small
-    dense problems. An empty intersection is certified by an unbounded dual
-    ray and raises InfeasiblePolyhedronError.
+    Dual active-set iteration (Goldfarb & Idnani, "A numerically stable dual
+    method for solving strictly convex quadratic programs", Math. Programming
+    27, 1983): starting from the unconstrained optimum ``x0``, repeatedly pick
+    the most violated constraint (ties broken by lowest index), move onto it
+    along the component of its normal that is orthogonal to the current
+    working set, and drop working-set constraints whose multipliers would
+    turn negative. Terminates finitely for small dense problems. An empty
+    intersection is certified by an unbounded dual ray and raises
+    InfeasiblePolyhedronError; a nonfinite iterate or an exhausted iteration
+    cap raises ProjectionFailedError.
+
+    The working set W is kept as a thin QR factorization ``A[W].T = Q R``
+    plus ``R^-1``, updated instead of refactored: an added constraint costs
+    O(n|W|) (one Gram-Schmidt pass with re-orthogonalization), a dropped one
+    O(n|W|) in Givens rotations plus an O(|W|^3) rebuild of ``R^-1``. A
+    one-cut projection never builds the factors.
 
     ``tol`` bounds the accepted scaled violation ``(<a,x> - b)/||a||``.
     """
@@ -165,16 +182,14 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
     b = poly.offsets
     norms = poly.normal_norms
     k = len(poly)
-
-    work: list[int] = []          # working set, insertion order
-    lam = np.zeros(0)             # multipliers aligned with `work`, kept >= 0
+    ws = _WorkingSet(poly.dim, k)
 
     first_pass = True
     feasible_at_entry = False
     max_outer = 50 * (k + 1)
     for _ in range(max_outer):
         if not np.all(np.isfinite(x)):
-            raise RuntimeError("active-set iterate became nonfinite")
+            raise ProjectionFailedError("active-set iterate became nonfinite")
         scaled = (A @ x - b) / norms
         p = int(np.argmax(scaled))
         if scaled[p] <= tol:
@@ -186,73 +201,133 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
         lam_p = 0.0
         for _ in range(2 * (k + 1)):
             a_p = A[p]
-            if work:
-                Aw = A[work]
-                gram = Aw @ Aw.T
-                # Min-norm least squares: near-parallel working sets make the
-                # Gram numerically singular, and a plain solve would raise.
-                r = np.linalg.lstsq(gram, Aw @ a_p, rcond=None)[0]
-                z = a_p - Aw.T @ r
+            m = len(ws.work)
+            if m:
+                q, z = ws.split(a_p)
+                r = ws.rinv[:m, :m] @ q
+                lam = ws.lam[:m]
             else:
-                r = np.zeros(0)
-                z = a_p.copy()
+                q = r = None
+                z = a_p
 
             znorm = float(np.linalg.norm(z))
             if znorm > _DEPENDENCE_TOL * norms[p]:
                 viol = float(np.dot(a_p, x)) - b[p]
                 t_full = viol / float(np.dot(z, z))
-                t_part, j_drop = _min_ratio(lam, r)
-                if t_part < t_full:
-                    x -= t_part * z
-                    lam = lam - t_part * r
-                    lam_p += t_part
-                    del work[j_drop]
-                    lam = np.delete(lam, j_drop)
-                    continue
+                if m:
+                    t_part, j_drop = _min_ratio(lam, r)
+                    if t_part < t_full:
+                        x -= t_part * z
+                        lam -= t_part * r
+                        lam_p += t_part
+                        ws.drop(j_drop)
+                        continue
+                    lam -= t_full * r
                 x -= t_full * z
-                lam = lam - t_full * r
                 lam_p += t_full
-                work.append(p)
-                lam = np.append(lam, lam_p)
+                ws.add(p, lam_p, q, r, z, znorm)
                 break
             # Normal lies in the span of the working set: pure dual step.
-            if not np.any(r > MULTIPLIER_TOL):
+            # (An empty working set gets here only when ||a_p|| overflows.)
+            if not m or not np.any(r > MULTIPLIER_TOL):
                 raise InfeasiblePolyhedronError(
                     "empty halfspace intersection (dual ray found)"
                 )
             t_part, j_drop = _min_ratio(lam, r)
-            lam = lam - t_part * r
+            lam -= t_part * r
             lam_p += t_part
-            del work[j_drop]
-            lam = np.delete(lam, j_drop)
+            ws.drop(j_drop)
         else:
-            raise RuntimeError("active-set inner loop failed to converge")
+            raise ProjectionFailedError("active-set inner loop failed to converge")
     else:
-        raise RuntimeError("active-set outer loop failed to converge")
+        raise ProjectionFailedError("active-set outer loop failed to converge")
 
-    lam = np.maximum(lam, 0.0)
     if feasible_at_entry:
         return ProjectionResult(point=x, feasible=True)
-    order = np.argsort(work)
+    lam = np.maximum(ws.lam[:len(ws.work)], 0.0)
+    order = np.argsort(ws.work)
     return ProjectionResult(
         point=x,
-        active_set=[work[i] for i in order],
+        active_set=[ws.work[i] for i in order],
         multipliers=lam[order],
         feasible=False,
     )
 
 
+class _WorkingSet:
+    """Working set of the dual active-set loop as ``A[work].T = Q R``.
+
+    ``work`` lists constraint indices in insertion order and ``lam`` their
+    multipliers. Q's orthonormal columns are stored as the rows of ``qt``,
+    R is upper triangular with a positive diagonal, and ``rinv`` holds
+    ``R^-1`` so that multiplier directions need no triangular solve; both
+    keep explicit zeros below the diagonal because ``rinv`` is applied as a
+    full matrix product. The buffers hold at most min(n, k) constraints
+    (admitted normals are linearly independent) and are allocated on the
+    first add.
+    """
+
+    def __init__(self, n: int, k: int):
+        self.n = n
+        self.cap = min(n, k)
+        self.work: list[int] = []
+        self.lam = self.qt = self.r = self.rinv = None
+
+    def split(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(Q^T a, a - Q Q^T a)`` with one re-orthogonalization pass."""
+        qt = self.qt[:len(self.work)]
+        q = qt @ a
+        z = a - q @ qt
+        c = qt @ z
+        return q + c, z - c @ qt
+
+    def add(self, p: int, lam_p: float, q, r, z: np.ndarray, znorm: float) -> None:
+        """Append constraint ``p``; ``q, z`` come from ``split`` and ``r = R^-1 q``."""
+        m = len(self.work)
+        if self.qt is None:
+            self.lam = np.empty(self.cap)
+            self.qt = np.empty((self.cap, self.n))
+            self.r = np.zeros((self.cap, self.cap))
+            self.rinv = np.zeros((self.cap, self.cap))
+        self.qt[m] = z / znorm
+        if m:
+            self.r[:m, m] = q
+            self.rinv[:m, m] = r / -znorm
+        self.r[m, m] = znorm
+        self.rinv[m, m] = 1.0 / znorm
+        self.lam[m] = lam_p
+        self.work.append(p)
+
+    def drop(self, j: int) -> None:
+        """Remove the ``j``-th working constraint; Givens rotations restore R,
+        then ``R^-1`` is rebuilt."""
+        m = len(self.work)
+        del self.work[j]
+        self.lam[j:m - 1] = self.lam[j + 1:m]
+        r, qt = self.r, self.qt
+        r[:m, j:m - 1] = r[:m, j + 1:m]
+        for i in range(j, m - 1):
+            h = math.hypot(r[i, i], r[i + 1, i])
+            c, s = r[i, i] / h, r[i + 1, i] / h
+            rot = np.array([[c, s], [-s, c]])
+            r[i:i + 2, i + 1:m - 1] = rot @ r[i:i + 2, i + 1:m - 1]
+            qt[i:i + 2] = rot @ qt[i:i + 2]
+            r[i, i] = h
+            r[i + 1, i] = 0.0
+        if m > 1:
+            self.rinv[:m - 1, :m - 1] = dtrtri(r[:m - 1, :m - 1])[0]
+
+
 def _min_ratio(lam: np.ndarray, r: np.ndarray) -> tuple[float, int]:
-    """Smallest lam_j / r_j over r_j > 0; (inf, -1) when none qualifies."""
-    best = np.inf
-    j_best = -1
-    for j in range(lam.size):
-        if r[j] > MULTIPLIER_TOL:
-            ratio = lam[j] / r[j]
-            if ratio < best:
-                best = ratio
-                j_best = j
-    return best, j_best
+    """Smallest lam_j / r_j over r_j > MULTIPLIER_TOL, lowest j on ties.
+
+    Returns (inf, -1) when none qualifies.
+    """
+    ratios = np.full(lam.size, np.inf)
+    np.divide(lam, r, out=ratios, where=r > MULTIPLIER_TOL)
+    j = int(np.argmin(ratios))
+    best = float(ratios[j])
+    return (best, j) if best < np.inf else (np.inf, -1)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
 
 from epscut import (
     CutPolyhedron,
@@ -10,11 +13,13 @@ from epscut import (
     Halfspace,
     InfeasiblePolyhedronError,
     NoFeasibleSampleFoundError,
+    ProjectionFailedError,
     ZeroNormalError,
     check_variational_inequality,
     project_halfspace,
     project_polyhedron,
 )
+from epscut import geometry
 from conftest import brute_force_projection, random_projection_instance
 
 
@@ -80,7 +85,7 @@ class TestPolyhedronProjection:
             x = 3.0 * rng.standard_normal(n)
             lone = project_halfspace(x, h)
             poly = project_polyhedron(x, CutPolyhedron([h])).point
-            assert_allclose(poly, lone, rtol=1e-14, atol=1e-14)
+            assert np.array_equal(poly, lone)
 
     def test_feasible_point_returned_unchanged(self):
         P = CutPolyhedron([Halfspace([1.0, 0.0], 0.0)])
@@ -106,6 +111,12 @@ class TestPolyhedronProjection:
         P = CutPolyhedron([Halfspace([1.0, 0.0], 1.0), Halfspace([1.0, 0.0], -1.0)])
         res = project_polyhedron([2.0, 0.5], P)
         assert_allclose(res.point, [-1.0, 0.5], atol=1e-14)
+
+    def test_nonfinite_iterate_raises_projection_failed(self):
+        # <a, x0> overflows, so the first step sends the iterate to -inf.
+        P = CutPolyhedron([Halfspace([10.0, 10.0], 0.0)])
+        with np.errstate(over="ignore"), pytest.raises(ProjectionFailedError):
+            project_polyhedron([1e308, 1e308], P)
 
     def test_matches_brute_force_battery(self, rng):
         for _ in range(80):
@@ -146,6 +157,120 @@ class TestPolyhedronProjection:
             px = project_polyhedron(x, P).point
             py = project_polyhedron(y, P).point
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) * (1 + 1e-12) + 1e-15
+
+
+def _hard_instance(seed, n, k, rows, log_spread, empty_pair):
+    """Random projection instance with optional degeneracies.
+
+    ``rows="near_parallel"`` rebuilds the back half of the rows as earlier
+    rows plus 1e-6 relative noise, ``rows="repeated"`` copies earlier rows
+    exactly (rank deficient), ``log_spread`` spreads row norms over
+    10**(+-log_spread), and ``empty_pair`` appends a contradicting pair.
+    """
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((k, n))
+    A[np.linalg.norm(A, axis=1) < 1e-3, 0] = 1.0
+    for j in range(max(1, k // 2), k):
+        src = A[rng.integers(0, j)]
+        if rows == "near_parallel":
+            A[j] = src + 1e-6 * np.linalg.norm(src) * rng.standard_normal(n)
+        elif rows == "repeated":
+            A[j] = src
+    A *= 10.0 ** rng.uniform(-log_spread, log_spread, size=(k, 1))
+    anchor = rng.standard_normal(n)
+    b = A @ anchor + rng.uniform(-0.5, 1.0, size=k) * np.linalg.norm(A, axis=1)
+    if empty_pair:
+        a = rng.standard_normal(n) + 1e-3
+        c = float(rng.standard_normal())
+        A = np.vstack([A, a, -a])
+        b = np.append(b, [c, -c - 1.0])
+    return anchor + 2.0 * rng.standard_normal(n), A, b
+
+
+@st.composite
+def hard_instances(draw, max_k=None):
+    """n <= 8 and k <= 3n, plus the drop-heavy shapes (3, 12) and (10, 40)."""
+    if max_k is None and draw(st.integers(0, 4)) == 0:
+        n, k = draw(st.sampled_from([(3, 12), (10, 40)]))
+    else:
+        n = draw(st.integers(1, 8))
+        k = draw(st.integers(1, min(3 * n, max_k or 3 * n)))
+    return _hard_instance(
+        draw(st.integers(0, 2**32 - 1)), n, k,
+        rows=draw(st.sampled_from(["generic", "near_parallel", "repeated"])),
+        log_spread=draw(st.sampled_from([0.0, 1.0, 2.0])),
+        empty_pair=draw(st.integers(0, 9)) == 0,
+    )
+
+
+def _project_or_none(x0, A, b):
+    try:
+        return project_polyhedron(x0, CutPolyhedron.from_arrays(A, b))
+    except InfeasiblePolyhedronError:
+        return None
+
+
+def _lp_empty(A, b) -> bool:
+    lp = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=b,
+                 bounds=[(None, None)] * A.shape[1], method="highs")
+    return lp.status == 2
+
+
+def _kkt_error(x0, A, b, res) -> str:
+    """Independent KKT certificate check; empty string when it holds."""
+    lam = res.multipliers
+    if len(res.active_set) != lam.size or np.any(lam < 0.0):
+        return "bad multipliers"
+    active = list(res.active_set)
+    rebuilt = x0 - A[active].T @ lam if active else x0
+    scale = 1.0 + np.linalg.norm(x0) + np.linalg.norm(res.point)
+    if np.linalg.norm(res.point - rebuilt) > 1e-9 * scale:
+        return "point != x0 - A[active]^T lambda"
+    slack = (A @ res.point - b) / np.linalg.norm(A, axis=1)
+    if np.max(slack) > 1e-9:
+        return f"scaled violation {np.max(slack):.3g}"
+    if any(l > 0.0 and abs(slack[j]) > 1e-9 * scale for j, l in zip(active, lam)):
+        return "a cut with lambda > 0 is not tight"
+    return ""
+
+
+class TestProjectionProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(hard_instances())
+    def test_emptiness_and_kkt_certificate(self, inst):
+        x0, A, b = inst
+        res = _project_or_none(x0, A, b)
+        assert (res is None) == _lp_empty(A, b)
+        if res is not None:
+            assert _kkt_error(x0, A, b, res) == ""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(hard_instances(max_k=8))
+    def test_matches_brute_force(self, inst):
+        x0, A, b = inst
+        res = _project_or_none(x0, A, b)
+        oracle = brute_force_projection(x0, A, b)
+        assert (res is None) == (oracle is None)
+        if res is not None:
+            assert np.linalg.norm(res.point - oracle) <= 1e-8
+
+    def test_drop_shapes_reach_givens_path(self, monkeypatch):
+        drops = []
+        drop = geometry._WorkingSet.drop
+
+        def counting_drop(ws, j):
+            drops.append(j)
+            drop(ws, j)
+
+        monkeypatch.setattr(geometry._WorkingSet, "drop", counting_drop)
+        for n, k in [(3, 12), (10, 40)]:
+            before = len(drops)
+            for seed in range(20):
+                x0, A, b = _hard_instance(seed, n, k, "generic", 1.0, False)
+                res = _project_or_none(x0, A, b)
+                if res is not None:
+                    assert _kkt_error(x0, A, b, res) == ""
+            assert len(drops) > before
 
 
 class TestVariationalInequality:
