@@ -17,13 +17,15 @@ h = Halfspace([1.0, 0.0], 1.0)
 print("project (2,0) onto {x1 <= 1}:   ", project_halfspace([2.0, 0.0], h))
 print("project (0.5,0.5) (interior):   ", project_halfspace([0.5, 0.5], h))
 
-# A polyhedron is an intersection of halfspaces. The projection is an exact
-# small dense QP solved by a dual active-set method; the result carries the
-# active constraints and their nonnegative multipliers.
-P = CutPolyhedron([
-    Halfspace([1.0, 0.0], 0.0),   # x1 <= 0
-    Halfspace([0.0, 1.0], 0.0),   # x2 <= 0
-])
+# A polyhedron {x : A x <= b} is given by its (k, n) normal matrix A and its
+# k offsets b. The projection is an exact small dense QP solved by a dual
+# active-set method; the result carries the active constraints and their
+# nonnegative multipliers.
+P = CutPolyhedron(
+    [[1.0, 0.0],    # x1 <= 0
+     [0.0, 1.0]],   # x2 <= 0
+    [0.0, 0.0],
+)
 res = project_polyhedron([1.0, 1.0], P)
 print("\nproject (1,1) onto the negative quadrant:")
 print("  point      ", res.point)

@@ -69,11 +69,9 @@ from .solver import (
     build_cuts,
     solve,
     solve_multistart,
-    step,
 )
 from .traceio import (
     parse_trace_csv,
-    parse_trace_json,
     trace_to_csv,
     trace_to_dict,
     trace_to_json,

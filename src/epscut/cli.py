@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,12 +31,7 @@ from .problems import (
     ball_samples,
 )
 from .schedule import parse_schedule
-from .solver import (
-    SolveOptions,
-    SolveTrace,
-    solve,
-    with_baseline,
-)
+from .solver import SolveOptions, SolveTrace, solve
 from .traceio import (
     EXIT_CODE_BY_STATUS,
     trace_to_csv,
@@ -130,6 +127,8 @@ def _resolve_x0(args, problem: Problem) -> np.ndarray:
             raise _ConfigError(
                 f"--x0 has {len(values)} components, problem dim is {problem.dim}"
             )
+        if not all(map(math.isfinite, values)):
+            raise _ConfigError("--x0 components must be finite")
         return np.asarray(values)
     try:
         seed_text, _, radius_text = args.x0_random.partition(":")
@@ -137,8 +136,8 @@ def _resolve_x0(args, problem: Problem) -> np.ndarray:
         radius = float(radius_text)
     except ValueError as exc:
         raise _ConfigError(f"--x0-random expects SEED:RADIUS: {exc}") from exc
-    if radius <= 0:
-        raise _ConfigError("--x0-random radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise _ConfigError("--x0-random radius must be positive and finite")
     rng = np.random.default_rng(seed)
     return radius * ball_samples(rng, 1, problem.dim)[0]
 
@@ -227,7 +226,7 @@ def cmd_compare(args) -> int:
 
     traces = {"main": solve(problem, x0, opts)}
     for baseline in ("zero_eps", "single_cut"):
-        traces[baseline] = solve(problem, x0, with_baseline(opts, baseline))
+        traces[baseline] = solve(problem, x0, replace(opts, baseline_mode=baseline))
 
     report = {
         "problem": problem.name,

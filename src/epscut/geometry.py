@@ -1,7 +1,8 @@
 """Projection kernels onto halfspaces and polyhedra.
 
 Points are plain 1-D ``numpy.float64`` arrays. A halfspace is ``{x : <a, x> <= b}``
-with a nonzero normal ``a``; a polyhedron is a finite intersection of halfspaces.
+with a nonzero normal ``a``; a polyhedron ``{x : A x <= b}`` is held as its
+(k, n) matrix of nonzero normals ``A`` and its k offsets ``b``.
 The polyhedral projection is an exact small dense QP solved with the dual
 active-set method of Goldfarb and Idnani (Math. Programming 27, 1983), and it
 returns a KKT certificate (active set plus nonnegative multipliers). Its
@@ -76,42 +77,45 @@ class Halfspace:
     def dim(self) -> int:
         return self.normal.size
 
-    def violation(self, x) -> float:
-        """Signed constraint value <a, x> - b (positive means outside)."""
-        return float(np.dot(self.normal, as_vector(x, self.dim))) - self.offset
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        """Membership test; ``tol`` is scaled by the normal's length."""
-        return self.violation(x) <= tol * float(np.linalg.norm(self.normal))
-
 
 class CutPolyhedron:
-    """Intersection of finitely many halfspaces sharing one dimension."""
+    """The polyhedron {x : normals @ x <= offsets} of k cuts in R^n.
 
-    def __init__(self, halfspaces):
-        halfspaces = list(halfspaces)
-        if not halfspaces:
-            raise ValueError("a polyhedron needs at least one halfspace")
-        dim = halfspaces[0].dim
-        for h in halfspaces:
-            if h.dim != dim:
-                raise DimensionMismatchError(
-                    f"halfspace dims differ: {h.dim} vs {dim}"
-                )
-        self.halfspaces = halfspaces
-        self.dim = dim
-        self.normals = np.array([h.normal for h in halfspaces])
-        self.offsets = np.array([h.offset for h in halfspaces])
-        self.normal_norms = np.linalg.norm(self.normals, axis=1)
+    ``normals`` is a nonempty (k, n) array of finite, nonzero rows and
+    ``offsets`` a (k,) array; ``normal_norms`` holds the row lengths.
+    """
+
+    def __init__(self, normals, offsets):
+        normals = np.asarray(normals, dtype=float)
+        offsets = np.asarray(offsets, dtype=float)
+        if normals.ndim != 2 or normals.shape[1] == 0:
+            raise ValueError(f"normals must be a (k, n) array, got shape {normals.shape}")
+        if normals.shape[0] == 0:
+            raise ValueError("a polyhedron needs at least one cut")
+        if not np.isfinite(normals).all():
+            raise ValueError("normal entries must be finite")
+        if offsets.shape != normals.shape[:1]:
+            raise ValueError(
+                f"expected {normals.shape[0]} offsets, got shape {offsets.shape}"
+            )
+        norms = np.linalg.norm(normals, axis=1)
+        if (norms == 0.0).any():
+            raise ZeroNormalError("cut normals must be nonzero")
+        self.normals = normals
+        self.offsets = offsets
+        self.normal_norms = norms
 
     @classmethod
     def from_arrays(cls, normals, offsets) -> "CutPolyhedron":
-        normals = np.atleast_2d(np.asarray(normals, dtype=float))
-        offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-        return cls([Halfspace(a, b) for a, b in zip(normals, offsets)])
+        """Alias of the constructor."""
+        return cls(normals, offsets)
+
+    @property
+    def dim(self) -> int:
+        return self.normals.shape[1]
 
     def __len__(self) -> int:
-        return len(self.halfspaces)
+        return self.normals.shape[0]
 
     def scaled_violations(self, x) -> np.ndarray:
         x = as_vector(x, self.dim)

@@ -1,11 +1,18 @@
 """Problem zoo and the function/subgradient oracle contract.
 
 Every problem evaluates f(x) as the pointwise maximum of finitely many
-pieces and returns, besides the value, a bundle of generalized gradients:
-the gradients of all pieces active within a small threshold, most active
-first. For a maximum of C1 pieces the generalized gradients at x form the
-convex hull of the active-piece gradients, so each bundle member is a valid
-element of it. Smooth instances are single-piece maxima.
+pieces. A problem implements exactly two broadcasting oracle methods:
+
+  piece_values(X)     (..., n) -> (..., k)     values of all k pieces
+  piece_gradients(X)  (..., n) -> (..., k, n)  gradients of all k pieces
+
+The same two methods serve ``evaluate`` on one point and the sampled
+convexity check on a batch of points. ``evaluate`` returns, besides the
+value, a bundle of generalized gradients as a (J, n) array: the gradients of
+all pieces active within a small threshold, most active first. For a
+maximum of C1 pieces the generalized gradients at x form the convex hull of
+the active-piece gradients, so each bundle row is a valid element of it.
+Smooth instances are single-piece maxima.
 
 Instances:
   ball                     f(x) = ||x - c||^2 - r^2          (smooth, convex)
@@ -45,10 +52,10 @@ KINDS = (
 
 @dataclass(frozen=True)
 class Evaluation:
-    """Oracle output at one point: value, subgradient bundle, active pieces."""
+    """Oracle output at one point: value, (J, n) gradient bundle, active pieces."""
 
     value: float
-    bundle: list[np.ndarray]
+    bundle: np.ndarray
     active: list[int]
 
 
@@ -56,6 +63,10 @@ class Problem(ABC):
     """A feasibility instance f(x) <= 0 given as a finite maximum of pieces."""
 
     kind: str = ""
+    # While f > 0, pieces with value <= 0 stay out of the bundle. Distance
+    # maxima set this: a body that contains x has distance 0 and only the
+    # zero vector as its gradient, which would make every cut empty.
+    nonpositive_pieces_inactive: bool = False
 
     def __init__(self, dim: int, activity_tol: float | None = None,
                  name: str | None = None):
@@ -68,37 +79,22 @@ class Problem(ABC):
         self.name = name or self.kind
 
     @abstractmethod
-    def piece_values(self, x: np.ndarray) -> np.ndarray:
-        """Values of all pieces at x, shape (k,)."""
+    def piece_values(self, X: np.ndarray) -> np.ndarray:
+        """Values of all k pieces at each point: (..., n) -> (..., k)."""
 
     @abstractmethod
-    def piece_gradient(self, x: np.ndarray, j: int) -> np.ndarray:
-        """Gradient of piece j at x, shape (n,)."""
-
-    def piece_values_batch(self, X: np.ndarray) -> np.ndarray:
-        """Piece values at many points, shape (B, k). Default: row loop."""
-        return np.array([self.piece_values(x) for x in X])
-
-    def piece_gradients_batch(self, X: np.ndarray) -> np.ndarray:
-        """All piece gradients at many points, shape (B, k, n)."""
-        k = self.piece_values(X[0]).size
-        return np.array(
-            [[self.piece_gradient(x, j) for j in range(k)] for x in X]
-        )
+    def piece_gradients(self, X: np.ndarray) -> np.ndarray:
+        """Gradients of all k pieces at each point: (..., n) -> (..., k, n)."""
 
     def value(self, x) -> float:
         x = as_vector(x, self.dim)
         return float(np.max(self.piece_values(x)))
 
-    def effective_activity_tol(self, f_value: float) -> float:
+    def effective_activity_tol(self, f_value):
+        """Activity threshold at maximum value(s) ``f_value``; broadcasts."""
         if self.activity_tol is not None:
             return self.activity_tol
         return 1e-8 * (1.0 + abs(f_value))
-
-    def select_active(self, values: np.ndarray, f: float, tau: float) -> list[int]:
-        """Indices of bundle pieces, most active first (ties by index)."""
-        order = sorted(range(values.size), key=lambda j: (-values[j], j))
-        return [j for j in order if values[j] >= f - tau]
 
 
 def evaluate(problem: Problem, x, j_max: int = DEFAULT_J_MAX) -> Evaluation:
@@ -112,11 +108,15 @@ def evaluate(problem: Problem, x, j_max: int = DEFAULT_J_MAX) -> Evaluation:
         raise ValueError("j_max must be at least 1")
     x = as_vector(x, problem.dim)
     values = problem.piece_values(x)
-    f = float(np.max(values))
-    tau = problem.effective_activity_tol(f)
-    active = problem.select_active(values, f, tau)[:j_max]
-    bundle = [problem.piece_gradient(x, j) for j in active]
-    return Evaluation(value=f, bundle=bundle, active=active)
+    f = float(values.max())
+    keep = values >= f - problem.effective_activity_tol(f)
+    if problem.nonpositive_pieces_inactive and f > 0.0:
+        keep &= values > 0.0
+    order = (-values).argsort(kind="stable")
+    active = order[keep[order]][:j_max]
+    return Evaluation(
+        value=f, bundle=problem.piece_gradients(x)[active], active=active.tolist()
+    )
 
 
 class BallProblem(Problem):
@@ -133,19 +133,12 @@ class BallProblem(Problem):
         self.center = center
         self.radius = float(radius)
 
-    def piece_values(self, x):
-        d = x - self.center
-        return np.array([float(np.dot(d, d)) - self.radius**2])
-
-    def piece_gradient(self, x, j):
-        return 2.0 * (x - self.center)
-
-    def piece_values_batch(self, X):
+    def piece_values(self, X):
         D = X - self.center
-        return (np.einsum("bn,bn->b", D, D) - self.radius**2)[:, None]
+        return (np.vecdot(D, D) - self.radius**2)[..., None]
 
-    def piece_gradients_batch(self, X):
-        return (2.0 * (X - self.center))[:, None, :]
+    def piece_gradients(self, X):
+        return (2.0 * (X - self.center))[..., None, :]
 
 
 class ShiftedBallProblem(Problem):
@@ -157,17 +150,11 @@ class ShiftedBallProblem(Problem):
                  name: str | None = None):
         super().__init__(dim, activity_tol, name)
 
-    def piece_values(self, x):
-        return np.array([float(np.dot(x, x)) + 1.0])
+    def piece_values(self, X):
+        return (np.vecdot(X, X) + 1.0)[..., None]
 
-    def piece_gradient(self, x, j):
-        return 2.0 * x
-
-    def piece_values_batch(self, X):
-        return (np.einsum("bn,bn->b", X, X) + 1.0)[:, None]
-
-    def piece_gradients_batch(self, X):
-        return (2.0 * X)[:, None, :]
+    def piece_gradients(self, X):
+        return (2.0 * X)[..., None, :]
 
 
 class MaxAffineProblem(Problem):
@@ -185,19 +172,11 @@ class MaxAffineProblem(Problem):
         self.coefs = coefs
         self.intercepts = intercepts
 
-    def piece_values(self, x):
-        return self.coefs @ x + self.intercepts
-
-    def piece_gradient(self, x, j):
-        return self.coefs[j].copy()
-
-    def piece_values_batch(self, X):
+    def piece_values(self, X):
         return X @ self.coefs.T + self.intercepts
 
-    def piece_gradients_batch(self, X):
-        return np.broadcast_to(
-            self.coefs[None, :, :], (X.shape[0],) + self.coefs.shape
-        ).copy()
+    def piece_gradients(self, X):
+        return np.broadcast_to(self.coefs, X.shape[:-1] + self.coefs.shape)
 
 
 @dataclass(frozen=True)
@@ -219,7 +198,11 @@ class QuadraticPiece:
 
 
 class MaxQuadraticsProblem(Problem):
-    """f(x) = max over quadratic pieces; pieces may be nonconvex."""
+    """f(x) = max over quadratic pieces; pieces may be nonconvex.
+
+    The pieces are stacked into ``quads`` (k, n, n), ``lins`` (k, n) and
+    ``consts`` (k,).
+    """
 
     kind = "max_quadratics"
 
@@ -236,27 +219,17 @@ class MaxQuadraticsProblem(Problem):
             if p.lin.size != dim:
                 raise ValueError("all pieces must share one dimension")
         super().__init__(dim, activity_tol, name)
-        self.pieces = pieces
+        self.quads = np.array([p.quad for p in pieces])
+        self.lins = np.array([p.lin for p in pieces])
+        self.consts = np.array([p.const for p in pieces])
 
-    def piece_values(self, x):
-        return np.array(
-            [float(x @ p.quad @ x + np.dot(p.lin, x) + p.const) for p in self.pieces]
-        )
+    def piece_values(self, X):
+        X = X[..., None, :]
+        XQ = (X[..., None, :] @ self.quads)[..., 0, :]
+        return np.vecdot(XQ, X) + np.vecdot(self.lins, X) + self.consts
 
-    def piece_gradient(self, x, j):
-        p = self.pieces[j]
-        return 2.0 * (p.quad @ x) + p.lin
-
-    def piece_values_batch(self, X):
-        cols = [
-            np.einsum("bn,bn->b", X @ p.quad, X) + X @ p.lin + p.const
-            for p in self.pieces
-        ]
-        return np.stack(cols, axis=1)
-
-    def piece_gradients_batch(self, X):
-        grads = [2.0 * (X @ p.quad) + p.lin for p in self.pieces]
-        return np.stack(grads, axis=1)
+    def piece_gradients(self, X):
+        return 2.0 * (self.quads @ X[..., None, :, None])[..., 0] + self.lins
 
 
 @dataclass(frozen=True)
@@ -277,15 +250,16 @@ class BallBody:
     def dim(self) -> int:
         return self.center.size
 
-    def distance(self, x) -> float:
-        return max(0.0, float(np.linalg.norm(x - self.center)) - self.radius)
+    def distance(self, X) -> np.ndarray:
+        """Distance to the ball: (..., n) -> (...)."""
+        gap = X - self.center
+        return np.maximum(0.0, np.sqrt(np.vecdot(gap, gap)) - self.radius)
 
-    def distance_gradient(self, x) -> np.ndarray:
-        gap = x - self.center
-        norm = float(np.linalg.norm(gap))
-        if norm <= self.radius:
-            return np.zeros(self.dim)
-        return gap / norm
+    def distance_gradient(self, X) -> np.ndarray:
+        """Unit vector away from the ball, 0 inside it: (..., n) -> (..., n)."""
+        gap = X - self.center
+        norm = np.sqrt(np.vecdot(gap, gap))[..., None]
+        return np.divide(gap, norm, out=np.zeros_like(gap), where=norm > self.radius)
 
 
 class HalfspaceBody:
@@ -293,6 +267,7 @@ class HalfspaceBody:
 
     def __init__(self, normal, offset: float):
         self.halfspace = Halfspace(normal, offset)
+        self._norm = float(np.linalg.norm(self.normal))
 
     @property
     def dim(self) -> int:
@@ -306,16 +281,18 @@ class HalfspaceBody:
     def offset(self) -> float:
         return self.halfspace.offset
 
-    def distance(self, x) -> float:
-        viol = self.halfspace.violation(x)
-        if viol <= 0.0:
-            return 0.0
-        return viol / float(np.linalg.norm(self.normal))
+    def _violation(self, X) -> np.ndarray:
+        return np.vecdot(X, self.normal) - self.offset
 
-    def distance_gradient(self, x) -> np.ndarray:
-        if self.halfspace.violation(x) <= 0.0:
-            return np.zeros(self.dim)
-        return self.normal / float(np.linalg.norm(self.normal))
+    def distance(self, X) -> np.ndarray:
+        """Distance to the halfspace: (..., n) -> (...)."""
+        viol = self._violation(X)
+        return np.where(viol <= 0.0, 0.0, viol / self._norm)
+
+    def distance_gradient(self, X) -> np.ndarray:
+        """Unit outer normal outside, 0 inside: (..., n) -> (..., n)."""
+        outside = (self._violation(X) > 0.0)[..., None]
+        return np.where(outside, self.normal / self._norm, 0.0)
 
 
 class SipDistanceProblem(Problem):
@@ -328,6 +305,7 @@ class SipDistanceProblem(Problem):
     """
 
     kind = "sip_distance"
+    nonpositive_pieces_inactive = True
 
     def __init__(self, bodies, activity_tol: float | None = None,
                  name: str | None = None):
@@ -341,20 +319,11 @@ class SipDistanceProblem(Problem):
         super().__init__(dim, activity_tol, name)
         self.bodies = bodies
 
-    def piece_values(self, x):
-        return np.array([body.distance(x) for body in self.bodies])
+    def piece_values(self, X):
+        return np.stack([body.distance(X) for body in self.bodies], axis=-1)
 
-    def piece_gradient(self, x, j):
-        return self.bodies[j].distance_gradient(x)
-
-    def select_active(self, values, f, tau):
-        # A body already containing x has distance 0 and only the zero
-        # vector as its gradient here; while f > 0 such bodies are excluded
-        # so the bundle stays usable for cuts.
-        active = super().select_active(values, f, tau)
-        if f > 0.0:
-            active = [j for j in active if values[j] > 0.0]
-        return active
+    def piece_gradients(self, X):
+        return np.stack([body.distance_gradient(X) for body in self.bodies], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -391,17 +360,12 @@ def check_approximate_convexity(
     X = center + delta * ball_samples(rng, pairs, problem.dim)
     Y = center + delta * ball_samples(rng, pairs, problem.dim)
 
-    VX = problem.piece_values_batch(X)
-    VY = problem.piece_values_batch(Y)
+    VX = problem.piece_values(X)
     fx = VX.max(axis=1)
-    fy = VY.max(axis=1)
-    if problem.activity_tol is not None:
-        tau = np.full(pairs, problem.activity_tol)
-    else:
-        tau = 1e-8 * (1.0 + np.abs(fx))
-    active = VX >= (fx - tau)[:, None]
+    fy = problem.piece_values(Y).max(axis=1)
+    active = VX >= (fx - problem.effective_activity_tol(fx))[:, None]
 
-    G = problem.piece_gradients_batch(X)
+    G = problem.piece_gradients(X)
     diff = Y - X
     inner = np.einsum("bkn,bn->bk", G, diff)
     dist = np.linalg.norm(diff, axis=1)
@@ -444,19 +408,16 @@ def exact_sublevel_distance(problem: Problem, x, eps: float) -> float:
         gap = float(np.linalg.norm(x - problem.center))
         return max(0.0, gap - math.sqrt(rr))
     if isinstance(problem, MaxAffineProblem):
-        halfspaces = []
-        for coef, intercept in zip(problem.coefs, problem.intercepts):
-            if float(np.dot(coef, coef)) == 0.0:
-                if intercept > -eps:
-                    raise SublevelEmptyError(
-                        "a constant piece exceeds the shift everywhere"
-                    )
-                continue
-            halfspaces.append(Halfspace(coef, -eps - float(intercept)))
-        if not halfspaces:
+        flat = np.vecdot(problem.coefs, problem.coefs) == 0.0
+        if np.any(problem.intercepts[flat] > -eps):
+            raise SublevelEmptyError(
+                "a constant piece exceeds the shift everywhere"
+            )
+        if np.all(flat):
             return 0.0
+        cuts = CutPolyhedron(problem.coefs[~flat], -eps - problem.intercepts[~flat])
         try:
-            result = project_polyhedron(x, CutPolyhedron(halfspaces))
+            result = project_polyhedron(x, cuts)
         except InfeasiblePolyhedronError as exc:
             raise SublevelEmptyError(str(exc)) from exc
         return float(np.linalg.norm(x - result.point))
@@ -583,8 +544,8 @@ def problem_to_dict(problem: Problem) -> dict:
     elif isinstance(problem, MaxQuadraticsProblem):
         spec["params"] = {
             "pieces": [
-                {"quad": p.quad.tolist(), "lin": p.lin.tolist(), "const": p.const}
-                for p in problem.pieces
+                {"quad": q.tolist(), "lin": b.tolist(), "const": float(c)}
+                for q, b, c in zip(problem.quads, problem.lins, problem.consts)
             ]
         }
     elif isinstance(problem, SipDistanceProblem):

@@ -17,7 +17,7 @@ Baselines:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     SublevelEmptyError,
     ZeroSubgradientError,
 )
-from .geometry import CutPolyhedron, Halfspace, as_vector, project_polyhedron
+from .geometry import CutPolyhedron, as_vector, project_polyhedron
 from .problems import (
     DEFAULT_J_MAX,
     Evaluation,
@@ -116,19 +116,18 @@ class StepMeta:
 
 
 def build_cuts(x, evaluation: Evaluation, eps: float) -> CutPolyhedron:
-    """Cut polyhedron at x from a bundle: <s, y> <= <s, x> - f - eps."""
+    """Cut polyhedron at x from a bundle G: G y <= G x - f - eps."""
     x = np.asarray(x, dtype=float)
-    cuts = []
-    for s in evaluation.bundle:
-        if float(np.dot(s, s)) == 0.0:
-            raise ZeroSubgradientError(x)
-        cuts.append(Halfspace(s, float(np.dot(s, x)) - evaluation.value - eps))
-    return CutPolyhedron(cuts)
+    G = evaluation.bundle
+    if (np.vecdot(G, G) == 0.0).any():
+        raise ZeroSubgradientError(x)
+    return CutPolyhedron(G, np.vecdot(G, x) - evaluation.value - eps)
 
 
-def _step_from_evaluation(
+def _step(
     x: np.ndarray, evaluation: Evaluation, eps: float, opts: SolveOptions
 ) -> tuple[np.ndarray, StepMeta]:
+    """One projection step; raises ZeroSubgradientError or InfeasibleCutsError."""
     poly = build_cuts(x, evaluation, eps)
     try:
         result = project_polyhedron(x, poly, PROJECTION_TOL)
@@ -136,7 +135,7 @@ def _step_from_evaluation(
     except InfeasiblePolyhedronError:
         if opts.infeasible_cut_fallback == "fail":
             raise InfeasibleCutsError()
-        first = CutPolyhedron(poly.halfspaces[:1])
+        first = CutPolyhedron(poly.normals[:1], poly.offsets[:1])
         result = project_polyhedron(x, first, PROJECTION_TOL)
         fallback_used = True
     meta = StepMeta(
@@ -145,23 +144,6 @@ def _step_from_evaluation(
         fallback_used=fallback_used,
     )
     return result.point, meta
-
-
-def step(
-    x_i, eps_i: float, problem: Problem, opts: SolveOptions | None = None
-) -> tuple[np.ndarray, StepMeta]:
-    """One projection step from x_i with shift eps_i.
-
-    The caller is expected to have checked f(x_i) > 0. The returned point
-    satisfies every generated cut up to the projection tolerance. Raises
-    ZeroSubgradientError or InfeasibleCutsError (the latter only with the
-    fail fallback).
-    """
-    opts = opts or SolveOptions()
-    x_i = as_vector(x_i, problem.dim)
-    j_max = 1 if opts.baseline_mode == "single_cut" else opts.j_max
-    evaluation = evaluate(problem, x_i, j_max)
-    return _step_from_evaluation(x_i, evaluation, eps_i, opts)
 
 
 def _maybe_distance(problem, x, eps, opts) -> float | None:
@@ -196,32 +178,20 @@ def solve(problem: Problem, x0, opts: SolveOptions | None = None) -> SolveTrace:
             eps_i = eps_at(opts.schedule, i)
         dist = _maybe_distance(problem, x, eps_i, opts)
 
+        status = None
         if f_xi <= 0.0:
-            rows.append(TraceRow(i, eps_i, f_xi, len(evaluation.bundle), 0.0, dist, 0))
-            return SolveTrace(
-                rows, TerminationStatus.FEASIBLE_FOUND, i, x, f_xi,
-                f_xi < 0.0, iterates,
-            )
-        if i == opts.max_iter:
-            rows.append(TraceRow(i, eps_i, f_xi, len(evaluation.bundle), 0.0, dist, 0))
-            return SolveTrace(
-                rows, TerminationStatus.MAX_ITER_EXCEEDED, i, x, f_xi,
-                None, iterates,
-            )
-        try:
-            x_next, meta = _step_from_evaluation(x, evaluation, eps_i, opts)
-        except ZeroSubgradientError:
-            rows.append(TraceRow(i, eps_i, f_xi, len(evaluation.bundle), 0.0, dist, 0))
-            return SolveTrace(
-                rows, TerminationStatus.ZERO_SUBGRADIENT, i, x, f_xi,
-                None, iterates,
-            )
-        except InfeasibleCutsError:
-            rows.append(TraceRow(i, eps_i, f_xi, len(evaluation.bundle), 0.0, dist, 0))
-            return SolveTrace(
-                rows, TerminationStatus.INFEASIBLE_CUTS, i, x, f_xi,
-                None, iterates,
-            )
+            status = TerminationStatus.FEASIBLE_FOUND
+        elif i == opts.max_iter:
+            status = TerminationStatus.MAX_ITER_EXCEEDED
+        else:
+            try:
+                x_next, meta = _step(x, evaluation, eps_i, opts)
+            except ZeroSubgradientError:
+                status = TerminationStatus.ZERO_SUBGRADIENT
+            except InfeasibleCutsError:
+                status = TerminationStatus.INFEASIBLE_CUTS
+        if status is not None:
+            break
         step_norm = float(np.linalg.norm(x_next - x))
         rows.append(
             TraceRow(i, eps_i, f_xi, meta.j_used, step_norm, dist,
@@ -229,7 +199,13 @@ def solve(problem: Problem, x0, opts: SolveOptions | None = None) -> SolveTrace:
         )
         x = x_next
         iterates.append(x.copy())
-    raise AssertionError("unreachable")
+
+    # The loop always stops by ``break``: at the latest when i == max_iter.
+    rows.append(TraceRow(i, eps_i, f_xi, len(evaluation.bundle), 0.0, dist, 0))
+    strict_feasible = (
+        f_xi < 0.0 if status is TerminationStatus.FEASIBLE_FOUND else None
+    )
+    return SolveTrace(rows, status, i, x, f_xi, strict_feasible, iterates)
 
 
 def solve_multistart(
@@ -244,8 +220,3 @@ def solve_multistart(
     if not starts:
         raise ValueError("at least one start point is required")
     return [solve(problem, x0, opts) for x0 in starts]
-
-
-def with_baseline(opts: SolveOptions, baseline_mode: str) -> SolveOptions:
-    """Copy of the options with a different baseline mode."""
-    return replace(opts, baseline_mode=baseline_mode)

@@ -90,10 +90,6 @@ def trace_to_json(trace: SolveTrace) -> str:
     return json.dumps(trace_to_dict(trace), indent=2) + "\n"
 
 
-def parse_trace_json(text: str) -> dict:
-    return json.loads(text)
-
-
 EXIT_CODE_BY_STATUS = {
     TerminationStatus.FEASIBLE_FOUND: 0,
     TerminationStatus.MAX_ITER_EXCEEDED: 2,

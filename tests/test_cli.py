@@ -9,7 +9,6 @@ from epscut import (
     EpsilonSchedule,
     SolveOptions,
     parse_trace_csv,
-    parse_trace_json,
     problem_to_dict,
     solve,
     trace_to_csv,
@@ -67,7 +66,7 @@ class TestTraceFormats:
 
     def test_json_round_trip(self):
         trace = self.trace()
-        payload = parse_trace_json(trace_to_json(trace))
+        payload = json.loads(trace_to_json(trace))
         assert payload["status"] == "FeasibleFound"
         assert payload["status_iteration"] == 3
         assert payload["final_f"] == trace.final_f
@@ -117,6 +116,20 @@ class TestCmdSolve:
 
     def test_missing_x0_exit_one(self, ball_file):
         assert main(["solve", "--problem", ball_file]) == 1
+
+    @pytest.mark.parametrize(
+        "x0_flags",
+        [
+            ["--x0", "nan,0"],
+            ["--x0-random", "1:nan"],
+            ["--x0-random", "1:inf"],
+            ["--x0-random", "1:0"],
+        ],
+        ids=["x0-nan", "random-nan-radius", "random-inf-radius", "random-zero-radius"],
+    )
+    def test_bad_start_exit_one(self, ball_file, x0_flags, capsys):
+        assert main(["solve", "--problem", ball_file, *x0_flags]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_both_x0_sources_exit_one(self, ball_file):
         code = main([

@@ -70,8 +70,23 @@ class TestHalfspaceProjection:
 
 
 class TestPolyhedronProjection:
+    def test_arrays_validated_at_construction(self):
+        with pytest.raises(ZeroNormalError):
+            CutPolyhedron([[1.0, 0.0], [0.0, 0.0]], [0.0, 1.0])
+        with pytest.raises(ValueError):
+            CutPolyhedron(np.zeros((0, 2)), np.zeros(0))
+        with pytest.raises(ValueError):
+            CutPolyhedron([1.0, 0.0], [0.0])
+        with pytest.raises(ValueError):
+            CutPolyhedron([[1.0, np.nan]], [0.0])
+        with pytest.raises(ValueError):
+            CutPolyhedron([[1.0, 0.0], [0.0, 1.0]], [0.0])
+        P = CutPolyhedron([[3.0, 4.0]], [1.0])
+        assert (len(P), P.dim) == (1, 2)
+        assert_allclose(P.normal_norms, [5.0])
+
     def test_symmetric_corner(self):
-        P = CutPolyhedron([Halfspace([1.0, 0.0], 0.0), Halfspace([0.0, 1.0], 0.0)])
+        P = CutPolyhedron([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
         res = project_polyhedron([1.0, 1.0], P)
         assert_allclose(res.point, [0.0, 0.0], atol=1e-14)
         assert res.active_set == [0, 1]
@@ -84,37 +99,37 @@ class TestPolyhedronProjection:
             h = Halfspace(rng.standard_normal(n) + 1e-3, float(rng.standard_normal()))
             x = 3.0 * rng.standard_normal(n)
             lone = project_halfspace(x, h)
-            poly = project_polyhedron(x, CutPolyhedron([h])).point
+            poly = project_polyhedron(x, CutPolyhedron([h.normal], [h.offset])).point
             assert np.array_equal(poly, lone)
 
     def test_feasible_point_returned_unchanged(self):
-        P = CutPolyhedron([Halfspace([1.0, 0.0], 0.0)])
+        P = CutPolyhedron([[1.0, 0.0]], [0.0])
         res = project_polyhedron([-1.0, 5.0], P)
         assert res.feasible
         assert res.active_set == []
         assert_allclose(res.point, [-1.0, 5.0])
 
     def test_single_active_constraint(self):
-        P = CutPolyhedron([Halfspace([1.0, 0.0], 0.0)])
+        P = CutPolyhedron([[1.0, 0.0]], [0.0])
         res = project_polyhedron([1.0, 1.0], P)
         assert_allclose(res.point, [0.0, 1.0], atol=1e-14)
         assert res.active_set == [0]
 
     def test_infeasible_intersection_raises(self):
-        P = CutPolyhedron([Halfspace([1.0, 0.0], 0.0), Halfspace([-1.0, 0.0], -1.0)])
+        P = CutPolyhedron([[1.0, 0.0], [-1.0, 0.0]], [0.0, -1.0])
         with pytest.raises(InfeasiblePolyhedronError):
             project_polyhedron([0.3, 0.0], P)
 
     def test_redundant_constraint_swap(self):
         # The deeper parallel constraint must end up active even if the
         # shallow one enters the working set first.
-        P = CutPolyhedron([Halfspace([1.0, 0.0], 1.0), Halfspace([1.0, 0.0], -1.0)])
+        P = CutPolyhedron([[1.0, 0.0], [1.0, 0.0]], [1.0, -1.0])
         res = project_polyhedron([2.0, 0.5], P)
         assert_allclose(res.point, [-1.0, 0.5], atol=1e-14)
 
     def test_nonfinite_iterate_raises_projection_failed(self):
         # <a, x0> overflows, so the first step sends the iterate to -inf.
-        P = CutPolyhedron([Halfspace([10.0, 10.0], 0.0)])
+        P = CutPolyhedron([[10.0, 10.0]], [0.0])
         with np.errstate(over="ignore"), pytest.raises(ProjectionFailedError):
             project_polyhedron([1e308, 1e308], P)
 
@@ -147,11 +162,7 @@ class TestPolyhedronProjection:
             assert np.max(poly.scaled_violations(res.point)) <= 1e-9
 
     def test_nonexpansive_on_pairs(self, rng):
-        P = CutPolyhedron([
-            Halfspace([1.0, 0.3], 0.5),
-            Halfspace([-0.2, 1.0], 0.1),
-            Halfspace([-1.0, -1.0], 2.0),
-        ])
+        P = CutPolyhedron([[1.0, 0.3], [-0.2, 1.0], [-1.0, -1.0]], [0.5, 0.1, 2.0])
         for _ in range(50):
             x, y = 4.0 * rng.standard_normal((2, 2))
             px = project_polyhedron(x, P).point
@@ -275,20 +286,20 @@ class TestProjectionProperties:
 
 class TestVariationalInequality:
     def test_corner_instance_nonpositive(self):
-        P = CutPolyhedron([Halfspace([1.0, 0.0], 0.0), Halfspace([0.0, 1.0], 0.0)])
+        P = CutPolyhedron([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
         res = project_polyhedron([1.0, 1.0], P)
         report = check_variational_inequality([1.0, 1.0], res, P, samples=200, seed=7)
         assert report.max_violation <= 0.0
         assert report.n_samples == 200
 
     def test_feasible_origin_gives_exact_zero(self):
-        P = CutPolyhedron([Halfspace([1.0, 0.0], 1.0)])
+        P = CutPolyhedron([[1.0, 0.0]], [1.0])
         res = project_polyhedron([0.0, 0.0], P)
         report = check_variational_inequality([0.0, 0.0], res, P, samples=50, seed=1)
         assert report.max_violation == 0.0
 
     def test_deterministic_given_seed(self):
-        P = CutPolyhedron([Halfspace([1.0, 0.2], 0.4), Halfspace([-0.3, 1.0], 0.2)])
+        P = CutPolyhedron([[1.0, 0.2], [-0.3, 1.0]], [0.4, 0.2])
         res = project_polyhedron([2.0, 2.0], P)
         r1 = check_variational_inequality([2.0, 2.0], res, P, samples=64, seed=42)
         r2 = check_variational_inequality([2.0, 2.0], res, P, samples=64, seed=42)
@@ -313,13 +324,13 @@ class TestVariationalInequality:
     def test_no_feasible_sample_on_degenerate_point_set(self):
         # {x : x <= 0 and -x <= 0} is the single point 0; rejection cannot
         # hit it and the deepest ball has zero radius.
-        P = CutPolyhedron([Halfspace([1.0], 0.0), Halfspace([-1.0], 0.0)])
+        P = CutPolyhedron([[1.0], [-1.0]], [0.0, 0.0])
         res = project_polyhedron([3.0], P)
         with pytest.raises(NoFeasibleSampleFoundError):
             check_variational_inequality([3.0], res, P, samples=10, seed=0)
 
     def test_point_outside_polyhedron_rejected(self):
-        P = CutPolyhedron([Halfspace([1.0, 0.0], 0.0)])
+        P = CutPolyhedron([[1.0, 0.0]], [0.0])
         res = project_polyhedron([1.0, 0.0], P)
         bad = type(res)(point=np.array([5.0, 0.0]))
         with pytest.raises(ValueError):

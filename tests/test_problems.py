@@ -9,6 +9,7 @@ from epscut import (
     BallProblem,
     HalfspaceBody,
     MaxAffineProblem,
+    MaxQuadraticsProblem,
     NotAvailableError,
     ShiftedBallProblem,
     SipDistanceProblem,
@@ -101,6 +102,42 @@ class TestEvaluate:
             evaluate(BallProblem(), [1.0, 0.0], j_max=0)
 
 
+class TestOracleContract:
+    PROBLEMS = [
+        BallProblem([0.3, -0.2, 0.1], 1.5),
+        ShiftedBallProblem(3),
+        MaxAffineProblem([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]], [0.1, -0.2]),
+        MaxQuadraticsProblem([
+            ([[1.0, 0.5, 0.0], [0.5, -2.0, 0.3], [0.0, 0.3, 0.4]], [0.1, 0.0, -1.0], 0.5),
+            (np.eye(3), [0.0, 1.0, 0.0], -4.0),
+        ]),
+        SipDistanceProblem(
+            [BallBody([0.0, 0.0, 0.0], 1.0), HalfspaceBody([1.0, 1.0, 0.0], 0.5)]
+        ),
+    ]
+
+    @pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.kind)
+    def test_methods_broadcast_over_leading_axes(self, problem, rng):
+        X = rng.uniform(-2.0, 2.0, size=(4, 5, problem.dim))
+        X[0, 0] = 0.0
+        values = problem.piece_values(X)
+        grads = problem.piece_gradients(X)
+        k = values.shape[-1]
+        assert values.shape == (4, 5, k)
+        assert grads.shape == (4, 5, k, problem.dim)
+        for idx in np.ndindex(4, 5):
+            assert_allclose(values[idx], problem.piece_values(X[idx]), rtol=1e-14)
+            assert_allclose(grads[idx], problem.piece_gradients(X[idx]), rtol=1e-14)
+
+    @pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.kind)
+    def test_bundle_is_gradient_rows_of_active_pieces(self, problem, rng):
+        for _ in range(10):
+            x = rng.uniform(-2.0, 2.0, size=problem.dim)
+            ev = evaluate(problem, x)
+            assert ev.bundle.shape == (len(ev.active), problem.dim)
+            assert np.array_equal(ev.bundle, problem.piece_gradients(x)[ev.active])
+
+
 class TestGradientValidity:
     def test_finite_difference_at_smooth_points(self, rng):
         problems = [
@@ -127,7 +164,7 @@ class TestGradientValidity:
         problem = nonconvex_default_problem(activity_tol=1e-9)
         kink = nonconvex_default_boundary() * 1.2  # outside, near the corner ray
         ev = evaluate(problem, kink)
-        grads = [problem.piece_gradient(kink, j) for j in range(2)]
+        grads = problem.piece_gradients(kink)
         values = problem.piece_values(kink)
         active = [j for j in range(2) if values[j] >= ev.value - 1e-9]
         for _ in range(50):

@@ -7,12 +7,11 @@ from numpy.testing import assert_allclose
 from epscut import (
     BallProblem,
     EpsilonSchedule,
-    InfeasibleCutsError,
+    Halfspace,
     MaxAffineProblem,
     ShiftedBallProblem,
     SolveOptions,
     TerminationStatus,
-    ZeroSubgradientError,
     build_cuts,
     evaluate,
     exact_sublevel_distance,
@@ -21,7 +20,6 @@ from epscut import (
     project_halfspace,
     solve,
     solve_multistart,
-    step,
 )
 from conftest import radial_ball_reference
 
@@ -36,41 +34,44 @@ def harmonic_opts(**kwargs) -> SolveOptions:
     return SolveOptions(schedule=EpsilonSchedule.harmonic(0.1, 1.0), **kwargs)
 
 
+def one_step(problem, x, eps, **kwargs):
+    """A one-iteration run with shift eps at iteration 0."""
+    opts = SolveOptions(schedule=EpsilonSchedule.harmonic(eps), max_iter=1, **kwargs)
+    return solve(problem, x, opts)
+
+
+def first_cut(x, ev, eps) -> Halfspace:
+    poly = build_cuts(x, ev, eps)
+    return Halfspace(poly.normals[0], poly.offsets[0])
+
+
 class TestStep:
     def test_ball_single_cut_closed_form(self):
-        x_next, meta = step([2.0, 0.0], 0.1, BALL)
-        assert_allclose(x_next, [1.225, 0.0], rtol=0, atol=1e-15)
-        assert meta.j_used == 1
-        assert meta.cut_count_active == 1
-        assert not meta.fallback_used
+        trace = one_step(BALL, [2.0, 0.0], 0.1)
+        assert_allclose(trace.iterates[1], [1.225, 0.0], rtol=0, atol=1e-15)
+        assert trace.rows[0].j_i == 1
+        assert trace.rows[0].cut_count_active == 1
 
     def test_single_cut_bundle_equals_halfspace_projection(self):
         x = np.array([1.7, -0.4])
         ev = evaluate(BALL, x)
-        cut = build_cuts(x, ev, 0.05).halfspaces[0]
-        via_step, _ = step(x, 0.05, BALL)
-        assert_allclose(via_step, project_halfspace(x, cut), rtol=1e-14)
+        via_step = one_step(BALL, x, 0.05).iterates[1]
+        assert_allclose(via_step, project_halfspace(x, first_cut(x, ev, 0.05)), rtol=1e-14)
 
     def test_max_affine_corner(self):
-        x_next, meta = step([1.0, 1.0], 0.5, AXES_MAX)
-        assert_allclose(x_next, [-0.5, -0.5], atol=1e-14)
-        assert meta.j_used == 2
-        assert meta.cut_count_active == 2
-
-    def test_zero_subgradient_raises(self):
-        with pytest.raises(ZeroSubgradientError):
-            step([0.0, 0.0], 0.1, ShiftedBallProblem(2))
-
-    def test_opposing_cuts_fail_fallback(self):
-        with pytest.raises(InfeasibleCutsError):
-            step([0.0], 0.1, OPPOSING, harmonic_opts(infeasible_cut_fallback="fail"))
+        trace = one_step(AXES_MAX, [1.0, 1.0], 0.5)
+        assert_allclose(trace.iterates[1], [-0.5, -0.5], atol=1e-14)
+        assert trace.rows[0].j_i == 2
+        assert trace.rows[0].cut_count_active == 2
 
     def test_opposing_cuts_first_cut_fallback(self):
-        x_next, meta = step([0.0], 0.1, OPPOSING)
+        trace = one_step(OPPOSING, [0.0], 0.1)
         # Only the first (most active, lowest index) cut is honored:
-        # x <= 0 - f - eps = -1.1.
-        assert_allclose(x_next, [-1.1], atol=1e-15)
-        assert meta.fallback_used
+        # x <= 0 - f - eps = -1.1. Both cuts together are empty, so this
+        # point is reachable only through the fallback.
+        assert_allclose(trace.iterates[1], [-1.1], atol=1e-15)
+        assert trace.rows[0].j_i == 2
+        assert trace.rows[0].cut_count_active == 1
 
 
 class TestSolveBall:
@@ -124,8 +125,7 @@ class TestSolveBall:
         for i in range(len(trace.iterates) - 1):
             x_i, x_next = trace.iterates[i], trace.iterates[i + 1]
             ev = evaluate(nonconvex_default_problem(), x_i)
-            first_cut = build_cuts(x_i, ev, trace.rows[i].eps_i).halfspaces[0]
-            single = project_halfspace(x_i, first_cut)
+            single = project_halfspace(x_i, first_cut(x_i, ev, trace.rows[i].eps_i))
             assert (
                 np.linalg.norm(x_next - x_i)
                 >= np.linalg.norm(single - x_i) - 1e-12
