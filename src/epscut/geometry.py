@@ -41,6 +41,9 @@ MULTIPLIER_TOL = 1e-12
 # constraints are handled by dual steps (swaps) instead. Wedges thinner than
 # this are treated as numerically empty.
 _DEPENDENCE_TOL = 1e-7
+# Least number of rows per block of the VI checker's rejection sampler; a
+# block also holds four rows per sample still needed.
+_VI_BLOCK_ROWS = 64
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -70,8 +73,11 @@ class Halfspace:
         n = as_vector(self.normal)
         if float(np.dot(n, n)) == 0.0:
             raise ZeroNormalError("halfspace normal must be nonzero")
+        offset = float(self.offset)
+        if not math.isfinite(offset):
+            raise ValueError("halfspace offset must be finite")
         object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
 
     @property
     def dim(self) -> int:
@@ -388,6 +394,17 @@ def check_variational_inequality(
     by seeded rejection sampling around x1, topped up with the deepest-ball
     interior point and segments toward it when rejection alone cannot fill
     the quota. Raises NoFeasibleSampleFoundError if the quota cannot be met.
+
+    Draw ``i`` (counting from 0) is ``x1 + radii[i % 3] * z_i`` with ``z_i``
+    a standard normal n-vector, and it is kept when it is strictly feasible.
+    The draws are made and tested in blocks of rows, and the generator is
+    read as if one n-vector were drawn at a time: with PCG64 an (m, n) draw
+    equals m draws of n. Samples are kept in draw order, and ``n_attempts``
+    counts the draws up to the last sample kept, or the whole budget of
+    ``200 * samples`` when rejection falls short; rows drawn past the last
+    sample kept are discarded uncounted. The segment top-up is reached only
+    after the whole budget is drawn, so it reads the same uniforms as one
+    draw at a time would.
     """
     x0 = as_vector(x0, poly.dim)
     x1 = as_vector(result.point, poly.dim)
@@ -398,43 +415,52 @@ def check_variational_inequality(
 
     rng = np.random.default_rng(seed)
     gap = x0 - x1
-    scale = 1.0 + float(np.linalg.norm(gap))
+    gap_norm = float(np.linalg.norm(gap))
+    scale = 1.0 + gap_norm
     interior = chebyshev_point(poly)
 
-    ys: list[np.ndarray] = []
+    ys = np.empty((samples, poly.dim))
+    count = 0
     if interior is not None:
-        ys.append(interior)
+        ys[0] = interior
+        count = 1
     budget = 200 * samples
     attempts = 0
-    radii = (0.5 * scale, 2.0 * scale, 0.05 * scale)
-    while len(ys) < samples and attempts < budget:
-        radius = radii[attempts % len(radii)]
-        y = x1 + radius * rng.standard_normal(poly.dim)
-        attempts += 1
+    radii = np.array([0.5 * scale, 2.0 * scale, 0.05 * scale])
+    while count < samples and attempts < budget:
+        need = samples - count
+        m = min(budget - attempts, max(_VI_BLOCK_ROWS, 4 * need))
+        radius = radii[(attempts + np.arange(m)) % radii.size]
+        Y = x1 + radius[:, None] * rng.standard_normal((m, poly.dim))
         # Samples must be strictly feasible; only the projection point
-        # itself is granted the tolerance.
-        if poly.contains(y, 0.0):
-            ys.append(y)
-    if len(ys) < samples and interior is not None:
+        # itself is granted the tolerance. The (k, m) layout makes the max
+        # over cuts a reduction over the leading axis, which is the fast one.
+        scaled = (poly.normals @ Y.T - poly.offsets[:, None]) / poly.normal_norms[:, None]
+        kept = np.flatnonzero(scaled.max(axis=0) <= 0.0)[:need]
+        ys[count:count + kept.size] = Y[kept]
+        count += kept.size
+        attempts += int(kept[-1]) + 1 if kept.size == need else m
+    if count < samples and interior is not None:
         # Segment [x1, interior] is feasible by convexity.
-        while len(ys) < samples:
-            t = rng.uniform(0.0, 1.0)
-            ys.append(x1 + t * (interior - x1))
-    if len(ys) < samples:
+        t = rng.uniform(0.0, 1.0, size=samples - count)
+        ys[count:] = x1 + t[:, None] * (interior - x1)
+        count = samples
+    if count < samples:
         raise NoFeasibleSampleFoundError(
-            f"found {len(ys)}/{samples} feasible samples in {attempts} attempts"
+            f"found {count}/{samples} feasible samples in {attempts} attempts"
         )
 
-    max_violation = -np.inf
-    max_normalized = -np.inf
-    for y in ys:
-        v = float(np.dot(gap, y - x1))
-        denom = 1.0 + float(np.linalg.norm(gap)) * float(np.linalg.norm(y - x1))
-        max_violation = max(max_violation, v)
-        max_normalized = max(max_normalized, v / denom)
+    # The scores round exactly as np.dot(gap, y - x1) does for one sample:
+    # vecdot takes one dot product per row (a matrix-vector product may sum
+    # in another order), and a length-1 np.dot is the bare product, whose
+    # sign of zero vecdot's 0.0 + product would lose. argmax keeps the first
+    # of equal maxima, as a running max() does.
+    D = ys - x1
+    inner = np.vecdot(D, gap) if poly.dim > 1 else D[:, 0] * gap[0]
+    normalized = inner / (1.0 + gap_norm * np.sqrt(np.vecdot(D, D)))
     return VariationalInequalityReport(
-        max_violation=max_violation,
-        max_normalized_violation=max_normalized,
-        n_samples=len(ys),
+        max_violation=float(inner[inner.argmax()]),
+        max_normalized_violation=float(normalized[normalized.argmax()]),
+        n_samples=samples,
         n_attempts=attempts,
     )

@@ -72,8 +72,8 @@ class Problem(ABC):
                  name: str | None = None):
         if dim < 1:
             raise ValueError("dim must be at least 1")
-        if activity_tol is not None and activity_tol < 0.0:
-            raise ValueError("activity_tol must be nonnegative")
+        if activity_tol is not None and not 0.0 <= activity_tol < math.inf:
+            raise ValueError("activity_tol must be finite and nonnegative")
         self.dim = int(dim)
         self.activity_tol = activity_tol
         self.name = name or self.kind
@@ -127,8 +127,8 @@ class BallProblem(Problem):
     def __init__(self, center=(0.0, 0.0), radius: float = 1.0,
                  activity_tol: float | None = None, name: str | None = None):
         center = as_vector(center)
-        if not radius > 0.0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         super().__init__(center.size, activity_tol, name)
         self.center = center
         self.radius = float(radius)
@@ -168,6 +168,8 @@ class MaxAffineProblem(Problem):
         intercepts = np.atleast_1d(np.asarray(intercepts, dtype=float))
         if coefs.shape[0] != intercepts.size:
             raise ValueError("coefs and intercepts must have matching length")
+        if not (np.isfinite(coefs).all() and np.isfinite(intercepts).all()):
+            raise ValueError("coefs and intercepts must be finite")
         super().__init__(coefs.shape[1], activity_tol, name)
         self.coefs = coefs
         self.intercepts = intercepts
@@ -192,9 +194,12 @@ class QuadraticPiece:
         lin = as_vector(self.lin)
         if q.shape != (lin.size, lin.size):
             raise ValueError("quadratic matrix shape must match the linear term")
+        const = float(self.const)
+        if not (np.isfinite(q).all() and math.isfinite(const)):
+            raise ValueError("quadratic matrix and constant must be finite")
         object.__setattr__(self, "quad", 0.5 * (q + q.T))
         object.__setattr__(self, "lin", lin)
-        object.__setattr__(self, "const", float(self.const))
+        object.__setattr__(self, "const", const)
 
 
 class MaxQuadraticsProblem(Problem):
@@ -241,8 +246,8 @@ class BallBody:
 
     def __post_init__(self):
         c = as_vector(self.center)
-        if not self.radius > 0.0:
-            raise ValueError("ball radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("ball radius must be positive and finite")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(self.radius))
 
@@ -467,9 +472,11 @@ def problem_from_dict(spec: dict) -> Problem:
     name = spec.get("name")
     activity_tol = spec.get("activity_tol")
     if activity_tol is not None and (
-        not isinstance(activity_tol, (int, float)) or activity_tol < 0
+        not isinstance(activity_tol, (int, float)) or not 0 <= activity_tol < math.inf
     ):
-        raise ValueError("problem spec field 'activity_tol': expected a nonnegative number")
+        raise ValueError(
+            "problem spec field 'activity_tol': expected a finite nonnegative number"
+        )
 
     try:
         if kind == "ball":

@@ -114,6 +114,14 @@ class TestCmdSolve:
         assert code == 1
         assert "kind" in capsys.readouterr().err
 
+    def test_non_finite_spec_exit_one(self, tmp_path, capsys):
+        spec = problem_to_dict(MaxAffineProblem([[1.0, 0.0]], [0.0]))
+        spec["params"]["pieces"][0]["coef"][1] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(spec))
+        assert main(["solve", "--problem", str(path), "--x0", "1,1"]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_x0_exit_one(self, ball_file):
         assert main(["solve", "--problem", ball_file]) == 1
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
@@ -335,3 +335,130 @@ class TestVariationalInequality:
         bad = type(res)(point=np.array([5.0, 0.0]))
         with pytest.raises(ValueError):
             check_variational_inequality([1.0, 0.0], bad, P, samples=10, seed=0)
+
+
+def _reference_vi(x0, result, poly, samples, seed):
+    """The VI checker as a loop over one draw at a time: the test oracle.
+
+    It reads the generator, tests feasibility and scores the samples one
+    vector at a time; the checker must return an equal report.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    x1 = result.point
+    rng = np.random.default_rng(seed)
+    gap = x0 - x1
+    scale = 1.0 + float(np.linalg.norm(gap))
+    interior = geometry.chebyshev_point(poly)
+    ys = [] if interior is None else [interior]
+    budget = 200 * samples
+    attempts = 0
+    radii = (0.5 * scale, 2.0 * scale, 0.05 * scale)
+    while len(ys) < samples and attempts < budget:
+        y = x1 + radii[attempts % 3] * rng.standard_normal(poly.dim)
+        attempts += 1
+        if poly.contains(y, 0.0):
+            ys.append(y)
+    if len(ys) < samples and interior is not None:
+        while len(ys) < samples:
+            ys.append(x1 + rng.uniform(0.0, 1.0) * (interior - x1))
+    if len(ys) < samples:
+        raise NoFeasibleSampleFoundError(
+            f"found {len(ys)}/{samples} feasible samples in {attempts} attempts"
+        )
+    max_violation = max_normalized = -np.inf
+    for y in ys:
+        v = float(np.dot(gap, y - x1))
+        denom = 1.0 + float(np.linalg.norm(gap)) * float(np.linalg.norm(y - x1))
+        max_violation = max(max_violation, v)
+        max_normalized = max(max_normalized, v / denom)
+    return geometry.VariationalInequalityReport(
+        max_violation, max_normalized, len(ys), attempts
+    )
+
+
+def _report_bits(report):
+    """Report fields with floats as hex, so that -0.0 and 0.0 differ."""
+    return (report.max_violation.hex(), report.max_normalized_violation.hex(),
+            report.n_samples, report.n_attempts)
+
+
+def _assert_matches_reference(x0, poly, samples, seed):
+    """Run the checker and the oracle on one instance; return the report."""
+    res = project_polyhedron(x0, poly)
+    try:
+        want = _reference_vi(x0, res, poly, samples, seed)
+    except NoFeasibleSampleFoundError as exc:
+        with pytest.raises(NoFeasibleSampleFoundError) as got:
+            check_variational_inequality(x0, res, poly, samples=samples, seed=seed)
+        assert str(got.value) == str(exc)
+        return None
+    got = check_variational_inequality(x0, res, poly, samples=samples, seed=seed)
+    assert got == want
+    assert _report_bits(got) == _report_bits(want)
+    return got
+
+
+@st.composite
+def vi_instances(draw):
+    """n <= 5, k <= 6: generic cuts, cuts around an interior start (x0 = x1),
+    or cuts plus a thin slab through the anchor that rejects most draws."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["generic", "interior", "thin"]))
+    A = rng.standard_normal((k, n))
+    A[np.linalg.norm(A, axis=1) < 1e-3, 0] = 1.0
+    A *= 10.0 ** rng.uniform(-1.0, 1.0, size=(k, 1))
+    anchor = rng.standard_normal(n)
+    low = 0.1 if shape == "interior" else -0.5
+    b = A @ anchor + rng.uniform(low, 1.0, size=k) * np.linalg.norm(A, axis=1)
+    if shape == "thin":
+        a = rng.standard_normal(n) + 1e-3
+        half = 0.5 * 10.0 ** rng.uniform(-6.0, -1.0) * np.linalg.norm(a)
+        A = np.vstack([A, a, -a])
+        b = np.append(b, [a @ anchor + half, half - a @ anchor])
+    x0 = anchor if shape == "interior" else anchor + 2.0 * rng.standard_normal(n)
+    samples = draw(st.integers(1, 12))
+    return x0, A, b, samples, draw(st.integers(0, 2**32 - 1))
+
+
+class TestVariationalInequalityReference:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(vi_instances())
+    def test_matches_one_draw_at_a_time(self, inst):
+        x0, A, b, samples, seed = inst
+        poly = CutPolyhedron(A, b)
+        try:
+            project_polyhedron(x0, poly)
+        except InfeasiblePolyhedronError:
+            assume(False)
+        _assert_matches_reference(x0, poly, samples, seed)
+
+    def test_budget_exhausted_then_segment_top_up(self):
+        # The slab {0 <= x_1 <= 1e-6} rejects nearly every draw, so the whole
+        # budget is spent and the segment toward the interior fills the quota.
+        P = CutPolyhedron([[-1.0, 0.0], [1.0, 0.0]], [0.0, 1e-6])
+        report = _assert_matches_reference([2.0, 0.5], P, samples=10, seed=3)
+        assert (report.n_samples, report.n_attempts) == (10, 2000)
+
+    def test_no_feasible_sample(self):
+        P = CutPolyhedron([[1.0], [-1.0]], [0.0, 0.0])
+        assert _assert_matches_reference([3.0], P, samples=10, seed=0) is None
+
+    @pytest.mark.parametrize("x0", [[0.0], [0.0, 0.0]])
+    def test_block_accepts_more_rows_than_needed(self, x0):
+        # x0 lies inside, so x1 = x0, every score is a signed zero, and the
+        # first block accepts nearly all of its rows but keeps only four.
+        P = CutPolyhedron(np.eye(len(x0))[:1], [10.0])
+        report = _assert_matches_reference(x0, P, samples=5, seed=2)
+        assert report.n_attempts < geometry._VI_BLOCK_ROWS
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_generator_streams_match_one_draw_at_a_time(self, n):
+        # The checker draws its normals and its segment uniforms in blocks
+        # and relies on them equalling draws made one at a time.
+        rng = np.random.default_rng(11)
+        one_by_one = [rng.standard_normal(n) for _ in range(500)]
+        assert np.array_equal(np.random.default_rng(11).standard_normal((500, n)), one_by_one)
+        rng = np.random.default_rng(12)
+        one_by_one = [rng.uniform(0.0, 1.0) for _ in range(500)]
+        assert np.array_equal(np.random.default_rng(12).uniform(0.0, 1.0, size=500), one_by_one)

@@ -227,6 +227,44 @@ class TestApproximateConvexity:
             check_approximate_convexity(AXES_MAX, [0.0, 0.0], 0.1, 0.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestFiniteProblemData:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: BallProblem([0.0, NAN], 1.0),
+            lambda: BallProblem([0.0, 0.0], INF),
+            lambda: ShiftedBallProblem(2, activity_tol=NAN),
+            lambda: ShiftedBallProblem(2, activity_tol=INF),
+            lambda: MaxAffineProblem([[1.0, NAN]], [0.0]),
+            lambda: MaxAffineProblem([[1.0, 0.0]], [-INF]),
+            lambda: MaxQuadraticsProblem([([[1.0, NAN], [0.0, 1.0]], [0.0, 0.0], 0.0)]),
+            lambda: MaxQuadraticsProblem([(np.eye(2), [0.0, INF], 0.0)]),
+            lambda: MaxQuadraticsProblem([(np.eye(2), [0.0, 0.0], NAN)]),
+            lambda: SipDistanceProblem([BallBody([0.0, 0.0], INF)]),
+            lambda: SipDistanceProblem([HalfspaceBody([1.0, 0.0], NAN)]),
+        ],
+        ids=[
+            "ball-center", "ball-radius", "shifted-activity-tol-nan",
+            "shifted-activity-tol-inf", "max-affine-coef", "max-affine-intercept",
+            "quad", "lin", "const", "sip-ball-radius", "sip-halfspace-offset",
+        ],
+    )
+    def test_constructor_rejects_non_finite(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_spec_rejects_non_finite(self):
+        spec = problem_to_dict(MaxAffineProblem([[1.0, 0.0]], [0.0]))
+        spec["params"]["pieces"][0]["coef"][1] = NAN
+        with pytest.raises(ValueError, match="finite"):
+            problem_from_dict(spec)
+        with pytest.raises(ValueError, match="activity_tol"):
+            problem_from_dict({"kind": "ball", "dim": 2, "activity_tol": NAN})
+
+
 class TestSublevelDistance:
     def test_ball_outside(self):
         d = exact_sublevel_distance(BallProblem([0.0, 0.0], 1.0), [2.0, 0.0], 0.19)
