@@ -1,24 +1,19 @@
-"""Projection kernels: halfspaces, polyhedra, and the KKT certificate.
+"""The projection kernel: halfspaces, polyhedra, and the KKT certificate.
 
 Run:  python demos/01_projection_kernels.py
 """
 
-from epscut import (
-    CutPolyhedron,
-    Halfspace,
-    check_variational_inequality,
-    project_halfspace,
-    project_polyhedron,
-)
-
-# A halfspace is {x : <a, x> <= b}. Projection is closed form: points inside
-# are fixed, points outside land on the bounding hyperplane.
-h = Halfspace([1.0, 0.0], 1.0)
-print("project (2,0) onto {x1 <= 1}:   ", project_halfspace([2.0, 0.0], h))
-print("project (0.5,0.5) (interior):   ", project_halfspace([0.5, 0.5], h))
+from epscut import CutPolyhedron, check_variational_inequality, project_polyhedron
 
 # A polyhedron {x : A x <= b} is given by its (k, n) normal matrix A and its
-# k offsets b. The projection is an exact small dense QP solved by a dual
+# k offsets b. A halfspace {x : <a, x> <= b} is the one-row case: points
+# inside are fixed, points outside land on the bounding hyperplane, at
+# x - (<a, x> - b) / ||a||^2 * a.
+h = CutPolyhedron([[1.0, 0.0]], [1.0])   # x1 <= 1
+print("project (2,0) onto {x1 <= 1}:   ", project_polyhedron([2.0, 0.0], h).point)
+print("project (0.5,0.5) (interior):   ", project_polyhedron([0.5, 0.5], h).point)
+
+# With more rows the projection is an exact small dense QP solved by a dual
 # active-set method; the result carries the active constraints and their
 # nonnegative multipliers.
 P = CutPolyhedron(

@@ -2,8 +2,8 @@
 
 The solver linearizes f at each iterate with a bundle of generalized
 gradients, shifts every cut by a slowly vanishing eps_i, and projects the
-iterate exactly onto the resulting polyhedron. Supporting pieces: exact
-halfspace/polyhedron projection kernels with KKT certificates, a problem
+iterate exactly onto the resulting polyhedron. Supporting pieces: an exact
+polyhedral projection kernel with KKT certificates, a problem
 zoo with subgradient oracles, shift schedules, rate/regularity diagnostics,
 and a CLI for reproducible runs.
 """
@@ -18,7 +18,6 @@ from .diagnostics import (
 from .errors import (
     DimensionMismatchError,
     EpscutError,
-    InfeasibleCutsError,
     InfeasiblePolyhedronError,
     InsufficientDataError,
     NoFeasibleSampleFoundError,
@@ -30,13 +29,11 @@ from .errors import (
 )
 from .geometry import (
     CutPolyhedron,
-    Halfspace,
     ProjectionResult,
     VariationalInequalityReport,
     as_vector,
     chebyshev_point,
     check_variational_inequality,
-    project_halfspace,
     project_polyhedron,
 )
 from .problems import (
@@ -63,7 +60,6 @@ from .schedule import EpsilonSchedule, eps_at, parse_schedule
 from .solver import (
     SolveOptions,
     SolveTrace,
-    StepMeta,
     TerminationStatus,
     TraceRow,
     build_cuts,

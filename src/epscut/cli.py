@@ -4,7 +4,8 @@ Exit codes:
   0  run reached a feasible point
   1  configuration error (bad flags, malformed problem file, bad paths)
   2  iteration budget exhausted
-  3  zero subgradient or empty cut polyhedron
+  3  the step could not be computed: zero subgradient, empty cut
+     polyhedron, non-finite cut, or projection failure
   4  the problem kind has no analytic sublevel distance (diagnose only)
   5  not enough recorded data to diagnose
 
@@ -31,13 +32,17 @@ from .problems import (
     ball_samples,
 )
 from .schedule import parse_schedule
-from .solver import SolveOptions, SolveTrace, solve
-from .traceio import (
-    EXIT_CODE_BY_STATUS,
-    trace_to_csv,
-    trace_to_json,
-    write_text_atomic,
-)
+from .solver import SolveOptions, SolveTrace, TerminationStatus, solve
+from .traceio import trace_to_csv, trace_to_json, write_text_atomic
+
+EXIT_CODE_BY_STATUS = {
+    TerminationStatus.FEASIBLE_FOUND: 0,
+    TerminationStatus.MAX_ITER_EXCEEDED: 2,
+    TerminationStatus.ZERO_SUBGRADIENT: 3,
+    TerminationStatus.INFEASIBLE_CUTS: 3,
+    TerminationStatus.NONFINITE_STEP: 3,
+    TerminationStatus.PROJECTION_FAILED: 3,
+}
 
 
 class _ConfigError(Exception):

@@ -36,20 +36,9 @@ class SublevelEmptyError(EpscutError):
 class ZeroSubgradientError(EpscutError):
     """A bundle member has zero norm, so the cut projection is undefined."""
 
-    def __init__(self, point, iteration=None):
+    def __init__(self, point):
         self.point = point
-        self.iteration = iteration
-        where = f" at iteration {iteration}" if iteration is not None else ""
-        super().__init__(f"zero subgradient in bundle{where}")
-
-
-class InfeasibleCutsError(EpscutError):
-    """The cut polyhedron of one step is empty and the fallback is 'fail'."""
-
-    def __init__(self, iteration=None):
-        self.iteration = iteration
-        where = f" at iteration {iteration}" if iteration is not None else ""
-        super().__init__(f"cut polyhedron is empty{where}")
+        super().__init__("zero subgradient in bundle")
 
 
 class InsufficientDataError(EpscutError):

@@ -1,8 +1,8 @@
-"""Projection kernels onto halfspaces and polyhedra.
+"""Projection kernel onto polyhedra, and its sampled certificate check.
 
-Points are plain 1-D ``numpy.float64`` arrays. A halfspace is ``{x : <a, x> <= b}``
-with a nonzero normal ``a``; a polyhedron ``{x : A x <= b}`` is held as its
-(k, n) matrix of nonzero normals ``A`` and its k offsets ``b``.
+Points are plain 1-D ``numpy.float64`` arrays. A polyhedron ``{x : A x <= b}``
+is held as its (k, n) matrix of nonzero normals ``A`` and its k offsets
+``b``; a halfspace is the case k = 1.
 The polyhedral projection is an exact small dense QP solved with the dual
 active-set method of Goldfarb and Idnani (Math. Programming 27, 1983), and it
 returns a KKT certificate (active set plus nonnegative multipliers). Its
@@ -41,6 +41,12 @@ MULTIPLIER_TOL = 1e-12
 # constraints are handled by dual steps (swaps) instead. Wedges thinner than
 # this are treated as numerically empty.
 _DEPENDENCE_TOL = 1e-7
+# Multiple of the machine epsilon in the round-off bound of a residual
+# <a, x> - b, which is about eps * (|a| . |x| + |b|).
+_ROUNDOFF_FACTOR = 8.0 * np.finfo(float).eps
+# Deepest-ball LP of chebyshev_point: cap on the radius and box on the center.
+_CHEBYSHEV_RADIUS_CAP = 1e3
+_CHEBYSHEV_BOX = 1e4
 # Least number of rows per block of the VI checker's rejection sampler; a
 # block also holds four rows per sample still needed.
 _VI_BLOCK_ROWS = 64
@@ -62,33 +68,13 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class Halfspace:
-    """The set {x : <normal, x> <= offset}."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        n = as_vector(self.normal)
-        if float(np.dot(n, n)) == 0.0:
-            raise ZeroNormalError("halfspace normal must be nonzero")
-        offset = float(self.offset)
-        if not math.isfinite(offset):
-            raise ValueError("halfspace offset must be finite")
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", offset)
-
-    @property
-    def dim(self) -> int:
-        return self.normal.size
-
-
 class CutPolyhedron:
     """The polyhedron {x : normals @ x <= offsets} of k cuts in R^n.
 
-    ``normals`` is a nonempty (k, n) array of finite, nonzero rows and
-    ``offsets`` a (k,) array; ``normal_norms`` holds the row lengths.
+    ``normals`` is a nonempty (k, n) array of finite, nonzero rows whose
+    lengths are finite, and ``offsets`` a (k,) array of finite numbers;
+    ``normal_norms`` holds the row lengths. Anything else raises ValueError
+    (ZeroNormalError for a zero row) at construction.
     """
 
     def __init__(self, normals, offsets):
@@ -98,13 +84,16 @@ class CutPolyhedron:
             raise ValueError(f"normals must be a (k, n) array, got shape {normals.shape}")
         if normals.shape[0] == 0:
             raise ValueError("a polyhedron needs at least one cut")
-        if not np.isfinite(normals).all():
-            raise ValueError("normal entries must be finite")
         if offsets.shape != normals.shape[:1]:
             raise ValueError(
                 f"expected {normals.shape[0]} offsets, got shape {offsets.shape}"
             )
+        if not np.isfinite(offsets).all():
+            raise ValueError("offsets must be finite")
+        # A row length is finite only when every entry of the row is.
         norms = np.linalg.norm(normals, axis=1)
+        if not np.isfinite(norms).all():
+            raise ValueError("cut normals must be finite and of finite length")
         if (norms == 0.0).any():
             raise ZeroNormalError("cut normals must be nonzero")
         self.normals = normals
@@ -147,21 +136,6 @@ class ProjectionResult:
     feasible: bool = False
 
 
-def project_halfspace(x0, h: Halfspace) -> np.ndarray:
-    """Project a point onto a single halfspace (closed form).
-
-    Returns ``x0`` unchanged when it already satisfies the constraint;
-    otherwise the nearest point on the bounding hyperplane,
-    ``x0 - (<a,x0> - b)/||a||^2 * a``.
-    """
-    x0 = as_vector(x0, h.dim)
-    a = h.normal
-    viol = float(np.dot(a, x0)) - h.offset
-    if viol <= 0.0:
-        return x0.copy()
-    return x0 - (viol / float(np.dot(a, a))) * a
-
-
 def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> ProjectionResult:
     """Project a point onto a halfspace intersection (exact dense QP).
 
@@ -182,7 +156,13 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
     O(n|W|) in Givens rotations plus an O(|W|^3) rebuild of ``R^-1``. A
     one-cut projection never builds the factors.
 
-    ``tol`` bounds the accepted scaled violation ``(<a,x> - b)/||a||``.
+    The loop stops when the most violated constraint p has scaled violation
+    ``(<a_p,x> - b_p)/||a_p|| <= tol``, or when p is already in the working
+    set and its finite scaled violation is within the round-off of
+    evaluating it, ``8 eps (|a_p| . |x| + |b_p|) / ||a_p||``: x then lies on
+    that constraint as nearly as double precision can say, and adding it
+    again would only cycle. The second bound exceeds the default ``tol``
+    only far out, where ``|x|`` or ``|b_p| / ||a_p||`` is above about 5e4.
     """
     x = as_vector(x0, poly.dim).copy()
     if tol <= 0.0:
@@ -205,6 +185,10 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
         if scaled[p] <= tol:
             if first_pass:
                 feasible_at_entry = True
+            break
+        if p in ws.work and scaled[p] < np.inf and scaled[p] <= (
+            _ROUNDOFF_FACTOR * (np.abs(A[p]) @ np.abs(x) + abs(b[p])) / norms[p]
+        ):
             break
         first_pass = False
 
@@ -355,8 +339,7 @@ class VariationalInequalityReport:
     n_attempts: int
 
 
-def chebyshev_point(poly: CutPolyhedron, radius_cap: float = 1e3,
-                    box: float = 1e4) -> np.ndarray | None:
+def chebyshev_point(poly: CutPolyhedron) -> np.ndarray | None:
     """Deepest-ball center of the polyhedron, or None when the LP fails.
 
     Solves max r s.t. <a_j, c> + r ||a_j|| <= b_j with r capped and the
@@ -371,7 +354,7 @@ def chebyshev_point(poly: CutPolyhedron, radius_cap: float = 1e3,
         c_obj,
         A_ub=A_ub,
         b_ub=poly.offsets,
-        bounds=[(-box, box)] * n + [(0.0, radius_cap)],
+        bounds=[(-_CHEBYSHEV_BOX, _CHEBYSHEV_BOX)] * n + [(0.0, _CHEBYSHEV_RADIUS_CAP)],
         method="highs",
     )
     if not res.success or res.x is None or res.x[-1] <= 1e-12:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .errors import (
     NotAvailableError,
     SublevelEmptyError,
 )
-from .geometry import CutPolyhedron, Halfspace, as_vector, project_polyhedron
+from .geometry import CutPolyhedron, as_vector, project_polyhedron
 
 DEFAULT_J_MAX = 8
 
@@ -267,24 +267,30 @@ class BallBody:
         return np.divide(gap, norm, out=np.zeros_like(gap), where=norm > self.radius)
 
 
+@dataclass(frozen=True)
 class HalfspaceBody:
-    """Halfspace used as one target set of a distance maximum."""
+    """Halfspace {x : <normal, x> <= offset} used as one target set of a
+    distance maximum."""
 
-    def __init__(self, normal, offset: float):
-        self.halfspace = Halfspace(normal, offset)
-        self._norm = float(np.linalg.norm(self.normal))
+    normal: np.ndarray
+    offset: float
+    _norm: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        a = as_vector(self.normal)
+        norm = float(np.linalg.norm(a))
+        if not 0.0 < norm < math.inf:
+            raise ValueError("halfspace normal must be nonzero with a finite length")
+        offset = float(self.offset)
+        if not math.isfinite(offset):
+            raise ValueError("halfspace offset must be finite")
+        object.__setattr__(self, "normal", a)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "_norm", norm)
 
     @property
     def dim(self) -> int:
-        return self.halfspace.dim
-
-    @property
-    def normal(self) -> np.ndarray:
-        return self.halfspace.normal
-
-    @property
-    def offset(self) -> float:
-        return self.halfspace.offset
+        return self.normal.size
 
     def _violation(self, X) -> np.ndarray:
         return np.vecdot(X, self.normal) - self.offset

@@ -4,10 +4,18 @@ At each iterate x_i with f(x_i) > 0, every bundle subgradient s produces the
 cut {x : <s, x> <= <s, x_i> - f(x_i) - eps_i}, a halfspace that contains the
 shifted sublevel set {f <= -eps_i} whenever the convexity inequality holds
 between x_i and that set. The next iterate is the exact projection of x_i
-onto the intersection of these cuts. The run stops the first time
-f(x_i) <= 0, or after the iteration budget, or on one of two error
-conditions captured in the trace status: a zero-norm subgradient (the cut is
-undefined) or an empty cut intersection with the fail fallback.
+onto the intersection of these cuts. Every run ends with one status:
+
+  FeasibleFound    f(x_i) <= 0 (checked before each step)
+  MaxIterExceeded  the iteration budget ran out
+  ZeroSubgradient  a bundle member has zero norm, so its cut is undefined
+  InfeasibleCuts   the cuts have an empty intersection and the fallback
+                   is 'fail'
+  NonfiniteStep    f(x_i) is +inf or NaN, or a bundle row, a cut offset
+                   or a cut normal's length is not finite
+  ProjectionFailed the projection did not converge (ProjectionFailedError)
+
+The last four mean that the step from x_i could not be computed.
 
 Baselines:
   zero_eps   cuts built with eps = 0 (the classical unshifted linearization)
@@ -22,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    InfeasibleCutsError,
     InfeasiblePolyhedronError,
+    ProjectionFailedError,
     SublevelEmptyError,
     ZeroSubgradientError,
 )
@@ -37,8 +45,6 @@ from .problems import (
     supports_sublevel_distance,
 )
 from .schedule import EpsilonSchedule, eps_at
-
-PROJECTION_TOL = 1e-10
 
 BASELINE_MODES = ("none", "zero_eps", "single_cut")
 FALLBACK_MODES = ("first_cut_only", "fail")
@@ -73,6 +79,8 @@ class TerminationStatus(enum.Enum):
     MAX_ITER_EXCEEDED = "MaxIterExceeded"
     ZERO_SUBGRADIENT = "ZeroSubgradient"
     INFEASIBLE_CUTS = "InfeasibleCuts"
+    NONFINITE_STEP = "NonfiniteStep"
+    PROJECTION_FAILED = "ProjectionFailed"
 
 
 @dataclass(frozen=True)
@@ -108,13 +116,6 @@ class SolveTrace:
     iterates: list[np.ndarray]
 
 
-@dataclass(frozen=True)
-class StepMeta:
-    j_used: int
-    cut_count_active: int
-    fallback_used: bool
-
-
 def build_cuts(x, evaluation: Evaluation, eps: float) -> CutPolyhedron:
     """Cut polyhedron at x from a bundle G: G y <= G x - f - eps."""
     x = np.asarray(x, dtype=float)
@@ -124,59 +125,33 @@ def build_cuts(x, evaluation: Evaluation, eps: float) -> CutPolyhedron:
     return CutPolyhedron(G, np.vecdot(G, x) - evaluation.value - eps)
 
 
-def _step(
-    x: np.ndarray, evaluation: Evaluation, eps: float, opts: SolveOptions
-) -> tuple[np.ndarray, StepMeta]:
-    """One projection step; raises ZeroSubgradientError or InfeasibleCutsError."""
-    poly = build_cuts(x, evaluation, eps)
-    try:
-        result = project_polyhedron(x, poly, PROJECTION_TOL)
-        fallback_used = False
-    except InfeasiblePolyhedronError:
-        if opts.infeasible_cut_fallback == "fail":
-            raise InfeasibleCutsError()
-        first = CutPolyhedron(poly.normals[:1], poly.offsets[:1])
-        result = project_polyhedron(x, first, PROJECTION_TOL)
-        fallback_used = True
-    meta = StepMeta(
-        j_used=len(evaluation.bundle),
-        cut_count_active=len(result.active_set),
-        fallback_used=fallback_used,
-    )
-    return result.point, meta
-
-
-def _maybe_distance(problem, x, eps, opts) -> float | None:
-    if not (opts.record_sublevel_distance and supports_sublevel_distance(problem)):
-        return None
-    try:
-        return exact_sublevel_distance(problem, x, eps)
-    except SublevelEmptyError:
-        return None
-
-
 def solve(problem: Problem, x0, opts: SolveOptions | None = None) -> SolveTrace:
     """Run the iteration from x0 until feasibility or the budget runs out.
 
     Termination is checked before stepping, so an already feasible start
-    yields a one-row trace. Zero-subgradient and empty-cut conditions do not
-    raise; they are captured in the trace status with the failing iteration
-    index so batch runs always complete.
+    yields a one-row trace. A step that cannot be computed does not raise;
+    its status and failing iteration index go into the trace, so batch runs
+    always complete. ``dist_sublevel`` is None where the exact distance is
+    not recorded, not defined (an empty shifted sublevel set) or cannot be
+    computed (its projection fails, or the problem data overflow).
     """
     opts = opts or SolveOptions()
     x = as_vector(x0, problem.dim).copy()
     j_max = 1 if opts.baseline_mode == "single_cut" else opts.j_max
+    record_dist = opts.record_sublevel_distance and supports_sublevel_distance(problem)
 
     rows: list[TraceRow] = []
     iterates = [x.copy()]
     for i in range(opts.max_iter + 1):
         evaluation = evaluate(problem, x, j_max)
         f_xi = evaluation.value
-        if opts.baseline_mode == "zero_eps":
-            eps_i = 0.0
-        else:
-            eps_i = eps_at(opts.schedule, i)
-        dist = _maybe_distance(problem, x, eps_i, opts)
+        eps_i = 0.0 if opts.baseline_mode == "zero_eps" else eps_at(opts.schedule, i)
+        dist = None
+        if record_dist:
+            try:
+                dist = exact_sublevel_distance(problem, x, eps_i)
+            except (SublevelEmptyError, ProjectionFailedError, ValueError):
+                pass
 
         status = None
         if f_xi <= 0.0:
@@ -185,19 +160,32 @@ def solve(problem: Problem, x0, opts: SolveOptions | None = None) -> SolveTrace:
             status = TerminationStatus.MAX_ITER_EXCEEDED
         else:
             try:
-                x_next, meta = _step(x, evaluation, eps_i, opts)
+                poly = build_cuts(x, evaluation, eps_i)
+                try:
+                    result = project_polyhedron(x, poly)
+                except InfeasiblePolyhedronError:
+                    if opts.infeasible_cut_fallback == "fail":
+                        raise
+                    first = CutPolyhedron(poly.normals[:1], poly.offsets[:1])
+                    result = project_polyhedron(x, first)
             except ZeroSubgradientError:
                 status = TerminationStatus.ZERO_SUBGRADIENT
-            except InfeasibleCutsError:
+            except InfeasiblePolyhedronError:
                 status = TerminationStatus.INFEASIBLE_CUTS
+            except ValueError:
+                # CutPolyhedron rejects non-finite cuts, and the empty bundle
+                # that only a non-finite f leaves.
+                status = TerminationStatus.NONFINITE_STEP
+            except ProjectionFailedError:
+                status = TerminationStatus.PROJECTION_FAILED
         if status is not None:
             break
-        step_norm = float(np.linalg.norm(x_next - x))
+        step_norm = float(np.linalg.norm(result.point - x))
         rows.append(
-            TraceRow(i, eps_i, f_xi, meta.j_used, step_norm, dist,
-                     meta.cut_count_active)
+            TraceRow(i, eps_i, f_xi, len(evaluation.bundle), step_norm, dist,
+                     len(result.active_set))
         )
-        x = x_next
+        x = result.point
         iterates.append(x.copy())
 
     # The loop always stops by ``break``: at the latest when i == max_iter.

@@ -16,7 +16,7 @@ import json
 import os
 import tempfile
 
-from .solver import SolveTrace, TerminationStatus, TraceRow
+from .solver import SolveTrace, TraceRow
 
 CSV_COLUMNS = (
     "i", "eps_i", "f_xi", "J_i", "step_norm", "dist_sublevel",
@@ -88,14 +88,6 @@ def trace_to_dict(trace: SolveTrace) -> dict:
 
 def trace_to_json(trace: SolveTrace) -> str:
     return json.dumps(trace_to_dict(trace), indent=2) + "\n"
-
-
-EXIT_CODE_BY_STATUS = {
-    TerminationStatus.FEASIBLE_FOUND: 0,
-    TerminationStatus.MAX_ITER_EXCEEDED: 2,
-    TerminationStatus.ZERO_SUBGRADIENT: 3,
-    TerminationStatus.INFEASIBLE_CUTS: 3,
-}
 
 
 def write_text_atomic(path: str, text: str) -> None:

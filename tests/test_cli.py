@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from epscut import (
@@ -163,6 +164,21 @@ class TestCmdSolve:
             "solve", "--problem", path, "--x0", "0", "--fallback", "fail",
         ])
         assert code == 3
+
+    def test_nonfinite_step_exit_three(self, ball_file, capsys):
+        # f is finite at 1.2e154, but the cut offset overflows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["solve", "--problem", ball_file, "--x0", "1.2e154,0"]) == 3
+        assert capsys.readouterr().out.startswith("NonfiniteStep i=0 ")
+
+    def test_zero_normal_body_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "sip.json"
+        path.write_text(json.dumps({
+            "kind": "sip_distance", "dim": 2,
+            "params": {"bodies": [{"type": "halfspace", "normal": [0, 0], "offset": 1}]},
+        }))
+        assert main(["solve", "--problem", str(path), "--x0", "1,1"]) == 1
+        assert "nonzero" in capsys.readouterr().err
 
     def test_unknown_flag_exit_one(self, ball_file):
         assert main(["solve", "--problem", ball_file, "--x0", "1,1", "--bogus"]) == 1

@@ -10,62 +10,73 @@ from scipy.optimize import linprog
 from epscut import (
     CutPolyhedron,
     DimensionMismatchError,
-    Halfspace,
     InfeasiblePolyhedronError,
     NoFeasibleSampleFoundError,
     ProjectionFailedError,
     ZeroNormalError,
     check_variational_inequality,
-    project_halfspace,
     project_polyhedron,
 )
 from epscut import geometry
 from conftest import brute_force_projection, random_projection_instance
 
 
+def halfspace(normal, offset) -> CutPolyhedron:
+    """The halfspace {x : <normal, x> <= offset} as a one-row polyhedron."""
+    return CutPolyhedron([normal], [offset])
+
+
+def nearest_point(x, h: CutPolyhedron) -> np.ndarray:
+    return project_polyhedron(x, h).point
+
+
+def random_halfspace(rng, n) -> CutPolyhedron:
+    return halfspace(rng.standard_normal(n) + 1e-3, float(rng.standard_normal()))
+
+
 class TestHalfspaceProjection:
     def test_exterior_point_lands_on_boundary(self):
-        h = Halfspace([1.0, 0.0], 1.0)
-        assert_allclose(project_halfspace([2.0, 0.0], h), [1.0, 0.0])
+        h = halfspace([1.0, 0.0], 1.0)
+        assert_allclose(nearest_point([2.0, 0.0], h), [1.0, 0.0])
 
     def test_interior_point_unchanged(self):
-        h = Halfspace([1.0, 0.0], 1.0)
+        h = halfspace([1.0, 0.0], 1.0)
         x = np.array([0.5, 0.5])
-        assert np.array_equal(project_halfspace(x, h), x)
+        assert np.array_equal(nearest_point(x, h), x)
 
     def test_shifted_cut_projection(self):
         # Cut built at f = 3 with gradient (4, 0) and shift 0.1:
         # <(4,0), x> <= <(4,0),(2,0)> - 3 - 0.1 = 4.9.
-        h = Halfspace([4.0, 0.0], 8.0 - 3.1)
-        got = project_halfspace([2.0, 0.0], h)
+        h = halfspace([4.0, 0.0], 8.0 - 3.1)
+        got = nearest_point([2.0, 0.0], h)
         # Independent scalar route: 4 t <= 4.9  =>  t = 4.9 / 4.
         assert_allclose(got, [4.9 / 4.0, 0.0], rtol=0, atol=1e-15)
         assert_allclose(got, [1.225, 0.0], rtol=0, atol=1e-15)
 
     def test_zero_normal_rejected_at_construction(self):
         with pytest.raises(ZeroNormalError):
-            Halfspace([0.0, 0.0], 1.0)
+            halfspace([0.0, 0.0], 1.0)
 
     def test_dimension_mismatch(self):
-        h = Halfspace([1.0, 0.0], 1.0)
+        h = halfspace([1.0, 0.0], 1.0)
         with pytest.raises(DimensionMismatchError):
-            project_halfspace([1.0, 2.0, 3.0], h)
+            nearest_point([1.0, 2.0, 3.0], h)
 
     def test_idempotent(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 6))
-            h = Halfspace(rng.standard_normal(n) + 1e-3, float(rng.standard_normal()))
+            h = random_halfspace(rng, n)
             x = 3.0 * rng.standard_normal(n)
-            once = project_halfspace(x, h)
-            twice = project_halfspace(once, h)
+            once = nearest_point(x, h)
+            twice = nearest_point(once, h)
             assert_allclose(twice, once, rtol=1e-12, atol=1e-12)
 
     def test_nonexpansive(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 6))
-            h = Halfspace(rng.standard_normal(n) + 1e-3, float(rng.standard_normal()))
+            h = random_halfspace(rng, n)
             x, y = 3.0 * rng.standard_normal((2, n))
-            px, py = project_halfspace(x, h), project_halfspace(y, h)
+            px, py = nearest_point(x, h), nearest_point(y, h)
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) * (1 + 1e-12) + 1e-15
 
 
@@ -81,6 +92,12 @@ class TestPolyhedronProjection:
             CutPolyhedron([[1.0, np.nan]], [0.0])
         with pytest.raises(ValueError):
             CutPolyhedron([[1.0, 0.0], [0.0, 1.0]], [0.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                CutPolyhedron([[1.0, 0.0], [0.0, 1.0]], [0.0, bad])
+        # Finite entries whose row length overflows.
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            CutPolyhedron([[1.0, 0.0], [1e200, 1e200]], [0.0, 0.0])
         P = CutPolyhedron([[3.0, 4.0]], [1.0])
         assert (len(P), P.dim) == (1, 2)
         assert_allclose(P.normal_norms, [5.0])
@@ -94,12 +111,15 @@ class TestPolyhedronProjection:
         assert not res.feasible
 
     def test_single_cut_matches_halfspace_kernel(self, rng):
+        # Reference: the closed form x - (<a,x> - b)/||a||^2 a, or x when
+        # the point is inside.
         for _ in range(100):
             n = int(rng.integers(1, 6))
-            h = Halfspace(rng.standard_normal(n) + 1e-3, float(rng.standard_normal()))
+            a, b = rng.standard_normal(n) + 1e-3, float(rng.standard_normal())
             x = 3.0 * rng.standard_normal(n)
-            lone = project_halfspace(x, h)
-            poly = project_polyhedron(x, CutPolyhedron([h.normal], [h.offset])).point
+            viol = float(np.dot(a, x)) - b
+            lone = x if viol <= 0.0 else x - (viol / float(np.dot(a, a))) * a
+            poly = project_polyhedron(x, CutPolyhedron([a], [b])).point
             assert np.array_equal(poly, lone)
 
     def test_feasible_point_returned_unchanged(self):
@@ -227,7 +247,7 @@ def _lp_empty(A, b) -> bool:
     return lp.status == 2
 
 
-def _kkt_error(x0, A, b, res) -> str:
+def _kkt_error(x0, A, b, res, feas_tol=1e-9) -> str:
     """Independent KKT certificate check; empty string when it holds."""
     lam = res.multipliers
     if len(res.active_set) != lam.size or np.any(lam < 0.0):
@@ -238,7 +258,7 @@ def _kkt_error(x0, A, b, res) -> str:
     if np.linalg.norm(res.point - rebuilt) > 1e-9 * scale:
         return "point != x0 - A[active]^T lambda"
     slack = (A @ res.point - b) / np.linalg.norm(A, axis=1)
-    if np.max(slack) > 1e-9:
+    if np.max(slack) > feas_tol:
         return f"scaled violation {np.max(slack):.3g}"
     if any(l > 0.0 and abs(slack[j]) > 1e-9 * scale for j, l in zip(active, lam)):
         return "a cut with lambda > 0 is not tight"
@@ -264,6 +284,32 @@ class TestProjectionProperties:
         assert (res is None) == (oracle is None)
         if res is not None:
             assert np.linalg.norm(res.point - oracle) <= 1e-8
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4),
+           st.sampled_from([0, 2, 4, 6, 8, 10]))
+    def test_far_start_stops_at_round_off(self, seed, n, k, log_dist):
+        # A nonempty polyhedron around the anchor, projected from up to 1e10
+        # away. There <a, x> - b carries round-off far above the kernel's
+        # 1e-10 tolerance; the kernel must stop there instead of cycling.
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((k, n))
+        A[np.linalg.norm(A, axis=1) < 1e-3, 0] = 1.0
+        A *= 10.0 ** rng.uniform(-1.0, 1.0, size=(k, 1))
+        anchor = rng.standard_normal(n)
+        b = A @ anchor + rng.uniform(0.0, 1.0, size=k) * np.linalg.norm(A, axis=1)
+        d = rng.standard_normal(n)
+        x0 = anchor + 10.0**log_dist * d / np.linalg.norm(d)
+        res = project_polyhedron(x0, CutPolyhedron(A, b))
+        roundoff = 8 * np.finfo(float).eps * (
+            np.abs(A) @ np.abs(res.point) + np.abs(b)) / np.linalg.norm(A, axis=1)
+        assert _kkt_error(x0, A, b, res, max(1e-10, roundoff.max())) == ""
+
+    def test_far_single_cut_lands_on_it(self):
+        a, b = np.array([3.0, 7.0]), 1.0
+        res = project_polyhedron([1e9, 1.0], CutPolyhedron([a], [b]))
+        assert res.active_set == [0]
+        assert abs(a @ res.point - b) <= 8 * np.finfo(float).eps * (np.abs(a) @ np.abs(res.point) + b)
 
     def test_drop_shapes_reach_givens_path(self, monkeypatch):
         drops = []

@@ -1,9 +1,14 @@
 """Oracle tests: values, bundles, generalized-gradient validity, distances."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from epscut.problems import KINDS
 from epscut import (
     BallBody,
     BallProblem,
@@ -245,15 +250,18 @@ class TestFiniteProblemData:
             lambda: MaxQuadraticsProblem([(np.eye(2), [0.0, 0.0], NAN)]),
             lambda: SipDistanceProblem([BallBody([0.0, 0.0], INF)]),
             lambda: SipDistanceProblem([HalfspaceBody([1.0, 0.0], NAN)]),
+            lambda: SipDistanceProblem([HalfspaceBody([0.0, 0.0], 1.0)]),
+            lambda: SipDistanceProblem([HalfspaceBody([1e200, 1e200], 1.0)]),
         ],
         ids=[
             "ball-center", "ball-radius", "shifted-activity-tol-nan",
             "shifted-activity-tol-inf", "max-affine-coef", "max-affine-intercept",
             "quad", "lin", "const", "sip-ball-radius", "sip-halfspace-offset",
+            "sip-halfspace-zero-normal", "sip-halfspace-normal-overflow",
         ],
     )
     def test_constructor_rejects_non_finite(self, build):
-        with pytest.raises(ValueError):
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
             build()
 
     def test_spec_rejects_non_finite(self):
@@ -301,6 +309,30 @@ class TestSublevelDistance:
         assert supports_sublevel_distance(AXES_MAX)
 
 
+def random_problem(rng, kind, n):
+    """A problem of the given kind in R^n with data spread over 1e+-6."""
+    def spread(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-6.0, 6.0, size=shape)
+
+    tol = None if rng.random() < 0.5 else float(10.0 ** rng.uniform(-10.0, 0.0))
+    k = int(rng.integers(1, 4))
+    if kind == "ball":
+        return BallProblem(spread(n), float(abs(spread())) + 1e-3, tol, "ball-x")
+    if kind == "shifted_ball_infeasible":
+        return ShiftedBallProblem(n, tol)
+    if kind == "max_affine":
+        return MaxAffineProblem(spread(k, n), spread(k), tol)
+    if kind == "max_quadratics":
+        pieces = [(spread(n, n), spread(n), float(spread())) for _ in range(k)]
+        return MaxQuadraticsProblem(pieces, tol)
+    bodies = [
+        BallBody(spread(n), float(abs(spread())) + 1e-3) if rng.random() < 0.5
+        else HalfspaceBody(spread(n), float(spread()))
+        for _ in range(k)
+    ]
+    return SipDistanceProblem(bodies, tol)
+
+
 class TestSpecSerialization:
     @pytest.mark.parametrize(
         "problem",
@@ -321,6 +353,19 @@ class TestSpecSerialization:
         for _ in range(10):
             x = rng.uniform(-2, 2, size=problem.dim)
             assert rebuilt.value(x) == problem.value(x)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS), st.integers(1, 4))
+    def test_json_round_trip_property(self, seed, kind, n):
+        # Through JSON text, as the CLI reads a spec: the spec comes back
+        # equal and the rebuilt problem has the same values, bit for bit.
+        problem = random_problem(np.random.default_rng(seed), kind, n)
+        spec = problem_to_dict(problem)
+        rebuilt = problem_from_dict(json.loads(json.dumps(spec)))
+        assert problem_to_dict(rebuilt) == spec
+        assert (rebuilt.kind, rebuilt.dim, rebuilt.name) == (kind, n, problem.name)
+        X = 3.0 * np.random.default_rng(seed).standard_normal((5, n))
+        assert np.array_equal(rebuilt.piece_values(X), problem.piece_values(X))
 
     def test_error_messages_name_offending_field(self):
         with pytest.raises(ValueError, match="'kind'"):

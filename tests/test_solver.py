@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from epscut import (
     BallProblem,
+    CutPolyhedron,
     EpsilonSchedule,
-    Halfspace,
     MaxAffineProblem,
     ShiftedBallProblem,
     SolveOptions,
@@ -17,7 +19,7 @@ from epscut import (
     exact_sublevel_distance,
     nonconvex_default_boundary,
     nonconvex_default_problem,
-    project_halfspace,
+    project_polyhedron,
     solve,
     solve_multistart,
 )
@@ -40,9 +42,10 @@ def one_step(problem, x, eps, **kwargs):
     return solve(problem, x, opts)
 
 
-def first_cut(x, ev, eps) -> Halfspace:
+def first_cut(x, ev, eps) -> CutPolyhedron:
+    """The most active cut at x as a one-row polyhedron."""
     poly = build_cuts(x, ev, eps)
-    return Halfspace(poly.normals[0], poly.offsets[0])
+    return CutPolyhedron(poly.normals[:1], poly.offsets[:1])
 
 
 class TestStep:
@@ -56,7 +59,7 @@ class TestStep:
         x = np.array([1.7, -0.4])
         ev = evaluate(BALL, x)
         via_step = one_step(BALL, x, 0.05).iterates[1]
-        assert_allclose(via_step, project_halfspace(x, first_cut(x, ev, 0.05)), rtol=1e-14)
+        assert_allclose(via_step, project_polyhedron(x, first_cut(x, ev, 0.05)).point, rtol=1e-14)
 
     def test_max_affine_corner(self):
         trace = one_step(AXES_MAX, [1.0, 1.0], 0.5)
@@ -125,7 +128,7 @@ class TestSolveBall:
         for i in range(len(trace.iterates) - 1):
             x_i, x_next = trace.iterates[i], trace.iterates[i + 1]
             ev = evaluate(nonconvex_default_problem(), x_i)
-            single = project_halfspace(x_i, first_cut(x_i, ev, trace.rows[i].eps_i))
+            single = project_polyhedron(x_i, first_cut(x_i, ev, trace.rows[i].eps_i)).point
             assert (
                 np.linalg.norm(x_next - x_i)
                 >= np.linalg.norm(single - x_i) - 1e-12
@@ -204,6 +207,61 @@ class TestSolveErrors:
             SolveOptions(baseline_mode="both")
         with pytest.raises(ValueError):
             SolveOptions(infeasible_cut_fallback="retry")
+
+
+class TestFailureSurface:
+    """Every run ends with a status, whatever the arithmetic does."""
+
+    @pytest.mark.parametrize("x0", [[1e200, 0.0], [1.2e154, 0.0]])
+    def test_overflow_is_nonfinite_step(self, x0):
+        # At 1e200, f overflows to inf and the bundle comes out empty; at
+        # 1.2e154, f is finite but the cut offset and normal length are not.
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = solve(BALL, x0)
+        assert trace.status is TerminationStatus.NONFINITE_STEP
+        assert trace.status_iteration == 0
+        assert len(trace.rows) == 1
+
+    def test_overflowing_multiplier_is_projection_failed(self):
+        # One cut with |a| = 1e-83 and violation 1e160: the step length
+        # 1e160 / |a|^2 overflows inside the kernel.
+        problem = MaxAffineProblem([[1e-83]], [1e160])
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = solve(problem, [0.0])
+        assert trace.status is TerminationStatus.PROJECTION_FAILED
+        assert trace.status_iteration == 0
+
+    def test_far_kink_instance_reaches_feasibility(self):
+        # Far from the origin in the scale of these coefficients, a cut's
+        # residual is pure round-off; the kernel must stop there, not cycle.
+        problem = MaxAffineProblem(
+            [[-38.39464111343761, -88.6093251812894],
+             [-7.73739607246644e-05, -0.0006767083573014546],
+             [0.0013832068193243951, 0.0017191089333276814]],
+            [-342663.00805355696, -295100.05812114757, 1234197.6684161827],
+            activity_tol=1.0206153797562739e-07,
+        )
+        trace = solve(problem, [0.01144337679981268, 0.019161912388399104])
+        assert trace.status is TerminationStatus.FEASIBLE_FOUND
+        assert trace.status_iteration == 622
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 3, 6, 10]), st.booleans())
+    def test_random_max_affine_returns_a_status(self, seed, log_spread, record):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        spread = lambda size: 10.0 ** rng.uniform(-log_spread, log_spread, size=size)
+        problem = MaxAffineProblem(
+            rng.standard_normal((k, n)) * spread((k, n)),
+            rng.standard_normal(k) * spread(k),
+            activity_tol=None if rng.random() < 0.5 else float(10.0 ** rng.uniform(-10, 0)),
+        )
+        x0 = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2)
+        opts = SolveOptions(max_iter=200, record_sublevel_distance=record)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = solve(problem, x0, opts)
+        assert trace.status in set(TerminationStatus)
+        assert len(trace.rows) == trace.status_iteration + 1
 
 
 class TestMultistart:
