@@ -61,7 +61,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a nonempty 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     if dim is not None and v.size != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {v.size}")
@@ -74,7 +74,8 @@ class CutPolyhedron:
     ``normals`` is a nonempty (k, n) array of finite, nonzero rows whose
     lengths are finite, and ``offsets`` a (k,) array of finite numbers;
     ``normal_norms`` holds the row lengths. Anything else raises ValueError
-    (ZeroNormalError for a zero row) at construction.
+    at construction, except that a zero row, checked ahead of finiteness,
+    raises ZeroNormalError.
     """
 
     def __init__(self, normals, offsets):
@@ -88,14 +89,14 @@ class CutPolyhedron:
             raise ValueError(
                 f"expected {normals.shape[0]} offsets, got shape {offsets.shape}"
             )
+        norms = np.linalg.norm(normals, axis=1)
+        if (norms == 0.0).any():
+            raise ZeroNormalError("cut normals must be nonzero")
         if not np.isfinite(offsets).all():
             raise ValueError("offsets must be finite")
         # A row length is finite only when every entry of the row is.
-        norms = np.linalg.norm(normals, axis=1)
         if not np.isfinite(norms).all():
             raise ValueError("cut normals must be finite and of finite length")
-        if (norms == 0.0).any():
-            raise ZeroNormalError("cut normals must be nonzero")
         self.normals = normals
         self.offsets = offsets
         self.normal_norms = norms
@@ -178,15 +179,17 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
     feasible_at_entry = False
     max_outer = 50 * (k + 1)
     for _ in range(max_outer):
-        if not np.all(np.isfinite(x)):
+        # x enters finite; only a step can make it otherwise.
+        if not first_pass and not np.isfinite(x).all():
             raise ProjectionFailedError("active-set iterate became nonfinite")
         scaled = (A @ x - b) / norms
-        p = int(np.argmax(scaled))
-        if scaled[p] <= tol:
+        p = int(scaled.argmax())
+        scaled_p = float(scaled[p])
+        if scaled_p <= tol:
             if first_pass:
                 feasible_at_entry = True
             break
-        if p in ws.work and scaled[p] < np.inf and scaled[p] <= (
+        if p in ws.work and scaled_p < math.inf and scaled_p <= (
             _ROUNDOFF_FACTOR * (np.abs(A[p]) @ np.abs(x) + abs(b[p])) / norms[p]
         ):
             break
@@ -204,10 +207,11 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
                 q = r = None
                 z = a_p
 
-            znorm = float(np.linalg.norm(z))
+            zz = float(z.dot(z))
+            znorm = math.sqrt(zz)
             if znorm > _DEPENDENCE_TOL * norms[p]:
-                viol = float(np.dot(a_p, x)) - b[p]
-                t_full = viol / float(np.dot(z, z))
+                viol = float(a_p.dot(x)) - b[p]
+                t_full = viol / zz
                 if m:
                     t_part, j_drop = _min_ratio(lam, r)
                     if t_part < t_full:
@@ -223,7 +227,7 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
                 break
             # Normal lies in the span of the working set: pure dual step.
             # (An empty working set gets here only when ||a_p|| overflows.)
-            if not m or not np.any(r > MULTIPLIER_TOL):
+            if not m or not (r > MULTIPLIER_TOL).any():
                 raise InfeasiblePolyhedronError(
                     "empty halfspace intersection (dual ray found)"
                 )
@@ -238,12 +242,11 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
 
     if feasible_at_entry:
         return ProjectionResult(point=x, feasible=True)
-    lam = np.maximum(ws.lam[:len(ws.work)], 0.0)
-    order = np.argsort(ws.work)
+    order = sorted(range(len(ws.work)), key=ws.work.__getitem__)
     return ProjectionResult(
         point=x,
         active_set=[ws.work[i] for i in order],
-        multipliers=lam[order],
+        multipliers=np.maximum(ws.lam[order], 0.0),
         feasible=False,
     )
 

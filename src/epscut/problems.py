@@ -416,8 +416,8 @@ def exact_sublevel_distance(problem: Problem, x, eps: float) -> float:
             raise SublevelEmptyError(
                 f"no point satisfies f <= -{eps} for this ball instance"
             )
-        gap = float(np.linalg.norm(x - problem.center))
-        return max(0.0, gap - math.sqrt(rr))
+        gap = x - problem.center
+        return max(0.0, math.sqrt(gap.dot(gap)) - math.sqrt(rr))
     if isinstance(problem, MaxAffineProblem):
         flat = np.vecdot(problem.coefs, problem.coefs) == 0.0
         if np.any(problem.intercepts[flat] > -eps):

@@ -17,6 +17,17 @@ onto the intersection of these cuts. Every run ends with one status:
 
 The last four mean that the step from x_i could not be computed.
 
+Inputs are checked where they enter. The public functions (``evaluate``,
+``build_cuts``, ``project_polyhedron``, ``CutPolyhedron``, ...) check their
+arguments; ``solve`` checks x0 once, and ``SolveOptions`` checks itself when
+it is made. Each later iterate is a projection point, which the kernel
+returns finite, so the loop checks no iterate again. What the oracle
+returns is checked once per step, by ``build_cuts``: it builds its cuts
+through the ``CutPolyhedron`` constructor, whose checks of f(x_i), the cut
+offsets and the lengths of the cut normals are the step's only finiteness
+checks. The loop runs with NumPy's overflow and invalid-operation warnings
+off, since the status already reports what they would.
+
 Baselines:
   zero_eps   cuts built with eps = 0 (the classical unshifted linearization)
   single_cut only the most active subgradient is used (J_i = 1)
@@ -25,14 +36,17 @@ Baselines:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     InfeasiblePolyhedronError,
     ProjectionFailedError,
     SublevelEmptyError,
+    ZeroNormalError,
     ZeroSubgradientError,
 )
 from .geometry import CutPolyhedron, as_vector, project_polyhedron
@@ -117,14 +131,30 @@ class SolveTrace:
 
 
 def build_cuts(x, evaluation: Evaluation, eps: float) -> CutPolyhedron:
-    """Cut polyhedron at x from a bundle G: G y <= G x - f - eps."""
+    """Cut polyhedron at x from a bundle G: G y <= G x - f - eps.
+
+    This is the step's one finiteness check. A zero row of G raises
+    ZeroSubgradientError; then an empty bundle (which only a non-finite f
+    leaves), a non-finite offset or a row length that is not finite raises
+    ValueError. A non-finite x makes every offset non-finite, so x needs
+    only its shape checked: a point that is not 1-D raises ValueError, one
+    of the wrong dimension DimensionMismatchError.
+    """
     x = np.asarray(x, dtype=float)
-    G = evaluation.bundle
-    if (np.vecdot(G, G) == 0.0).any():
-        raise ZeroSubgradientError(x)
-    return CutPolyhedron(G, np.vecdot(G, x) - evaluation.value - eps)
+    G = np.asarray(evaluation.bundle, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"expected a 1-D point, got shape {x.shape}")
+    if G.ndim == 2 and x.size != G.shape[1]:
+        raise DimensionMismatchError(f"expected dimension {G.shape[1]}, got {x.size}")
+    try:
+        return CutPolyhedron(G, np.vecdot(G, x) - evaluation.value - eps)
+    except ZeroNormalError:
+        raise ZeroSubgradientError(x) from None
 
 
+# Far from the origin the oracle and the cuts overflow. build_cuts and the
+# kernel turn that into a status, so NumPy need not warn about it.
+@np.errstate(over="ignore", invalid="ignore")
 def solve(problem: Problem, x0, opts: SolveOptions | None = None) -> SolveTrace:
     """Run the iteration from x0 until feasibility or the budget runs out.
 
@@ -173,17 +203,17 @@ def solve(problem: Problem, x0, opts: SolveOptions | None = None) -> SolveTrace:
             except InfeasiblePolyhedronError:
                 status = TerminationStatus.INFEASIBLE_CUTS
             except ValueError:
-                # CutPolyhedron rejects non-finite cuts, and the empty bundle
+                # build_cuts rejects non-finite cuts, and the empty bundle
                 # that only a non-finite f leaves.
                 status = TerminationStatus.NONFINITE_STEP
             except ProjectionFailedError:
                 status = TerminationStatus.PROJECTION_FAILED
         if status is not None:
             break
-        step_norm = float(np.linalg.norm(result.point - x))
+        step = result.point - x
         rows.append(
-            TraceRow(i, eps_i, f_xi, len(evaluation.bundle), step_norm, dist,
-                     len(result.active_set))
+            TraceRow(i, eps_i, f_xi, len(evaluation.bundle), math.sqrt(step.dot(step)),
+                     dist, len(result.active_set))
         )
         x = result.point
         iterates.append(x.copy())

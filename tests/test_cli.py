@@ -1,6 +1,10 @@
 """Trace format round-trips, CLI exit codes, and output determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -170,6 +174,22 @@ class TestCmdSolve:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["solve", "--problem", ball_file, "--x0", "1.2e154,0"]) == 3
         assert capsys.readouterr().out.startswith("NonfiniteStep i=0 ")
+
+    def test_nonfinite_step_stderr_is_quiet(self, ball_file):
+        # A separate process: there, NumPy warnings would reach stderr as
+        # they do for a user, instead of pytest's warning capture.
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        script = "import sys; from epscut.cli import main; sys.exit(main(sys.argv[1:]))"
+        for x0 in ("1.2e154,0", "1e200,0"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "solve", "--problem", ball_file, "--x0", x0],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 3
+            assert proc.stdout.startswith("NonfiniteStep i=0 ")
+            assert "Warning" not in proc.stderr, proc.stderr
 
     def test_zero_normal_body_exit_one(self, tmp_path, capsys):
         path = tmp_path / "sip.json"

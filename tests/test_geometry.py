@@ -88,8 +88,12 @@ class TestPolyhedronProjection:
             CutPolyhedron(np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(ValueError):
             CutPolyhedron([1.0, 0.0], [0.0])
-        with pytest.raises(ValueError):
-            CutPolyhedron([[1.0, np.nan]], [0.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                CutPolyhedron([[1.0, bad]], [0.0])
+        # A zero row is reported ahead of non-finite rows and offsets.
+        with pytest.raises(ZeroNormalError):
+            CutPolyhedron([[np.nan, 1.0], [0.0, 0.0]], [np.inf, 0.0])
         with pytest.raises(ValueError):
             CutPolyhedron([[1.0, 0.0], [0.0, 1.0]], [0.0])
         for bad in (np.nan, np.inf, -np.inf):

@@ -1,5 +1,8 @@
 """Driver tests: steps, cut validity, termination semantics, baselines."""
 
+import collections
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +12,13 @@ from numpy.testing import assert_allclose
 from epscut import (
     BallProblem,
     CutPolyhedron,
+    DimensionMismatchError,
     EpsilonSchedule,
     MaxAffineProblem,
     ShiftedBallProblem,
     SolveOptions,
     TerminationStatus,
+    ZeroSubgradientError,
     build_cuts,
     evaluate,
     exact_sublevel_distance,
@@ -23,6 +28,8 @@ from epscut import (
     solve,
     solve_multistart,
 )
+from epscut import solver
+from epscut.problems import Evaluation
 from conftest import radial_ball_reference
 
 BALL = BallProblem([0.0, 0.0], 1.0)
@@ -262,6 +269,170 @@ class TestFailureSurface:
             trace = solve(problem, x0, opts)
         assert trace.status in set(TerminationStatus)
         assert len(trace.rows) == trace.status_iteration + 1
+
+
+class TestQuietOverflow:
+    """Overflow ends a run with its status and raises no NumPy warning."""
+
+    @pytest.mark.parametrize("problem, x0, status", [
+        (BALL, [1.2e154, 0.0], TerminationStatus.NONFINITE_STEP),
+        (BALL, [1e200, 0.0], TerminationStatus.NONFINITE_STEP),
+        (MaxAffineProblem([[1e-83]], [1e160]), [0.0], TerminationStatus.PROJECTION_FAILED),
+    ])
+    def test_status_without_warning(self, problem, x0, status):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = solve(problem, x0, SolveOptions(record_sublevel_distance=True))
+        assert trace.status is status
+        assert trace.status_iteration == 0
+
+
+class TestCallPoints:
+    """The loop calls each layer through its name in the solver module.
+
+    Tracing tools rebind exactly these names to time the layers, so each
+    call must go through them.
+    """
+
+    NAMES = ("evaluate", "build_cuts", "project_polyhedron", "exact_sublevel_distance")
+
+    def count_calls(self, monkeypatch) -> collections.Counter:
+        counts = collections.Counter()
+        for name in self.NAMES:
+            def counting(*args, _name=name, _call=getattr(solver, name), **kwargs):
+                counts[_name] += 1
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(solver, name, counting)
+        return counts
+
+    def test_ball_run_counts_match_trace(self, monkeypatch):
+        counts = self.count_calls(monkeypatch)
+        trace = solve(BALL, [2.0, 0.0], harmonic_opts(record_sublevel_distance=True))
+        assert trace.status is TerminationStatus.FEASIBLE_FOUND
+        rows, steps = len(trace.rows), len(trace.rows) - 1
+        assert steps == 3
+        assert all(row.dist_sublevel is not None for row in trace.rows)
+        assert counts == {"evaluate": rows, "exact_sublevel_distance": rows,
+                          "build_cuts": steps, "project_polyhedron": steps}
+
+    def test_fallback_projects_twice(self, monkeypatch):
+        counts = self.count_calls(monkeypatch)
+        trace = one_step(OPPOSING, [0.0], 0.1)
+        assert trace.rows[0].cut_count_active == 1
+        assert counts == {"evaluate": 2, "build_cuts": 1, "project_polyhedron": 2}
+
+
+def reference_build_cuts(x, evaluation, eps) -> CutPolyhedron:
+    """build_cuts through the validating constructor, after the zero-row check."""
+    G = evaluation.bundle
+    if (np.vecdot(G, G) == 0.0).any():
+        raise ZeroSubgradientError(x)
+    return CutPolyhedron(G, np.vecdot(G, x) - evaluation.value - eps)
+
+
+def cut_outcome(build, x, evaluation, eps):
+    """The exception class raised, or the bytes of the three arrays."""
+    try:
+        with np.errstate(all="ignore"):
+            poly = build(x, evaluation, eps)
+    except (ValueError, ZeroSubgradientError) as exc:
+        return type(exc)
+    return tuple((a.shape, a.tobytes())
+                 for a in (poly.normals, poly.offsets, poly.normal_norms))
+
+
+BUNDLE_ENTRY = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 1e-200, 1e154, 1e200, -1e200,
+                     np.inf, -np.inf, np.nan]),
+)
+
+
+class TestBuildCuts:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 4).flatmap(lambda n: st.tuples(
+            st.lists(st.lists(BUNDLE_ENTRY, min_size=n, max_size=n), max_size=4),
+            st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n),
+        )),
+        st.integers(-4, 3),
+        st.one_of(st.floats(-10.0, 10.0), st.sampled_from([1e308, np.inf, -np.inf, np.nan])),
+        st.floats(0.0, 1.0),
+    )
+    def test_matches_validating_constructor(self, rows_and_x, zero_row, f, eps):
+        rows, x = rows_and_x
+        G = np.array(rows, dtype=float).reshape(len(rows), len(x))
+        if 0 <= zero_row < len(G):
+            G[zero_row] = 0.0
+        x = np.array(x)
+        ev = Evaluation(value=f, bundle=G, active=list(range(len(G))))
+        expected = cut_outcome(reference_build_cuts, x, ev, eps)
+        assert cut_outcome(build_cuts, x, ev, eps) == expected
+        with np.errstate(all="ignore"):
+            has_zero_row = (np.vecdot(G, G) == 0.0).any()
+        if has_zero_row:
+            assert expected is ZeroSubgradientError
+
+    def test_zero_row_reported_before_nonfinite_rows(self):
+        G = np.array([[np.nan, 1.0], [0.0, 0.0], [np.inf, 0.0]])
+        ev = Evaluation(value=np.inf, bundle=G, active=[0, 1, 2])
+        with np.errstate(invalid="ignore"), pytest.raises(ZeroSubgradientError):
+            build_cuts(np.zeros(2), ev, 0.1)
+
+    @pytest.mark.parametrize("f, bundle", [
+        (np.inf, np.zeros((0, 2))),
+        (np.nan, [[1.0, 0.0]]),
+        (-np.inf, [[1.0, 0.0]]),
+        (1.0, [[1e200, 1e200]]),
+        (1.0, [[1.0, np.nan]]),
+    ])
+    def test_empty_or_nonfinite_cuts_rejected(self, f, bundle):
+        ev = Evaluation(value=f, bundle=np.array(bundle), active=[])
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            build_cuts(np.ones(2), ev, 0.1)
+
+    @pytest.mark.parametrize("x, error", [
+        (np.ones((3, 2)), ValueError),
+        (np.ones((1, 2)), ValueError),
+        (np.ones(3), DimensionMismatchError),
+    ])
+    def test_point_shape_checked(self, x, error):
+        # A (3, 2) point would broadcast one cut's offset to three.
+        ev = Evaluation(value=1.0, bundle=np.array([[1.0, 0.0]]), active=[0])
+        with pytest.raises(error):
+            build_cuts(x, ev, 0.1)
+
+
+class TestInputChecks:
+    """Public entry points check their inputs; the loop relies on them.
+
+    ``CutPolyhedron``'s own checks are in test_geometry.py.
+    """
+
+    @pytest.mark.parametrize("x, error", [
+        ([np.nan, 0.0], ValueError),
+        ([np.inf, 0.0], ValueError),
+        ([0.0, -np.inf], ValueError),
+        ([1.0, 2.0, 3.0], DimensionMismatchError),
+        ([[1.0, 2.0]], ValueError),
+    ])
+    def test_bad_points_rejected(self, x, error):
+        poly = CutPolyhedron([[1.0, 0.0]], [0.0])
+        for call in (
+            lambda: solve(BALL, x),
+            lambda: evaluate(BALL, x),
+            lambda: project_polyhedron(x, poly),
+            lambda: build_cuts(x, evaluate(BALL, [2.0, 0.0]), 0.1),
+            lambda: exact_sublevel_distance(BALL, x, 0.1),
+            lambda: exact_sublevel_distance(AXES_MAX, x, 0.1),
+        ):
+            with np.errstate(invalid="ignore"), pytest.raises(error):
+                call()
+
+    def test_projection_tolerance_checked(self):
+        with pytest.raises(ValueError):
+            project_polyhedron([1.0, 0.0], CutPolyhedron([[1.0, 0.0]], [0.0]), tol=0.0)
 
 
 class TestMultistart:
