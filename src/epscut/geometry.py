@@ -6,12 +6,12 @@ is held as its (k, n) matrix of nonzero normals ``A`` and its k offsets
 The polyhedral projection is an exact small dense QP solved with the dual
 active-set method of Goldfarb and Idnani (Math. Programming 27, 1983), and it
 returns a KKT certificate (active set plus nonnegative multipliers). Its
-working set is kept as a thin QR factorization that is updated as
-constraints enter (O(n|W|)) and leave (O(n|W|) in Givens rotations, plus a
-rebuild of the triangular factor's inverse); it is never refactored from
-scratch. All feasibility tests are scale-aware: violations
+working set is kept as a thin QR factorization that grows one Gram-Schmidt
+column at a time; a constraint leaves by truncating the factors and adding
+the later constraints again. All feasibility tests are scale-aware: violations
 ``<a, x> - b`` are measured relative to ``||a||`` so that cuts with wildly
-different normal magnitudes are treated uniformly.
+different normal magnitudes are treated uniformly. Only the LP of
+``chebyshev_point`` needs SciPy, which it imports on first use.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
-from scipy.optimize import linprog
 
 from .errors import (
     DimensionMismatchError,
@@ -151,11 +149,11 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
     InfeasiblePolyhedronError; a nonfinite iterate or an exhausted iteration
     cap raises ProjectionFailedError.
 
-    The working set W is kept as a thin QR factorization ``A[W].T = Q R``
-    plus ``R^-1``, updated instead of refactored: an added constraint costs
-    O(n|W|) (one Gram-Schmidt pass with re-orthogonalization), a dropped one
-    O(n|W|) in Givens rotations plus an O(|W|^3) rebuild of ``R^-1``. A
-    one-cut projection never builds the factors.
+    The working set W is kept as Q and ``R^-1`` of a thin QR factorization
+    ``A[W].T = Q R``. An added constraint costs O(n|W|) (one Gram-Schmidt
+    pass with re-orthogonalization). Dropping the j-th constraint keeps the
+    factors of the j before it and adds each later one again, which costs
+    O(n|W|^2). A one-cut projection never builds the factors.
 
     The loop stops when the most violated constraint p has scaled violation
     ``(<a_p,x> - b_p)/||a_p|| <= tol``, or when p is already in the working
@@ -173,7 +171,7 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
     b = poly.offsets
     norms = poly.normal_norms
     k = len(poly)
-    ws = _WorkingSet(poly.dim, k)
+    ws = _WorkingSet(A)
 
     first_pass = True
     feasible_at_entry = False
@@ -200,11 +198,10 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
             a_p = A[p]
             m = len(ws.work)
             if m:
-                q, z = ws.split(a_p)
-                r = ws.rinv[:m, :m] @ q
+                r, z = ws.split(a_p)
                 lam = ws.lam[:m]
             else:
-                q = r = None
+                r = None
                 z = a_p
 
             zz = float(z.dot(z))
@@ -223,7 +220,7 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
                     lam -= t_full * r
                 x -= t_full * z
                 lam_p += t_full
-                ws.add(p, lam_p, q, r, z, znorm)
+                ws.add(p, lam_p, r, z, znorm)
                 break
             # Normal lies in the span of the working set: pure dual step.
             # (An empty working set gets here only when ||a_p|| overflows.)
@@ -254,65 +251,57 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
 class _WorkingSet:
     """Working set of the dual active-set loop as ``A[work].T = Q R``.
 
-    ``work`` lists constraint indices in insertion order and ``lam`` their
-    multipliers. Q's orthonormal columns are stored as the rows of ``qt``,
-    R is upper triangular with a positive diagonal, and ``rinv`` holds
-    ``R^-1`` so that multiplier directions need no triangular solve; both
-    keep explicit zeros below the diagonal because ``rinv`` is applied as a
-    full matrix product. The buffers hold at most min(n, k) constraints
-    (admitted normals are linearly independent) and are allocated on the
-    first add.
+    ``work`` lists row indices of the normal matrix ``A`` in insertion order
+    and ``lam`` their multipliers. Q's orthonormal columns are stored as the
+    rows of ``qt``, and ``rinv`` holds ``R^-1`` (R upper triangular with a
+    positive diagonal, never stored) so that multiplier directions need no
+    triangular solve. ``rinv`` is applied as a full matrix product, so it
+    keeps explicit zeros below its diagonal. The buffers hold at most
+    min(n, k) constraints (admitted normals are linearly independent) and
+    are allocated on the first add.
     """
 
-    def __init__(self, n: int, k: int):
-        self.n = n
-        self.cap = min(n, k)
+    def __init__(self, A: np.ndarray):
+        self.A = A
+        self.cap = min(A.shape)
         self.work: list[int] = []
-        self.lam = self.qt = self.r = self.rinv = None
+        self.lam = self.qt = self.rinv = None
 
     def split(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(Q^T a, a - Q Q^T a)`` with one re-orthogonalization pass."""
-        qt = self.qt[:len(self.work)]
+        """``(R^-1 Q^T a, a - Q Q^T a)`` with one re-orthogonalization pass."""
+        m = len(self.work)
+        qt = self.qt[:m]
         q = qt @ a
         z = a - q @ qt
         c = qt @ z
-        return q + c, z - c @ qt
+        return self.rinv[:m, :m] @ (q + c), z - c @ qt
 
-    def add(self, p: int, lam_p: float, q, r, z: np.ndarray, znorm: float) -> None:
-        """Append constraint ``p``; ``q, z`` come from ``split`` and ``r = R^-1 q``."""
+    def add(self, p: int, lam_p: float, r, z: np.ndarray, znorm: float) -> None:
+        """Append constraint ``p``; ``r, z`` come from ``split``."""
         m = len(self.work)
         if self.qt is None:
             self.lam = np.empty(self.cap)
-            self.qt = np.empty((self.cap, self.n))
-            self.r = np.zeros((self.cap, self.cap))
+            self.qt = np.empty((self.cap, self.A.shape[1]))
             self.rinv = np.zeros((self.cap, self.cap))
         self.qt[m] = z / znorm
         if m:
-            self.r[:m, m] = q
             self.rinv[:m, m] = r / -znorm
-        self.r[m, m] = znorm
         self.rinv[m, m] = 1.0 / znorm
         self.lam[m] = lam_p
         self.work.append(p)
 
     def drop(self, j: int) -> None:
-        """Remove the ``j``-th working constraint; Givens rotations restore R,
-        then ``R^-1`` is rebuilt."""
-        m = len(self.work)
-        del self.work[j]
-        self.lam[j:m - 1] = self.lam[j + 1:m]
-        r, qt = self.r, self.qt
-        r[:m, j:m - 1] = r[:m, j + 1:m]
-        for i in range(j, m - 1):
-            h = math.hypot(r[i, i], r[i + 1, i])
-            c, s = r[i, i] / h, r[i + 1, i] / h
-            rot = np.array([[c, s], [-s, c]])
-            r[i:i + 2, i + 1:m - 1] = rot @ r[i:i + 2, i + 1:m - 1]
-            qt[i:i + 2] = rot @ qt[i:i + 2]
-            r[i, i] = h
-            r[i + 1, i] = 0.0
-        if m > 1:
-            self.rinv[:m - 1, :m - 1] = dtrtri(r[:m - 1, :m - 1])[0]
+        """Remove the ``j``-th working constraint. The factors of the j
+        before it stay; each later one is added again, in order, with its
+        multiplier. A later normal's part orthogonal to the working set can
+        only lengthen, so none falls under the dependence threshold."""
+        later = self.work[j + 1:]
+        lams = self.lam[j + 1:len(self.work)].tolist()
+        del self.work[j:]
+        for p, lam_p in zip(later, lams):
+            a = self.A[p]
+            r, z = self.split(a) if self.work else (None, a)
+            self.add(p, lam_p, r, z, math.sqrt(z.dot(z)))
 
 
 def _min_ratio(lam: np.ndarray, r: np.ndarray) -> tuple[float, int]:
@@ -347,8 +336,11 @@ def chebyshev_point(poly: CutPolyhedron) -> np.ndarray | None:
 
     Solves max r s.t. <a_j, c> + r ||a_j|| <= b_j with r capped and the
     center boxed, so unbounded polyhedra still yield a finite point. Returns
-    None unless the inradius found is strictly positive.
+    None unless the inradius found is strictly positive. Needs SciPy (the
+    ``verify`` extra), which is imported on the first call.
     """
+    from scipy.optimize import linprog
+
     n = poly.dim
     c_obj = np.zeros(n + 1)
     c_obj[-1] = -1.0

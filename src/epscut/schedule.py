@@ -31,8 +31,8 @@ class EpsilonSchedule:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not self.eps0 > 0.0:
-            raise ValueError("eps0 must be positive")
+        if not 0.0 < self.eps0 < math.inf:
+            raise ValueError("eps0 must be positive and finite")
         if self.kind == "harmonic" and not 0.0 < self.p <= 1.0:
             raise ValueError("harmonic exponent p must lie in (0, 1]")
 
@@ -47,9 +47,6 @@ class EpsilonSchedule:
     @classmethod
     def constant_for_testing(cls, eps0: float = 0.1) -> "EpsilonSchedule":
         return cls("constant_for_testing", eps0)
-
-    def eps_at(self, i: int) -> float:
-        return eps_at(self, i)
 
 
 def eps_at(schedule: EpsilonSchedule, i: int) -> float:
@@ -69,11 +66,11 @@ def parse_schedule(descriptor: str, eps0: float) -> EpsilonSchedule:
     Accepted forms: "harmonic", "harmonic:p=0.5", "log", "const".
     """
     desc = descriptor.strip().lower()
-    if desc.startswith("harmonic"):
+    name, colon, option = desc.partition(":")
+    if name == "harmonic":
         p = 1.0
-        _, _, rest = desc.partition(":")
-        if rest:
-            key, _, value = rest.partition("=")
+        if colon:
+            key, _, value = option.partition("=")
             if key != "p":
                 raise ValueError(f"unknown schedule option {key!r}")
             p = float(value)

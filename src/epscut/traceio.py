@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+import stat
 import tempfile
 
 from .solver import SolveTrace, TraceRow
@@ -92,12 +93,21 @@ def trace_to_json(trace: SolveTrace) -> str:
 
 def write_text_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    partial file."""
+    partial file. The file gets the mode ``open(path, "w")`` would leave:
+    an existing file's own, or else 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # mkstemp made the file 0o600.
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0o022)  # reading the umask means setting it
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp_path, mode)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 
@@ -25,6 +26,7 @@ from epscut.problems import (
     ShiftedBallProblem,
     nonconvex_default_problem,
 )
+from epscut.traceio import write_text_atomic
 
 BALL = BallProblem([0.0, 0.0], 1.0)
 
@@ -79,6 +81,29 @@ class TestTraceFormats:
             assert rec["f_xi"] == row.f_xi
             assert rec["eps_i"] == row.eps_i
             assert rec["dist_sublevel"] == row.dist_sublevel
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_written_file_mode_matches_open(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        write_text_atomic(str(tmp_path / "atomic.csv"), "i\n")
+        with open(tmp_path / "plain.csv", "w") as handle:
+            handle.write("i\n")
+    finally:
+        os.umask(previous)
+    mode = stat.S_IMODE((tmp_path / "atomic.csv").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "plain.csv").stat().st_mode)
+    assert mode == 0o666 & ~umask
+
+
+def test_rewrite_keeps_file_mode(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("old\n")
+    path.chmod(0o600)
+    write_text_atomic(str(path), "i\n")
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert path.read_text() == "i\n"
 
 
 class TestCmdSolve:
@@ -142,6 +167,14 @@ class TestCmdSolve:
     )
     def test_bad_start_exit_one(self, ball_file, x0_flags, capsys):
         assert main(["solve", "--problem", ball_file, *x0_flags]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--schedule", "harmonicly"], ["--eps0", "inf"], ["--eps0", "nan"]],
+        ids=["schedule-prefix", "eps0-inf", "eps0-nan"],
+    )
+    def test_bad_schedule_exit_one(self, ball_file, flags, capsys):
+        assert main(["solve", "--problem", ball_file, "--x0", "2,0", *flags]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_both_x0_sources_exit_one(self, ball_file):

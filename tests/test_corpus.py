@@ -30,7 +30,7 @@ from epscut import (
     trace_to_json,
 )
 
-CORPUS_SHA256 = "cb089bc2884ec309b7a8e44edbb93beec8bb3247122ef5e16eca3f555d3a9d10"
+CORPUS_SHA256 = "ee430e6ab0b9cab3a5bbbf71a7714a00ecbc9da5b09526096199ea45c05f79e8"
 
 BALL = BallProblem([0.0, 0.0], 1.0)
 OPPOSING = MaxAffineProblem([[1.0], [-1.0]], [1.0, 1.0], activity_tol=0.0)

@@ -333,6 +333,32 @@ class TestProjectionProperties:
                     assert _kkt_error(x0, A, b, res) == ""
             assert len(drops) > before
 
+    def test_factors_hold_after_each_drop(self, monkeypatch):
+        checked = []
+        drop = geometry._WorkingSet.drop
+
+        def checking_drop(ws, j):
+            drop(ws, j)
+            m = len(ws.work)
+            qt, rinv = ws.qt[:m], ws.rinv[:m, :m]
+            normals = ws.A[ws.work]
+            # R = Q^T A[work]^T, with the columns scaled to unit normals.
+            r = qt @ normals.T
+            unit_r = r / np.linalg.norm(normals, axis=1)
+            assert_allclose(qt @ qt.T, np.eye(m), rtol=0, atol=1e-12)
+            assert np.abs(np.tril(unit_r, -1)).max(initial=0.0) <= 1e-12
+            assert (np.diag(unit_r) > 0.0).all()
+            assert_allclose(rinv @ r, np.eye(m), rtol=0, atol=1e-10)
+            assert not np.tril(ws.rinv, -1).any()
+            checked.append(m)
+
+        monkeypatch.setattr(geometry._WorkingSet, "drop", checking_drop)
+        for n, k in [(3, 12), (10, 40)]:
+            before = len(checked)
+            for seed in range(20):
+                _project_or_none(*_hard_instance(seed, n, k, "generic", 1.0, False))
+            assert len(checked) > before
+
 
 class TestVariationalInequality:
     def test_corner_instance_nonpositive(self):

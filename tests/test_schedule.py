@@ -78,3 +78,18 @@ def test_parse_descriptors():
         parse_schedule("harmonic:q=2", 0.1)
     with pytest.raises(ValueError):
         parse_schedule("geometric", 0.1)
+
+
+@pytest.mark.parametrize(
+    "descriptor", ["harmonicly", "harmonic2", "harmonics:p=0.5", "harmonic:", "harmonic:p="],
+)
+def test_parse_accepts_only_harmonic_forms(descriptor):
+    with pytest.raises(ValueError):
+        parse_schedule(descriptor, 0.1)
+
+
+@pytest.mark.parametrize("eps0", [float("inf"), float("nan"), -float("inf")])
+@pytest.mark.parametrize("kind", ["harmonic", "log", "const"])
+def test_eps0_must_be_finite(kind, eps0):
+    with pytest.raises(ValueError):
+        parse_schedule(kind, eps0)

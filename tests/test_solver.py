@@ -1,6 +1,10 @@
 """Driver tests: steps, cut validity, termination semantics, baselines."""
 
 import collections
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -476,3 +480,50 @@ class TestNonconvexLocal:
         traces = solve_multistart(problem, starts, harmonic_opts(max_iter=500))
         found = sum(t.status is TerminationStatus.FEASIBLE_FOUND for t in traces)
         assert found >= 19
+
+
+# Run in a fresh process in which every import of SciPy fails.
+NO_SCIPY_SCRIPT = r"""
+import json, sys
+sys.modules["scipy"] = None
+from epscut import (BallProblem, CutPolyhedron, SolveOptions, TerminationStatus,
+                    chebyshev_point, cli, geometry, problem_to_dict, solve)
+from test_corpus import _max_affine
+
+trace = solve(BallProblem([0.0, 0.0], 1.0), [2.0, 0.0],
+              SolveOptions(record_sublevel_distance=True))
+assert trace.status is TerminationStatus.FEASIBLE_FOUND
+assert trace.rows[-1].dist_sublevel == 0.0
+
+drops = []
+drop = geometry._WorkingSet.drop
+geometry._WorkingSet.drop = lambda ws, j: (drops.append(j), drop(ws, j))[1]
+problem, x0 = _max_affine(11, 20, 16)
+trace = solve(problem, x0, SolveOptions(j_max=64, record_sublevel_distance=True))
+assert trace.status is TerminationStatus.FEASIBLE_FOUND
+assert drops
+
+with open(sys.argv[1], "w") as handle:
+    json.dump(problem_to_dict(BallProblem([0.0, 0.0], 1.0)), handle)
+assert cli.main(["diagnose", "--problem", sys.argv[1], "--x0", "2,0"]) == 0
+
+try:
+    chebyshev_point(CutPolyhedron([[1.0]], [1.0]))
+except ImportError:
+    pass
+else:
+    raise AssertionError("chebyshev_point ran without SciPy")
+assert not [m for m, mod in sys.modules.items() if m.startswith("scipy") and mod is not None]
+"""
+
+
+def test_solve_path_runs_without_scipy(tmp_path):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), str(root / "tests"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path / "ball.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
