@@ -6,11 +6,15 @@ is held as its (k, n) matrix of nonzero normals ``A`` and its k offsets
 The polyhedral projection is an exact small dense QP solved with the dual
 active-set method of Goldfarb and Idnani (Math. Programming 27, 1983), and it
 returns a KKT certificate (active set plus nonnegative multipliers). Its
-working set is kept as a thin QR factorization that grows one Gram-Schmidt
-column at a time; a constraint leaves by truncating the factors and adding
-the later constraints again. All feasibility tests are scale-aware: violations
-``<a, x> - b`` are measured relative to ``||a||`` so that cuts with wildly
-different normal magnitudes are treated uniformly. Only the LP of
+working set is kept as a thin QR factorization. When every cut is violated
+at the query point and there are at least four cuts but no more than the
+dimension, the loop starts from a QR of the whole bundle, pruned by
+multiplier sign; otherwise it starts empty. Later constraints join one
+Gram-Schmidt column at a time, and a constraint leaves by truncating the
+factors and adding the later constraints again. All feasibility tests are
+scale-aware: violations ``<a, x> - b`` are measured relative to ``||a||``
+so that cuts with wildly different normal magnitudes are treated
+uniformly. Only the LP of
 ``chebyshev_point`` needs SciPy, which it imports on first use.
 """
 
@@ -39,6 +43,14 @@ MULTIPLIER_TOL = 1e-12
 # constraints are handled by dual steps (swaps) instead. Wedges thinner than
 # this are treated as numerically empty.
 _DEPENDENCE_TOL = 1e-7
+# Most QR factorizations the whole-bundle start makes before starting cold.
+_START_FACTORIZATIONS = 3
+# Fewest cuts for which the whole-bundle start is tried. On two or three
+# cuts its fixed cost, mostly the NumPy call overhead of the QR and the
+# inverse, exceeds the adds it saves. Step projections of small
+# max-quadratic and SIP solves on a 2-vCPU x86 VM took 57 us against 37 us
+# cold at k = 2 and 62 against 54 at k = 3; from k = 4 the start won.
+_START_MIN_CUTS = 4
 # Multiple of the machine epsilon in the round-off bound of a residual
 # <a, x> - b, which is about eps * (|a| . |x| + |b|).
 _ROUNDOFF_FACTOR = 8.0 * np.finfo(float).eps
@@ -127,12 +139,19 @@ class ProjectionResult:
     round-off, all multipliers are nonnegative, and ``feasible`` records
     whether the query point already satisfied every halfspace (in which case
     the active set is empty and the point is the query itself).
+
+    ``adds`` and ``drops`` count the working-set constraints the active-set
+    loop added one at a time and dropped, and ``start_size`` the cuts of the
+    whole-bundle start (0 for a cold start).
     """
 
     point: np.ndarray
     active_set: list[int] = field(default_factory=list)
     multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))
     feasible: bool = False
+    adds: int = 0
+    drops: int = 0
+    start_size: int = 0
 
 
 def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> ProjectionResult:
@@ -155,6 +174,18 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
     factors of the j before it and adds each later one again, which costs
     O(n|W|^2). A one-cut projection never builds the factors.
 
+    Any working set of independent cuts whose multipliers
+    ``(A[W] A[W]^T) lam = A[W] x0 - b[W]`` are nonnegative is dual feasible,
+    so the loop may start from it instead of the empty set. When
+    4 <= k <= n and every cut is violated at ``x0``, as in each step of
+    ``solve``, the kernel factors the whole bundle with one Householder QR
+    and, if some multiplier is negative, drops those cuts and factors again,
+    at most three times in all. A factorization with a diagonal entry under
+    the dependence threshold ends the attempt. If no attempt gives
+    nonnegative multipliers, the loop starts from the empty working set.
+    The loop then adds and drops as usual, so the start decides where the
+    iteration begins, not the projection it returns (up to round-off).
+
     The loop stops when the most violated constraint p has scaled violation
     ``(<a_p,x> - b_p)/||a_p|| <= tol``, or when p is already in the working
     set and its finite scaled violation is within the round-off of
@@ -172,6 +203,7 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
     norms = poly.normal_norms
     k = len(poly)
     ws = _WorkingSet(A)
+    adds = drops = start_size = 0
 
     first_pass = True
     feasible_at_entry = False
@@ -191,7 +223,14 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
             _ROUNDOFF_FACTOR * (np.abs(A[p]) @ np.abs(x) + abs(b[p])) / norms[p]
         ):
             break
-        first_pass = False
+        if first_pass:
+            first_pass = False
+            if _START_MIN_CUTS <= k <= poly.dim and (scaled > tol).all():
+                point = _bundle_start(ws, b, norms, x)
+                if point is not None:
+                    x = point
+                    start_size = len(ws.work)
+                    continue
 
         lam_p = 0.0
         for _ in range(2 * (k + 1)):
@@ -216,11 +255,13 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
                         lam -= t_part * r
                         lam_p += t_part
                         ws.drop(j_drop)
+                        drops += 1
                         continue
                     lam -= t_full * r
                 x -= t_full * z
                 lam_p += t_full
                 ws.add(p, lam_p, r, z, znorm)
+                adds += 1
                 break
             # Normal lies in the span of the working set: pure dual step.
             # (An empty working set gets here only when ||a_p|| overflows.)
@@ -232,6 +273,7 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
             lam -= t_part * r
             lam_p += t_part
             ws.drop(j_drop)
+            drops += 1
         else:
             raise ProjectionFailedError("active-set inner loop failed to converge")
     else:
@@ -239,13 +281,53 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
 
     if feasible_at_entry:
         return ProjectionResult(point=x, feasible=True)
-    order = sorted(range(len(ws.work)), key=ws.work.__getitem__)
-    return ProjectionResult(
-        point=x,
-        active_set=[ws.work[i] for i in order],
-        multipliers=np.maximum(ws.lam[order], 0.0),
-        feasible=False,
-    )
+    # The working set is most often in index order already; the result is
+    # built positionally. Both save time on every one-cut projection.
+    active = sorted(ws.work)
+    multipliers = ws.lam[:len(active)]
+    if active != ws.work:
+        multipliers = multipliers[np.argsort(ws.work)]
+    return ProjectionResult(x, active, np.maximum(multipliers, 0.0), False,
+                            adds, drops, start_size)
+
+
+def _bundle_start(ws, b, norms, x):
+    """Fill the empty working set ``ws`` with a whole-bundle start at ``x``
+    and return the start point, or return None and leave ``ws`` empty.
+
+    Factors ``A[S].T = Q R`` with S all cuts, R's diagonal made positive,
+    and solves ``R^T R lam = A[S] x - b[S]`` through ``R^-1``. Cuts with a
+    negative multiplier leave S and S is factored again, at most
+    ``_START_FACTORIZATIONS`` times. The start is the first S whose
+    multipliers are all nonnegative and whose point
+    ``x - Q R^-T (A[S] x - b[S])`` is finite. There is none when a diagonal
+    entry of R is at most ``_DEPENDENCE_TOL`` times its normal's length, as
+    for a single add, or when no attempt succeeds.
+    """
+    A = ws.A
+    work = np.arange(len(A))
+    for _ in range(_START_FACTORIZATIONS):
+        normals = A[work]
+        q, r = np.linalg.qr(normals.T)
+        diag = np.diag(r)
+        if (np.abs(diag) <= _DEPENDENCE_TOL * norms[work]).any():
+            return None
+        sign = np.copysign(1.0, diag)[:, None]
+        rinv = np.triu(np.linalg.inv(sign * r))
+        y = rinv.T @ (normals @ x - b[work])
+        lam = rinv @ y
+        keep = lam >= 0.0
+        if keep.all():
+            qt = sign * q.T
+            point = x - y @ qt
+            if not np.isfinite(point).all():
+                return None
+            ws.fill(work.tolist(), qt, rinv, lam)
+            return point
+        work = work[keep]
+        if not work.size:
+            return None
+    return None
 
 
 class _WorkingSet:
@@ -258,7 +340,8 @@ class _WorkingSet:
     triangular solve. ``rinv`` is applied as a full matrix product, so it
     keeps explicit zeros below its diagonal. The buffers hold at most
     min(n, k) constraints (admitted normals are linearly independent) and
-    are allocated on the first add.
+    are allocated on the first add, or by ``fill`` with the factors of the
+    whole-bundle start.
     """
 
     def __init__(self, A: np.ndarray):
@@ -266,6 +349,23 @@ class _WorkingSet:
         self.cap = min(A.shape)
         self.work: list[int] = []
         self.lam = self.qt = self.rinv = None
+
+    def _allocate(self) -> None:
+        self.lam = np.empty(self.cap)
+        self.qt = np.empty((self.cap, self.A.shape[1]))
+        self.rinv = np.zeros((self.cap, self.cap))
+
+    def fill(self, work: list[int], qt: np.ndarray, rinv: np.ndarray,
+             lam: np.ndarray) -> None:
+        """Take the factors of ``A[work].T = Q R`` as given: ``qt`` holds Q's
+        columns as rows, ``rinv`` is ``R^-1`` with exact zeros below its
+        diagonal, and ``lam`` the multipliers."""
+        m = len(work)
+        self._allocate()
+        self.qt[:m] = qt
+        self.rinv[:m, :m] = rinv
+        self.lam[:m] = lam
+        self.work = work
 
     def split(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(R^-1 Q^T a, a - Q Q^T a)`` with one re-orthogonalization pass."""
@@ -280,9 +380,7 @@ class _WorkingSet:
         """Append constraint ``p``; ``r, z`` come from ``split``."""
         m = len(self.work)
         if self.qt is None:
-            self.lam = np.empty(self.cap)
-            self.qt = np.empty((self.cap, self.A.shape[1]))
-            self.rinv = np.zeros((self.cap, self.cap))
+            self._allocate()
         self.qt[m] = z / znorm
         if m:
             self.rinv[:m, m] = r / -znorm

@@ -30,7 +30,7 @@ from epscut import (
     trace_to_json,
 )
 
-CORPUS_SHA256 = "ee430e6ab0b9cab3a5bbbf71a7714a00ecbc9da5b09526096199ea45c05f79e8"
+CORPUS_SHA256 = "13fe8d0ea4470205b3c09b38372c4898901c0d7fb4f7656917289c0e5efa59f3"
 
 BALL = BallProblem([0.0, 0.0], 1.0)
 OPPOSING = MaxAffineProblem([[1.0], [-1.0]], [1.0, 1.0], activity_tol=0.0)

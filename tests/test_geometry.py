@@ -251,6 +251,20 @@ def _lp_empty(A, b) -> bool:
     return lp.status == 2
 
 
+def _least_violation(A, b) -> float:
+    """The LP's least worst scaled violation ``max_j (<a_j, x> - b_j)/||a_j||``
+    over x, floored at -1: positive exactly when the polyhedron is empty.
+    Unlike a zero-objective feasibility LP, it has an optimum, which HiGHS
+    also finds for hundreds of cuts."""
+    norms = np.linalg.norm(A, axis=1)
+    lp = linprog(np.append(np.zeros(A.shape[1]), 1.0),
+                 A_ub=np.hstack([A / norms[:, None], -np.ones((len(A), 1))]),
+                 b_ub=b / norms, bounds=[(None, None)] * A.shape[1] + [(-1.0, None)],
+                 method="highs")
+    assert lp.status == 0, lp.message
+    return lp.fun
+
+
 def _kkt_error(x0, A, b, res, feas_tol=1e-9) -> str:
     """Independent KKT certificate check; empty string when it holds."""
     lam = res.multipliers
@@ -267,6 +281,22 @@ def _kkt_error(x0, A, b, res, feas_tol=1e-9) -> str:
     if any(l > 0.0 and abs(slack[j]) > 1e-9 * scale for j, l in zip(active, lam)):
         return "a cut with lambda > 0 is not tight"
     return ""
+
+
+def _assert_factors_hold(ws) -> int:
+    """Check the working set's factors ``A[work].T = Q R``; return |work|."""
+    m = len(ws.work)
+    qt, rinv = ws.qt[:m], ws.rinv[:m, :m]
+    normals = ws.A[ws.work]
+    # R = Q^T A[work]^T, with the columns scaled to unit normals.
+    r = qt @ normals.T
+    unit_r = r / np.linalg.norm(normals, axis=1)
+    assert_allclose(qt @ qt.T, np.eye(m), rtol=0, atol=1e-12)
+    assert np.abs(np.tril(unit_r, -1)).max(initial=0.0) <= 1e-12
+    assert (np.diag(unit_r) > 0.0).all()
+    assert_allclose(rinv @ r, np.eye(m), rtol=0, atol=1e-10)
+    assert not np.tril(ws.rinv, -1).any()
+    return m
 
 
 class TestProjectionProperties:
@@ -339,18 +369,7 @@ class TestProjectionProperties:
 
         def checking_drop(ws, j):
             drop(ws, j)
-            m = len(ws.work)
-            qt, rinv = ws.qt[:m], ws.rinv[:m, :m]
-            normals = ws.A[ws.work]
-            # R = Q^T A[work]^T, with the columns scaled to unit normals.
-            r = qt @ normals.T
-            unit_r = r / np.linalg.norm(normals, axis=1)
-            assert_allclose(qt @ qt.T, np.eye(m), rtol=0, atol=1e-12)
-            assert np.abs(np.tril(unit_r, -1)).max(initial=0.0) <= 1e-12
-            assert (np.diag(unit_r) > 0.0).all()
-            assert_allclose(rinv @ r, np.eye(m), rtol=0, atol=1e-10)
-            assert not np.tril(ws.rinv, -1).any()
-            checked.append(m)
+            checked.append(_assert_factors_hold(ws))
 
         monkeypatch.setattr(geometry._WorkingSet, "drop", checking_drop)
         for n, k in [(3, 12), (10, 40)]:
@@ -358,6 +377,190 @@ class TestProjectionProperties:
             for seed in range(20):
                 _project_or_none(*_hard_instance(seed, n, k, "generic", 1.0, False))
             assert len(checked) > before
+
+
+def _chain(depth):
+    """``depth`` normals in R^depth, and violations ``c > 0`` at the query
+    point, on which the whole-bundle start needs ``depth`` factorizations.
+
+    Row j is row j + 1 plus ``alpha_j`` along a fresh axis, with half its
+    violation. The least-squares multipliers of rows j..depth-1 are then
+    ``-2**(depth-1-j), ..., 2, 3``, or ``1`` for the last row alone, so each
+    factorization prunes exactly its first row.
+    """
+    A = np.zeros((depth, depth))
+    c = np.ones(depth)
+    A[-1, 0] = 1.0
+    alpha = 0.5
+    for j in range(depth - 2, -1, -1):
+        A[j] = A[j + 1]
+        A[j, depth - 1 - j] = alpha
+        c[j] = c[j + 1] / 2.0
+        alpha /= 2.0
+    return A, c
+
+
+def _near_pair(ratio):
+    """Two unit normals at angle ``asin(ratio)`` and violations 1 and 1.5:
+    a QR of both has ``R_22 = ratio * ||a_2||``, and the first row's
+    multiplier is negative."""
+    A = np.array([[1.0, 0.0], [1.0, ratio]])
+    A[1] /= np.hypot(1.0, ratio)
+    return A, np.array([1.0, 1.5])
+
+
+def _rotation(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def _block_instance(rng, n, depths, pair):
+    """Orthogonal blocks of chains, plus an optional near-dependent pair,
+    rotated into R^n with rows scaled and shuffled.
+
+    Returns ``(x0, A, b, start_size)``: the blocks' multipliers decouple, so
+    the start needs ``max(depths)`` factorizations (2 for a pair) and keeps
+    every row but the first of each block. A pair with ``R_22`` under the
+    dependence threshold ends the start, and so do more than 3
+    factorizations; the size is then 0, as for fewer than four rows.
+    """
+    blocks = [_chain(d) for d in depths]
+    if pair is not None:
+        ratio = geometry._DEPENDENCE_TOL * (2.0 if pair == "above" else 0.5)
+        blocks.append(_near_pair(ratio))
+    k = sum(len(c) for _, c in blocks)
+    M = np.zeros((k, n))
+    c = np.empty(k)
+    at = 0
+    for Ab, cb in blocks:
+        d = len(cb)
+        M[at:at + d, at:at + d] = Ab
+        c[at:at + d] = cb
+        at += d
+    scale = 10.0 ** rng.uniform(-1.0, 1.0, size=k)
+    order = rng.permutation(k)
+    A = (scale[:, None] * M @ _rotation(rng, n))[order]
+    c = (10.0 ** rng.uniform(-1.0, 1.0) * scale * c)[order]
+    x0 = rng.standard_normal(n)
+    if k < geometry._START_MIN_CUTS or pair == "below" or max(depths) > 3:
+        size = 0
+    else:
+        size = k - sum(d - 1 for d in depths) - (pair is not None)
+    return x0, A, A @ x0 - c, size
+
+
+@st.composite
+def step_instances(draw):
+    """Instances shaped like a ``solve`` step, ``b = A x0 - c`` with c > 0,
+    and the start size they must give (None where it is not known ahead).
+
+    ``generic``: Gaussian rows, k <= n. ``acute``: rows with pairwise
+    nonnegative inner products and ``c = A A^T lam`` for lam > 0, whose
+    projection is ``x0 - A^T lam``; a start from all rows is taken when
+    k >= 4. ``blocks``: see ``_block_instance``. ``single``, ``over``
+    (k > n) and ``satisfied`` (one cut holds at x0) never try the start.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["generic", "acute", "blocks", "single", "over", "satisfied"]))
+    n = draw(st.one_of(st.integers(4, 8), st.integers(9, 200)))
+    if shape == "blocks":
+        depths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        pair = draw(st.sampled_from([None, "above", "below"]))
+        dims = sum(depths) + 2 * (pair is not None)
+        return (*_block_instance(rng, max(n, dims), depths, pair), None)
+    k = {"single": 1, "over": n + draw(st.integers(1, n))}.get(shape)
+    if k is None:
+        k = draw(st.integers(2, n))
+    if shape == "acute":
+        A = np.abs(rng.standard_normal((k, n))) @ _rotation(rng, n)
+        A *= 10.0 ** rng.uniform(-1.0, 1.0, size=(k, 1))
+        lam = rng.uniform(0.5, 2.0, size=k)
+        x0 = rng.standard_normal(n)
+        size = k if k >= geometry._START_MIN_CUTS else 0
+        return x0, A, A @ x0 - A @ (A.T @ lam), size, x0 - A.T @ lam
+    A = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-1.0, 1.0, size=(k, 1))
+    c = rng.uniform(0.01, 1.0, size=k) * np.linalg.norm(A, axis=1)
+    if shape == "satisfied":
+        c[rng.integers(k)] *= -1.0
+    x0 = rng.standard_normal(n)
+    return x0, A, A @ x0 - c, None if shape == "generic" else 0, None
+
+
+class TestBundleStart:
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(step_instances())
+    def test_certificate_and_start_size(self, inst):
+        x0, A, b, size, point = inst
+        res = _project_or_none(x0, A, b)
+        depth = _least_violation(A, b)
+        if abs(depth) > 1e-9:
+            assert (res is None) == (depth > 0.0)
+        oracle = brute_force_projection(x0, A, b) if len(A) <= 8 else None
+        if len(A) <= 8:
+            assert (res is None) == (oracle is None)
+        if res is None:
+            return
+        assert _kkt_error(x0, A, b, res) == ""
+        if oracle is not None:
+            assert np.linalg.norm(res.point - oracle) <= 1e-8
+        if point is not None:
+            assert np.linalg.norm(res.point - point) <= 1e-9 * (1.0 + np.linalg.norm(x0))
+        assert len(res.active_set) == res.start_size + res.adds - res.drops
+        assert 0 <= res.start_size <= len(A)
+        if size is not None:
+            assert res.start_size == size
+
+    @pytest.mark.parametrize("depth, factorizations, size",
+                             [(1, 1, 4), (2, 2, 4), (3, 3, 4), (4, 3, 0), (5, 3, 0)])
+    def test_chain_prunes_one_cut_per_factorization(self, monkeypatch, depth,
+                                                    factorizations, size):
+        # A chain beside three single cuts: k = depth + 3.
+        rng = np.random.default_rng(depth)
+        x0, A, b, expected = _block_instance(rng, depth + 5, [depth, 1, 1, 1], None)
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda M: (calls.append(M.shape), qr(M))[1])
+        res = project_polyhedron(x0, CutPolyhedron(A, b))
+        assert (res.start_size, expected) == (size, size)
+        k = depth + 3
+        assert [m for _, m in calls] == list(range(k, k - factorizations, -1))
+        assert _kkt_error(x0, A, b, res) == ""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_two_or_three_cuts_start_cold(self, monkeypatch, k):
+        calls = []
+        monkeypatch.setattr(np.linalg, "qr", lambda M: calls.append(M))
+        A = np.eye(k, 5)
+        res = project_polyhedron(np.ones(5), CutPolyhedron(A, np.zeros(k)))
+        assert (res.start_size, res.adds, res.drops, calls) == (0, k, 0, [])
+        assert_allclose(res.point, np.r_[np.zeros(k), np.ones(5 - k)])
+
+    def test_factors_hold_after_start_and_later_drops(self, monkeypatch):
+        fill, drop = geometry._WorkingSet.fill, geometry._WorkingSet.drop
+        started, dropped = [], []
+
+        def checking_fill(ws, *factors):
+            fill(ws, *factors)
+            ws.started = True
+            started.append(_assert_factors_hold(ws))
+
+        def checking_drop(ws, j):
+            drop(ws, j)
+            if getattr(ws, "started", False):
+                dropped.append(_assert_factors_hold(ws))
+
+        monkeypatch.setattr(geometry._WorkingSet, "fill", checking_fill)
+        monkeypatch.setattr(geometry._WorkingSet, "drop", checking_drop)
+        rng = np.random.default_rng(5)
+        for _ in range(600):
+            n = int(rng.integers(4, 11))
+            k = int(rng.integers(4, n + 1))
+            A = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-1.0, 1.0, size=(k, 1))
+            x0 = rng.standard_normal(n)
+            b = A @ x0 - rng.uniform(0.01, 1.0, size=k) * np.linalg.norm(A, axis=1)
+            res = project_polyhedron(x0, CutPolyhedron(A, b))
+            assert _kkt_error(x0, A, b, res) == ""
+        assert len(started) > 500
+        assert len(dropped) >= 10
 
 
 class TestVariationalInequality:
