@@ -26,13 +26,21 @@ import numpy as np
 from . import diagnostics
 from .errors import InsufficientDataError, NotAvailableError
 from .problems import (
+    DEFAULT_J_MAX,
     Problem,
     problem_from_dict,
     supports_sublevel_distance,
     ball_samples,
 )
 from .schedule import parse_schedule
-from .solver import SolveOptions, SolveTrace, TerminationStatus, solve
+from .solver import (
+    BASELINE_MODES,
+    FALLBACK_MODES,
+    SolveOptions,
+    SolveTrace,
+    TerminationStatus,
+    solve,
+)
 from .traceio import trace_to_csv, trace_to_json, write_text_atomic
 
 EXIT_CODE_BY_STATUS = {
@@ -70,16 +78,12 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
         default="harmonic:p=1",
         help="shift schedule: harmonic:p=P | log | const",
     )
-    sub.add_argument("--j-max", type=int, default=8, help="bundle size cap")
+    sub.add_argument("--j-max", type=int, default=DEFAULT_J_MAX, help="bundle size cap")
     sub.add_argument("--max-iter", type=int, default=1000)
-    sub.add_argument(
-        "--baseline",
-        choices=["none", "zero_eps", "single_cut"],
-        default="none",
-    )
+    sub.add_argument("--baseline", choices=BASELINE_MODES, default="none")
     sub.add_argument(
         "--fallback",
-        choices=["first_cut_only", "fail"],
+        choices=FALLBACK_MODES,
         default="first_cut_only",
         help="behavior when the cut polyhedron of a step is empty",
     )
@@ -186,13 +190,8 @@ def _summary_line(trace: SolveTrace) -> str:
 
 
 def _decay_rho(trace: SolveTrace) -> float | None:
-    dist = [
-        r.dist_sublevel
-        for r in trace.rows
-        if r.f_xi > 0.0 and r.dist_sublevel is not None
-    ]
     try:
-        return diagnostics.fit_decay_rate(dist).rho
+        return diagnostics.claim_contrast(trace).rate.rho
     except (InsufficientDataError, ValueError):
         return None
 

@@ -33,6 +33,9 @@ from .errors import (
     ZeroNormalError,
 )
 
+# Largest scaled violation (<a, x> - b) / ||a|| at which a point counts as
+# inside a cut polyhedron, for the projection kernel.
+FEASIBILITY_TOL = 1e-10
 # Multiplier sign tolerance for dropping constraints inside the active-set loop.
 MULTIPLIER_TOL = 1e-12
 # Relative threshold below which a normal counts as linearly dependent on the
@@ -60,6 +63,9 @@ _CHEBYSHEV_BOX = 1e4
 # Least number of rows per block of the VI checker's rejection sampler; a
 # block also holds four rows per sample still needed.
 _VI_BLOCK_ROWS = 64
+# Largest scaled violation the VI checker grants the projection point it is
+# given; its samples must be strictly feasible.
+_VI_POINT_TOL = 1e-8
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -136,9 +142,10 @@ class ProjectionResult:
     """Nearest point of a polyhedron plus its KKT certificate.
 
     ``point = x0 - sum(multipliers[j] * normals[active_set[j]])`` holds within
-    round-off, all multipliers are nonnegative, and ``feasible`` records
-    whether the query point already satisfied every halfspace (in which case
-    the active set is empty and the point is the query itself).
+    round-off and all multipliers are nonnegative. ``feasible`` is true
+    exactly when the active set is empty: the query point already satisfied
+    every halfspace and is returned as the point. A projection that moves
+    the point keeps at least one working constraint.
 
     ``adds`` and ``drops`` count the working-set constraints the active-set
     loop added one at a time and dropped, and ``start_size`` the cuts of the
@@ -148,13 +155,16 @@ class ProjectionResult:
     point: np.ndarray
     active_set: list[int] = field(default_factory=list)
     multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    feasible: bool = False
     adds: int = 0
     drops: int = 0
     start_size: int = 0
 
+    @property
+    def feasible(self) -> bool:
+        return not self.active_set
 
-def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> ProjectionResult:
+
+def project_polyhedron(x0, poly: CutPolyhedron) -> ProjectionResult:
     """Project a point onto a halfspace intersection (exact dense QP).
 
     Dual active-set iteration (Goldfarb & Idnani, "A numerically stable dual
@@ -174,6 +184,13 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
     factors of the j before it and adds each later one again, which costs
     O(n|W|^2). A one-cut projection never builds the factors.
 
+    Each step on the most violated constraint p takes the shorter of two
+    dual steps: the full step onto p, or the partial step at which a
+    working-set multiplier reaches zero and its constraint is dropped. When
+    ``a_p`` lies in the span of the working set there is no full step and
+    x does not move; if no multiplier blocks either, the dual ray is
+    unbounded and the intersection empty.
+
     Any working set of independent cuts whose multipliers
     ``(A[W] A[W]^T) lam = A[W] x0 - b[W]`` are nonnegative is dual feasible,
     so the loop may start from it instead of the empty set. When
@@ -186,109 +203,93 @@ def project_polyhedron(x0, poly: CutPolyhedron, tol: float = 1e-10) -> Projectio
     The loop then adds and drops as usual, so the start decides where the
     iteration begins, not the projection it returns (up to round-off).
 
-    The loop stops when the most violated constraint p has scaled violation
-    ``(<a_p,x> - b_p)/||a_p|| <= tol``, or when p is already in the working
-    set and its finite scaled violation is within the round-off of
+    A point counts as inside when its largest scaled violation
+    ``(<a_p,x> - b_p)/||a_p||`` is at most ``FEASIBILITY_TOL`` (1e-10). The
+    loop also stops when the most violated constraint p is already in the
+    working set and its finite scaled violation is within the round-off of
     evaluating it, ``8 eps (|a_p| . |x| + |b_p|) / ||a_p||``: x then lies on
     that constraint as nearly as double precision can say, and adding it
-    again would only cycle. The second bound exceeds the default ``tol``
+    again would only cycle. The second bound exceeds ``FEASIBILITY_TOL``
     only far out, where ``|x|`` or ``|b_p| / ||a_p||`` is above about 5e4.
     """
     x = as_vector(x0, poly.dim).copy()
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-
     A = poly.normals
     b = poly.offsets
     norms = poly.normal_norms
     k = len(poly)
+    scaled = (A @ x - b) / norms
+    p = int(scaled.argmax())
+    if scaled[p] <= FEASIBILITY_TOL:
+        return ProjectionResult(x)
+
     ws = _WorkingSet(A)
     adds = drops = start_size = 0
+    if _START_MIN_CUTS <= k <= poly.dim and (scaled > FEASIBILITY_TOL).all():
+        point = _bundle_start(ws, b, norms, x)
+        if point is not None:
+            x = point
+            start_size = len(ws.work)
+            scaled = (A @ x - b) / norms
+            p = int(scaled.argmax())
 
-    first_pass = True
-    feasible_at_entry = False
-    max_outer = 50 * (k + 1)
-    for _ in range(max_outer):
-        # x enters finite; only a step can make it otherwise.
-        if not first_pass and not np.isfinite(x).all():
-            raise ProjectionFailedError("active-set iterate became nonfinite")
-        scaled = (A @ x - b) / norms
-        p = int(scaled.argmax())
+    for _ in range(50 * (k + 1)):
         scaled_p = float(scaled[p])
-        if scaled_p <= tol:
-            if first_pass:
-                feasible_at_entry = True
-            break
-        if p in ws.work and scaled_p < math.inf and scaled_p <= (
-            _ROUNDOFF_FACTOR * (np.abs(A[p]) @ np.abs(x) + abs(b[p])) / norms[p]
+        if scaled_p <= FEASIBILITY_TOL or p in ws.work and scaled_p < math.inf and (
+            scaled_p <= _ROUNDOFF_FACTOR * (np.abs(A[p]) @ np.abs(x) + abs(b[p])) / norms[p]
         ):
             break
-        if first_pass:
-            first_pass = False
-            if _START_MIN_CUTS <= k <= poly.dim and (scaled > tol).all():
-                point = _bundle_start(ws, b, norms, x)
-                if point is not None:
-                    x = point
-                    start_size = len(ws.work)
-                    continue
-
+        a_p = A[p]
         lam_p = 0.0
         for _ in range(2 * (k + 1)):
-            a_p = A[p]
             m = len(ws.work)
             if m:
                 r, z = ws.split(a_p)
                 lam = ws.lam[:m]
+                t_part, j_drop = _min_ratio(lam, r)
             else:
-                r = None
-                z = a_p
-
+                r, z = None, a_p
+                t_part = math.inf
             zz = float(z.dot(z))
             znorm = math.sqrt(zz)
-            if znorm > _DEPENDENCE_TOL * norms[p]:
-                viol = float(a_p.dot(x)) - b[p]
-                t_full = viol / zz
-                if m:
-                    t_part, j_drop = _min_ratio(lam, r)
-                    if t_part < t_full:
-                        x -= t_part * z
-                        lam -= t_part * r
-                        lam_p += t_part
-                        ws.drop(j_drop)
-                        drops += 1
-                        continue
-                    lam -= t_full * r
-                x -= t_full * z
-                lam_p += t_full
-                ws.add(p, lam_p, r, z, znorm)
-                adds += 1
-                break
-            # Normal lies in the span of the working set: pure dual step.
-            # (An empty working set gets here only when ||a_p|| overflows.)
-            if not m or not (r > MULTIPLIER_TOL).any():
+            # A normal in the span of the working set has no full step: the
+            # dual step leaves x in place.
+            moves = znorm > _DEPENDENCE_TOL * norms[p]
+            t_full = (float(a_p.dot(x)) - b[p]) / zz if moves else math.inf
+            if not moves and t_part == math.inf:
                 raise InfeasiblePolyhedronError(
                     "empty halfspace intersection (dual ray found)"
                 )
-            t_part, j_drop = _min_ratio(lam, r)
-            lam -= t_part * r
-            lam_p += t_part
-            ws.drop(j_drop)
-            drops += 1
+            dropping = t_part < t_full
+            t = t_part if dropping else t_full
+            if moves:
+                x -= t * z
+                if not np.isfinite(x).all():
+                    raise ProjectionFailedError("active-set iterate became nonfinite")
+            if m:
+                lam -= t * r
+            lam_p += t
+            if dropping:
+                ws.drop(j_drop)
+                drops += 1
+            else:
+                ws.add(p, lam_p, r, z, znorm)
+                adds += 1
+                break
         else:
             raise ProjectionFailedError("active-set inner loop failed to converge")
+        scaled = (A @ x - b) / norms
+        p = int(scaled.argmax())
     else:
         raise ProjectionFailedError("active-set outer loop failed to converge")
 
-    if feasible_at_entry:
-        return ProjectionResult(point=x, feasible=True)
     # The working set is most often in index order already; the result is
     # built positionally. Both save time on every one-cut projection.
     active = sorted(ws.work)
     multipliers = ws.lam[:len(active)]
     if active != ws.work:
         multipliers = multipliers[np.argsort(ws.work)]
-    return ProjectionResult(x, active, np.maximum(multipliers, 0.0), False,
-                            adds, drops, start_size)
+    return ProjectionResult(x, active, np.maximum(multipliers, 0.0), adds, drops,
+                            start_size)
 
 
 def _bundle_start(ws, b, norms, x):
@@ -339,21 +340,16 @@ class _WorkingSet:
     positive diagonal, never stored) so that multiplier directions need no
     triangular solve. ``rinv`` is applied as a full matrix product, so it
     keeps explicit zeros below its diagonal. The buffers hold at most
-    min(n, k) constraints (admitted normals are linearly independent) and
-    are allocated on the first add, or by ``fill`` with the factors of the
-    whole-bundle start.
+    min(n, k) constraints, since admitted normals are linearly independent.
     """
 
     def __init__(self, A: np.ndarray):
         self.A = A
-        self.cap = min(A.shape)
+        cap = min(A.shape)
         self.work: list[int] = []
-        self.lam = self.qt = self.rinv = None
-
-    def _allocate(self) -> None:
-        self.lam = np.empty(self.cap)
-        self.qt = np.empty((self.cap, self.A.shape[1]))
-        self.rinv = np.zeros((self.cap, self.cap))
+        self.lam = np.empty(cap)
+        self.qt = np.empty((cap, A.shape[1]))
+        self.rinv = np.zeros((cap, cap))
 
     def fill(self, work: list[int], qt: np.ndarray, rinv: np.ndarray,
              lam: np.ndarray) -> None:
@@ -361,7 +357,6 @@ class _WorkingSet:
         columns as rows, ``rinv`` is ``R^-1`` with exact zeros below its
         diagonal, and ``lam`` the multipliers."""
         m = len(work)
-        self._allocate()
         self.qt[:m] = qt
         self.rinv[:m, :m] = rinv
         self.lam[:m] = lam
@@ -379,8 +374,6 @@ class _WorkingSet:
     def add(self, p: int, lam_p: float, r, z: np.ndarray, znorm: float) -> None:
         """Append constraint ``p``; ``r, z`` come from ``split``."""
         m = len(self.work)
-        if self.qt is None:
-            self._allocate()
         self.qt[m] = z / znorm
         if m:
             self.rinv[:m, m] = r / -znorm
@@ -461,7 +454,6 @@ def check_variational_inequality(
     poly: CutPolyhedron,
     samples: int = 100,
     seed: int = 0,
-    tol: float = 1e-8,
 ) -> VariationalInequalityReport:
     """Sample feasible points and bound the projection inner product.
 
@@ -469,7 +461,9 @@ def check_variational_inequality(
     feasible y; this estimates the worst case over ``samples`` points drawn
     by seeded rejection sampling around x1, topped up with the deepest-ball
     interior point and segments toward it when rejection alone cannot fill
-    the quota. Raises NoFeasibleSampleFoundError if the quota cannot be met.
+    the quota. Raises NoFeasibleSampleFoundError if the quota cannot be met,
+    and ValueError if ``result.point`` violates a cut by more than
+    ``_VI_POINT_TOL`` (1e-8) in scaled terms.
 
     Draw ``i`` (counting from 0) is ``x1 + radii[i % 3] * z_i`` with ``z_i``
     a standard normal n-vector, and it is kept when it is strictly feasible.
@@ -486,7 +480,7 @@ def check_variational_inequality(
     x1 = as_vector(result.point, poly.dim)
     if samples < 1:
         raise ValueError("samples must be positive")
-    if not poly.contains(x1, tol):
+    if not poly.contains(x1, _VI_POINT_TOL):
         raise ValueError("result.point does not lie in the polyhedron")
 
     rng = np.random.default_rng(seed)

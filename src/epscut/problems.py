@@ -90,11 +90,21 @@ class Problem(ABC):
         x = as_vector(x, self.dim)
         return float(np.max(self.piece_values(x)))
 
-    def effective_activity_tol(self, f_value):
-        """Activity threshold at maximum value(s) ``f_value``; broadcasts."""
-        if self.activity_tol is not None:
-            return self.activity_tol
-        return 1e-8 * (1.0 + abs(f_value))
+    def activity_mask(self, values, f):
+        """Which pieces enter the bundle: ``values`` (..., k) against their
+        maxima ``f``, which broadcast against them; returns a (..., k) mask.
+
+        A piece is active when its value is within the activity threshold of
+        the maximum, ``activity_tol`` or else ``1e-8 * (1 + |f|)``. While
+        f > 0, nonpositive pieces are inactive if the problem says so.
+        """
+        tol = self.activity_tol
+        if tol is None:
+            tol = 1e-8 * (1.0 + abs(f))
+        keep = values >= f - tol
+        if self.nonpositive_pieces_inactive:
+            keep &= (values > 0.0) | (f <= 0.0)
+        return keep
 
 
 def evaluate(problem: Problem, x, j_max: int = DEFAULT_J_MAX) -> Evaluation:
@@ -109,9 +119,7 @@ def evaluate(problem: Problem, x, j_max: int = DEFAULT_J_MAX) -> Evaluation:
     x = as_vector(x, problem.dim)
     values = problem.piece_values(x)
     f = float(values.max())
-    keep = values >= f - problem.effective_activity_tol(f)
-    if problem.nonpositive_pieces_inactive and f > 0.0:
-        keep &= values > 0.0
+    keep = problem.activity_mask(values, f)
     order = (-values).argsort(kind="stable")
     active = order[keep[order]][:j_max]
     return Evaluation(
@@ -374,7 +382,7 @@ def check_approximate_convexity(
     VX = problem.piece_values(X)
     fx = VX.max(axis=1)
     fy = problem.piece_values(Y).max(axis=1)
-    active = VX >= (fx - problem.effective_activity_tol(fx))[:, None]
+    active = problem.activity_mask(VX, fx[:, None])
 
     G = problem.piece_gradients(X)
     diff = Y - X

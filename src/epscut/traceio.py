@@ -11,58 +11,74 @@ whole-file atomic (temp file then rename).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
+import operator
 import os
 import stat
 import tempfile
 
 from .solver import SolveTrace, TraceRow
 
-CSV_COLUMNS = (
-    "i", "eps_i", "f_xi", "J_i", "step_norm", "dist_sublevel",
-    "cut_count_active",
-)
-
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _fmt_optional(value: float | None) -> str:
+    return "" if value is None else repr(float(value))
+
+
+def _parse_optional(text: str) -> float | None:
+    return None if text == "" else float(text)
+
+
+# The one row schema of both forms, in TraceRow field order: column name,
+# CSV writer and CSV parser. Only the sublevel distance may be missing; it
+# is written as an empty field, and int/float reject an empty field anywhere
+# else.
+_SCHEMA = (
+    ("i", str, int),
+    ("eps_i", _fmt, float),
+    ("f_xi", _fmt, float),
+    ("J_i", str, int),
+    ("step_norm", _fmt, float),
+    ("dist_sublevel", _fmt_optional, _parse_optional),
+    ("cut_count_active", str, int),
+)
+CSV_COLUMNS = tuple(column for column, _, _ in _SCHEMA)
+_row_values = operator.attrgetter(*(f.name for f in dataclasses.fields(TraceRow)))
 
 
 def trace_to_csv(trace: SolveTrace) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in trace.rows:
-        writer.writerow([
-            r.i,
-            _fmt(r.eps_i),
-            _fmt(r.f_xi),
-            r.j_i,
-            _fmt(r.step_norm),
-            "" if r.dist_sublevel is None else _fmt(r.dist_sublevel),
-            r.cut_count_active,
-        ])
+    columns = zip(*map(_row_values, trace.rows))
+    writer.writerows(zip(*(
+        map(write, values) for values, (_, write, _) in zip(columns, _SCHEMA)
+    )))
     return buf.getvalue()
 
 
 def parse_trace_csv(text: str) -> list[TraceRow]:
+    """Rows of a CSV trace. Raises ValueError on a missing or wrong header,
+    a row with the wrong number of fields, or a field that does not parse,
+    including an empty field other than ``dist_sublevel``."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_COLUMNS:
+    header = next(reader, None)
+    if header is None or tuple(header) != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header {header!r}")
-    rows = []
-    for rec in reader:
-        rows.append(TraceRow(
-            i=int(rec[0]),
-            eps_i=float(rec[1]),
-            f_xi=float(rec[2]),
-            j_i=int(rec[3]),
-            step_norm=float(rec[4]),
-            dist_sublevel=None if rec[5] == "" else float(rec[5]),
-            cut_count_active=int(rec[6]),
-        ))
-    return rows
+    records = list(reader)
+    for number, rec in enumerate(records, start=2):
+        if len(rec) != len(_SCHEMA):
+            raise ValueError(
+                f"CSV row {number}: expected {len(_SCHEMA)} fields, got {len(rec)}"
+            )
+    columns = zip(*records)
+    return list(map(TraceRow, *(list(map(parse, cells))
+                                for cells, (_, _, parse) in zip(columns, _SCHEMA))))
 
 
 def trace_to_dict(trace: SolveTrace) -> dict:
@@ -72,18 +88,7 @@ def trace_to_dict(trace: SolveTrace) -> dict:
         "final_x": [float(v) for v in trace.final_x],
         "final_f": trace.final_f,
         "strict_feasible": trace.strict_feasible,
-        "rows": [
-            {
-                "i": r.i,
-                "eps_i": r.eps_i,
-                "f_xi": r.f_xi,
-                "J_i": r.j_i,
-                "step_norm": r.step_norm,
-                "dist_sublevel": r.dist_sublevel,
-                "cut_count_active": r.cut_count_active,
-            }
-            for r in trace.rows
-        ],
+        "rows": [dict(zip(CSV_COLUMNS, _row_values(r))) for r in trace.rows],
     }
 
 

@@ -1,8 +1,8 @@
 """Shared test oracles and instance generators.
 
 The brute-force projection oracle enumerates every constraint subset,
-solves the equality-constrained least-squares system for each, and keeps
-the feasible candidate nearest to the query point. It is independent of the
+projects the query point onto each subset's affine hull, and keeps the
+feasible candidate nearest to the query point. It is independent of the
 active-set kernel it validates.
 """
 
@@ -29,9 +29,9 @@ def brute_force_projection(x0, normals, offsets, feas_tol=1e-9):
         if subset:
             A = normals[subset]
             b = offsets[subset]
-            gram = A @ A.T
-            lam = np.linalg.pinv(gram) @ (A @ x0 - b)
-            cand = x0 - A.T @ lam
+            # The pseudoinverse of A itself, not of the Gram matrix A A^T:
+            # its error grows with cond(A) rather than cond(A)^2.
+            cand = x0 - np.linalg.pinv(A) @ (A @ x0 - b)
             residual = np.abs(A @ cand - b) / row_norms[subset]
             if np.max(residual) > 1e-7:
                 continue

@@ -20,13 +20,13 @@ from epscut import (
     trace_to_csv,
     trace_to_json,
 )
-from epscut.cli import main
+from epscut.cli import _build_options, _build_parser, main
 from epscut.problems import (
     MaxAffineProblem,
     ShiftedBallProblem,
     nonconvex_default_problem,
 )
-from epscut.traceio import write_text_atomic
+from epscut.traceio import CSV_COLUMNS, write_text_atomic
 
 BALL = BallProblem([0.0, 0.0], 1.0)
 
@@ -70,6 +70,21 @@ class TestTraceFormats:
         )
         with pytest.raises(ValueError):
             parse_trace_csv("a,b\n1,2\n")
+        with pytest.raises(ValueError):
+            parse_trace_csv("")
+
+    @pytest.mark.parametrize("row", [
+        "0,0.1,1.0,1,0.5,",  # short by one field
+        "0,0.1,1.0,1,0.5",  # short by two
+        "0,0.1,1.0,1,0.5,,1,9",  # one field extra
+        "0,0.1,,1,0.5,,1",  # empty f_xi
+        "0,0.1,1.0,1,0.5,0.2,",  # empty cut_count_active
+    ])
+    def test_malformed_row_rejected(self, row):
+        header = ",".join(CSV_COLUMNS)
+        assert len(parse_trace_csv(f"{header}\n0,0.1,1.0,1,0.5,,1\n")) == 1
+        with pytest.raises(ValueError):
+            parse_trace_csv(f"{header}\n{row}\n")
 
     def test_json_round_trip(self):
         trace = self.trace()
@@ -104,6 +119,13 @@ def test_rewrite_keeps_file_mode(tmp_path):
     write_text_atomic(str(path), "i\n")
     assert stat.S_IMODE(path.stat().st_mode) == 0o600
     assert path.read_text() == "i\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "diagnose"])
+def test_default_flags_build_default_options(command):
+    # SolveOptions documents that its defaults are the CLI's.
+    args = _build_parser().parse_args([command, "--problem", "p.json", "--x0", "1,0"])
+    assert _build_options(args) == SolveOptions()
 
 
 class TestCmdSolve:

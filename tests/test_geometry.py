@@ -245,12 +245,6 @@ def _project_or_none(x0, A, b):
         return None
 
 
-def _lp_empty(A, b) -> bool:
-    lp = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=b,
-                 bounds=[(None, None)] * A.shape[1], method="highs")
-    return lp.status == 2
-
-
 def _least_violation(A, b) -> float:
     """The LP's least worst scaled violation ``max_j (<a_j, x> - b_j)/||a_j||``
     over x, floored at -1: positive exactly when the polyhedron is empty.
@@ -305,7 +299,7 @@ class TestProjectionProperties:
     def test_emptiness_and_kkt_certificate(self, inst):
         x0, A, b = inst
         res = _project_or_none(x0, A, b)
-        assert (res is None) == _lp_empty(A, b)
+        assert (res is None) == (_least_violation(A, b) > 0.0)
         if res is not None:
             assert _kkt_error(x0, A, b, res) == ""
 
@@ -338,6 +332,25 @@ class TestProjectionProperties:
         roundoff = 8 * np.finfo(float).eps * (
             np.abs(A) @ np.abs(res.point) + np.abs(b)) / np.linalg.norm(A, axis=1)
         assert _kkt_error(x0, A, b, res, max(1e-10, roundoff.max())) == ""
+
+    def test_brute_force_oracle_on_near_antiparallel_pair(self):
+        # Cut 1 is nearly antiparallel to cut 0, and both are violated by 1
+        # at x0, so the projection lies 2/delta = 4000 away with multipliers
+        # near 2/delta^2 = 8e6. A Gram-matrix pseudoinverse, with cond(A)^2
+        # ~ 1.6e7, misses that subset's 1e-7 residual test and calls the
+        # polyhedron empty.
+        delta = 5e-4
+        a = np.array([1.0, 0.3]) / np.hypot(1.0, 0.3)
+        a2 = -a + delta * np.array([-a[1], a[0]])
+        x0 = np.array([0.5, 0.5])
+        A = np.array([a, a2, [0.2, 1.0], [-1.0, 0.5]])
+        b = np.array([a @ x0 - 1.0, a2 @ x0 - 1.0, 5.0, 5.0])
+        res = project_polyhedron(x0, CutPolyhedron(A, b))
+        assert res.active_set == [0, 1]
+        assert _kkt_error(x0, A, b, res) == ""
+        oracle = brute_force_projection(x0, A, b)
+        assert oracle is not None
+        assert np.linalg.norm(res.point - oracle) <= 1e-12 * np.linalg.norm(res.point - x0)
 
     def test_far_single_cut_lands_on_it(self):
         a, b = np.array([3.0, 7.0]), 1.0
@@ -491,9 +504,7 @@ class TestBundleStart:
     def test_certificate_and_start_size(self, inst):
         x0, A, b, size, point = inst
         res = _project_or_none(x0, A, b)
-        depth = _least_violation(A, b)
-        if abs(depth) > 1e-9:
-            assert (res is None) == (depth > 0.0)
+        assert (res is None) == (_least_violation(A, b) > 0.0)
         oracle = brute_force_projection(x0, A, b) if len(A) <= 8 else None
         if len(A) <= 8:
             assert (res is None) == (oracle is None)

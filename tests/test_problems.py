@@ -219,6 +219,21 @@ class TestApproximateConvexity:
         )
         assert report.worst_violation <= 0.0
 
+    def test_sip_zero_distance_piece_stays_out(self):
+        # Near [1.05, 0] every point lies in the second disk, where its
+        # distance is 0 with a zero gradient, and outside the first. With
+        # activity_tol = 0.3 that piece is within the threshold of the
+        # maximum, but evaluate never puts it in a bundle while f > 0, and
+        # the check must not test it either: the instance is convex.
+        problem = SipDistanceProblem(
+            [BallBody([0.0, 0.0], 1.0), BallBody([1.0, 0.0], 1.0)], activity_tol=0.3
+        )
+        assert evaluate(problem, [1.05, 0.0]).active == [0]
+        report = check_approximate_convexity(
+            problem, [1.05, 0.0], delta=0.05, eps_ac=1e-3, pairs=2000, seed=0
+        )
+        assert report.worst_violation <= 0.0
+
     def test_deterministic(self):
         p = nonconvex_default_problem()
         a = check_approximate_convexity(p, [0.5, 0.3], 0.2, 0.5, pairs=500, seed=9)

@@ -434,10 +434,6 @@ class TestInputChecks:
             with np.errstate(invalid="ignore"), pytest.raises(error):
                 call()
 
-    def test_projection_tolerance_checked(self):
-        with pytest.raises(ValueError):
-            project_polyhedron([1.0, 0.0], CutPolyhedron([[1.0, 0.0]], [0.0]), tol=0.0)
-
 
 class TestMultistart:
     def test_singleton_matches_solve(self):
