@@ -235,20 +235,24 @@ def project_polyhedron(x0, poly: CutPolyhedron) -> ProjectionResult:
     for _ in range(50 * (k + 1)):
         scaled_p = float(scaled[p])
         if scaled_p <= FEASIBILITY_TOL or p in ws.work and scaled_p < math.inf and (
-            scaled_p <= _ROUNDOFF_FACTOR * (np.abs(A[p]) @ np.abs(x) + abs(b[p])) / norms[p]
+            scaled_p <= _roundoff(A[p], x, b[p], norms[p])
         ):
             break
         a_p = A[p]
         lam_p = 0.0
         for _ in range(2 * (k + 1)):
             m = len(ws.work)
-            if m:
-                r, z = ws.split(a_p)
-                lam = ws.lam[:m]
-                t_part, j_drop = _min_ratio(lam, r)
-            else:
-                r, z = None, a_p
-                t_part = math.inf
+            if not m:
+                # An empty working set: the closed-form one-cut step, which
+                # is always the full step.
+                x, t, zz = _one_cut_step(x, a_p, b[p])
+                _check_finite(x)
+                ws.add(p, lam_p + t, None, a_p, math.sqrt(zz))
+                adds += 1
+                break
+            r, z = ws.split(a_p)
+            lam = ws.lam[:m]
+            t_part, j_drop = _min_ratio(lam, r)
             zz = float(z.dot(z))
             znorm = math.sqrt(zz)
             # A normal in the span of the working set has no full step: the
@@ -263,10 +267,8 @@ def project_polyhedron(x0, poly: CutPolyhedron) -> ProjectionResult:
             t = t_part if dropping else t_full
             if moves:
                 x -= t * z
-                if not np.isfinite(x).all():
-                    raise ProjectionFailedError("active-set iterate became nonfinite")
-            if m:
-                lam -= t * r
+                _check_finite(x)
+            lam -= t * r
             lam_p += t
             if dropping:
                 ws.drop(j_drop)
@@ -290,6 +292,53 @@ def project_polyhedron(x0, poly: CutPolyhedron) -> ProjectionResult:
         multipliers = multipliers[np.argsort(ws.work)]
     return ProjectionResult(x, active, np.maximum(multipliers, 0.0), adds, drops,
                             start_size)
+
+
+def project_one_cut(x, a, b, norm):
+    """Project each point onto its own halfspace {y : <a, y> <= b} in closed
+    form, as ``project_polyhedron`` does on a one-cut polyhedron.
+
+    Broadcasts over leading axes: ``x`` and ``a`` are (..., n), ``b`` and
+    ``norm`` are (...), and ``norm`` is the positive, finite length of ``a``
+    as ``CutPolyhedron.normal_norms`` holds it. Returns
+    ``(point, moved, settled)``. Where the scaled violation
+    ``(<a, x> - b) / norm`` is at most ``FEASIBILITY_TOL`` the point is x
+    and ``moved`` is false: the kernel's entry test, with no active cut.
+    Elsewhere the point is the kernel's first add, ``x - t a`` with
+    ``t = (<a, x> - b) / <a, a>``. ``settled`` is false where the kernel
+    would not return that point: the step is not finite, or the kernel's
+    stop test fails there and it would go on. Every settled point equals
+    ``project_polyhedron``'s bit for bit.
+    """
+    inside = (np.vecdot(a, x) - b) / norm <= FEASIBILITY_TOL
+    point = np.where(inside[..., None], x, _one_cut_step(x, a, b)[0])
+    scaled = (np.vecdot(a, point) - b) / norm
+    settled = inside | np.isfinite(point).all(axis=-1) & (
+        (scaled <= FEASIBILITY_TOL)
+        | (scaled < math.inf) & (scaled <= _roundoff(a, point, b, norm))
+    )
+    return point, ~inside, settled
+
+
+def _one_cut_step(x, a, b):
+    """``(x - t a, t, <a, a>)`` with ``t = (<a, x> - b) / <a, a>``, over
+    leading axes: the step onto the hyperplane ``<a, y> = b`` along ``a``.
+    It is the step onto a constraint that joins an empty working set, and
+    the one-cut projection of ``project_one_cut``."""
+    aa = np.vecdot(a, a)
+    t = (np.vecdot(a, x) - b) / aa
+    return x - t[..., None] * a, t, aa
+
+
+def _roundoff(a, x, b, norm):
+    """Round-off bound of the scaled residual ``(<a, x> - b) / norm``,
+    ``8 eps (|a| . |x| + |b|) / norm``, over leading axes."""
+    return _ROUNDOFF_FACTOR * (np.vecdot(np.abs(a), np.abs(x)) + np.abs(b)) / norm
+
+
+def _check_finite(x):
+    if not np.isfinite(x).all():
+        raise ProjectionFailedError("active-set iterate became nonfinite")
 
 
 def _bundle_start(ws, b, norms, x):

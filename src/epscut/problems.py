@@ -119,12 +119,17 @@ def evaluate(problem: Problem, x, j_max: int = DEFAULT_J_MAX) -> Evaluation:
     x = as_vector(x, problem.dim)
     values = problem.piece_values(x)
     f = float(values.max())
-    keep = problem.activity_mask(values, f)
-    order = (-values).argsort(kind="stable")
-    active = order[keep[order]][:j_max]
+    active = most_active(values, problem.activity_mask(values, f), j_max)
     return Evaluation(
         value=f, bundle=problem.piece_gradients(x)[active], active=active.tolist()
     )
+
+
+def most_active(values, keep, j_max: int) -> np.ndarray:
+    """Indices of the bundle pieces at one point: those that ``keep`` marks,
+    most active first (ties by piece index), at most ``j_max`` of them."""
+    order = (-values).argsort(kind="stable")
+    return order[keep[order]][:j_max]
 
 
 class BallProblem(Problem):

@@ -49,13 +49,14 @@ from .errors import (
     ZeroNormalError,
     ZeroSubgradientError,
 )
-from .geometry import CutPolyhedron, as_vector, project_polyhedron
+from .geometry import CutPolyhedron, as_vector, project_one_cut, project_polyhedron
 from .problems import (
     DEFAULT_J_MAX,
     Evaluation,
     Problem,
     evaluate,
     exact_sublevel_distance,
+    most_active,
     supports_sublevel_distance,
 )
 from .schedule import EpsilonSchedule, eps_at
@@ -152,6 +153,67 @@ def build_cuts(x, evaluation: Evaluation, eps: float) -> CutPolyhedron:
         raise ZeroSubgradientError(x) from None
 
 
+def _shift(opts: SolveOptions, i: int) -> float:
+    return 0.0 if opts.baseline_mode == "zero_eps" else eps_at(opts.schedule, i)
+
+
+def _sublevel_distance(problem: Problem, x, eps: float) -> float | None:
+    try:
+        return exact_sublevel_distance(problem, x, eps)
+    except (SublevelEmptyError, ProjectionFailedError, ValueError):
+        return None
+
+
+def _step(x, evaluation: Evaluation, eps: float, fallback: str):
+    """One step from x: the cuts of its bundle, projected.
+
+    Returns ``(None, result)``, or ``(status, None)`` when the step cannot be
+    computed. When the cuts have an empty intersection, the fallback
+    ``first_cut_only`` projects onto the first cut alone. Each layer is
+    called through its name in this module.
+    """
+    try:
+        poly = build_cuts(x, evaluation, eps)
+        try:
+            return None, project_polyhedron(x, poly)
+        except InfeasiblePolyhedronError:
+            if fallback == "fail":
+                raise
+            first = CutPolyhedron(poly.normals[:1], poly.offsets[:1])
+            return None, project_polyhedron(x, first)
+    except ZeroSubgradientError:
+        return TerminationStatus.ZERO_SUBGRADIENT, None
+    except InfeasiblePolyhedronError:
+        return TerminationStatus.INFEASIBLE_CUTS, None
+    except ValueError:
+        # build_cuts rejects non-finite cuts, and the empty bundle that only
+        # a non-finite f leaves.
+        return TerminationStatus.NONFINITE_STEP, None
+    except ProjectionFailedError:
+        return TerminationStatus.PROJECTION_FAILED, None
+
+
+def _finish(rows, iterates, status, i, eps_i, f_xi, j_i, dist, x) -> SolveTrace:
+    """The trace of a run that stopped at iteration i, from x."""
+    rows.append(TraceRow(i, eps_i, f_xi, j_i, 0.0, dist, 0))
+    strict_feasible = (
+        f_xi < 0.0 if status is TerminationStatus.FEASIBLE_FOUND else None
+    )
+    return SolveTrace(rows, status, i, x, f_xi, strict_feasible, iterates)
+
+
+def _start_points(starts: list, dim: int) -> np.ndarray:
+    """The starts as the rows of a new (B, dim) array. A start that
+    ``as_vector`` would reject raises its error."""
+    try:
+        X = np.array(starts, dtype=float)
+    except (TypeError, ValueError):
+        X = None
+    if X is None or X.shape[1:] != (dim,) or not np.isfinite(X).all():
+        X = np.array([as_vector(x0, dim) for x0 in starts])
+    return X
+
+
 # Far from the origin the oracle and the cuts overflow. build_cuts and the
 # kernel turn that into a status, so NumPy need not warn about it.
 @np.errstate(over="ignore", invalid="ignore")
@@ -175,39 +237,14 @@ def solve(problem: Problem, x0, opts: SolveOptions | None = None) -> SolveTrace:
     for i in range(opts.max_iter + 1):
         evaluation = evaluate(problem, x, j_max)
         f_xi = evaluation.value
-        eps_i = 0.0 if opts.baseline_mode == "zero_eps" else eps_at(opts.schedule, i)
-        dist = None
-        if record_dist:
-            try:
-                dist = exact_sublevel_distance(problem, x, eps_i)
-            except (SublevelEmptyError, ProjectionFailedError, ValueError):
-                pass
-
-        status = None
+        eps_i = _shift(opts, i)
+        dist = _sublevel_distance(problem, x, eps_i) if record_dist else None
         if f_xi <= 0.0:
             status = TerminationStatus.FEASIBLE_FOUND
         elif i == opts.max_iter:
             status = TerminationStatus.MAX_ITER_EXCEEDED
         else:
-            try:
-                poly = build_cuts(x, evaluation, eps_i)
-                try:
-                    result = project_polyhedron(x, poly)
-                except InfeasiblePolyhedronError:
-                    if opts.infeasible_cut_fallback == "fail":
-                        raise
-                    first = CutPolyhedron(poly.normals[:1], poly.offsets[:1])
-                    result = project_polyhedron(x, first)
-            except ZeroSubgradientError:
-                status = TerminationStatus.ZERO_SUBGRADIENT
-            except InfeasiblePolyhedronError:
-                status = TerminationStatus.INFEASIBLE_CUTS
-            except ValueError:
-                # build_cuts rejects non-finite cuts, and the empty bundle
-                # that only a non-finite f leaves.
-                status = TerminationStatus.NONFINITE_STEP
-            except ProjectionFailedError:
-                status = TerminationStatus.PROJECTION_FAILED
+            status, result = _step(x, evaluation, eps_i, opts.infeasible_cut_fallback)
         if status is not None:
             break
         step = result.point - x
@@ -219,22 +256,92 @@ def solve(problem: Problem, x0, opts: SolveOptions | None = None) -> SolveTrace:
         iterates.append(x.copy())
 
     # The loop always stops by ``break``: at the latest when i == max_iter.
-    rows.append(TraceRow(i, eps_i, f_xi, len(evaluation.bundle), 0.0, dist, 0))
-    strict_feasible = (
-        f_xi < 0.0 if status is TerminationStatus.FEASIBLE_FOUND else None
-    )
-    return SolveTrace(rows, status, i, x, f_xi, strict_feasible, iterates)
+    return _finish(rows, iterates, status, i, eps_i, f_xi, len(evaluation.bundle), dist, x)
 
 
+# A round also makes the closed-form step of rows whose cut has zero length;
+# their results are not used.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_multistart(
     problem: Problem, starts, opts: SolveOptions | None = None
 ) -> list[SolveTrace]:
     """Independent runs from several starts; output order matches input.
 
+    Each trace is the one ``solve`` gives from that start, byte for byte,
+    but the runs advance in lockstep: one round makes iteration i of every
+    live run. A round evaluates the oracle once on all live points, and it
+    makes every step whose bundle has one cut at once, in closed form
+    (``project_one_cut``). The other steps, and the one-cut steps that the
+    closed form cannot settle, go through the step of ``solve`` one point
+    at a time. A run leaves the batch when it stops.
+
     Per-start failures are already captured inside each trace's status, so a
-    bad start never aborts the batch.
+    bad start never aborts the batch. Every start is checked before the
+    first round.
     """
+    opts = opts or SolveOptions()
     starts = list(starts)
     if not starts:
         raise ValueError("at least one start point is required")
-    return [solve(problem, x0, opts) for x0 in starts]
+    X = _start_points(starts, problem.dim)
+    j_max = 1 if opts.baseline_mode == "single_cut" else opts.j_max
+    record_dist = opts.record_sublevel_distance and supports_sublevel_distance(problem)
+
+    rows: list[list[TraceRow]] = [[] for _ in starts]
+    iterates = [[x.copy()] for x in X]
+    traces: list[SolveTrace | None] = [None] * len(starts)
+    owner = list(range(len(starts)))  # the start of each live row
+    for i in range(opts.max_iter + 1):
+        eps_i = _shift(opts, i)
+        values = problem.piece_values(X)
+        f = values.max(axis=-1)
+        keep = problem.activity_mask(values, f[:, None])
+        sizes = np.minimum(keep.sum(axis=-1), j_max)
+        grads = problem.piece_gradients(X)
+        # Every one-cut step in closed form; the cut is the top piece's. A
+        # row whose cut data are zero or not finite takes the step of solve,
+        # which gives its status.
+        g = grads[np.arange(len(X)), values.argmax(axis=-1)]
+        offsets = np.vecdot(g, X) - f - eps_i
+        norms = np.linalg.norm(g, axis=-1)
+        point, moved, settled = project_one_cut(X, g, offsets, norms)
+        settled &= (sizes == 1) & (norms > 0.0) & np.isfinite(norms) & np.isfinite(offsets)
+        X_next = np.where(settled[:, None], point, X)
+        cut_counts = (settled & moved).tolist()
+        sizes = sizes.tolist()
+        f_list = f.tolist()
+        settled = settled.tolist()
+        statuses: list[TerminationStatus | None] = []
+        for r, f_xi in enumerate(f_list):
+            status = None
+            if f_xi <= 0.0:
+                status = TerminationStatus.FEASIBLE_FOUND
+            elif i == opts.max_iter:
+                status = TerminationStatus.MAX_ITER_EXCEEDED
+            elif not settled[r]:
+                active = most_active(values[r], keep[r], j_max)
+                evaluation = Evaluation(f_xi, grads[r][active], active.tolist())
+                status, result = _step(X[r], evaluation, eps_i, opts.infeasible_cut_fallback)
+                if status is None:
+                    X_next[r] = result.point
+                    cut_counts[r] = len(result.active_set)
+            statuses.append(status)
+        dists = ([_sublevel_distance(problem, x, eps_i) for x in X] if record_dist
+                 else [None] * len(X))
+        step = X_next - X
+        step_norms = np.sqrt(np.vecdot(step, step)).tolist()
+        live = []
+        for r, status in enumerate(statuses):
+            start = owner[r]
+            if status is None:
+                rows[start].append(TraceRow(i, eps_i, f_list[r], sizes[r], step_norms[r],
+                                            dists[r], int(cut_counts[r])))
+                iterates[start].append(X_next[r].copy())
+                live.append(r)
+            else:
+                traces[start] = _finish(rows[start], iterates[start], status, i, eps_i,
+                                        f_list[r], sizes[r], dists[r], X[r].copy())
+        if not live:
+            return traces
+        X = X_next[live]
+        owner = [owner[r] for r in live]

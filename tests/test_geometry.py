@@ -125,6 +125,28 @@ class TestPolyhedronProjection:
             lone = x if viol <= 0.0 else x - (viol / float(np.dot(a, a))) * a
             poly = project_polyhedron(x, CutPolyhedron([a], [b])).point
             assert np.array_equal(poly, lone)
+        # project_one_cut makes the same projections for a batch of rows.
+        # Its settled rows, a third of them inside (they stay put), must
+        # equal the kernel's points bit for bit; a row whose step overflows
+        # is not settled, and there the kernel raises.
+        for n in (1, 2, 3, 8, 50, 200):
+            A = rng.standard_normal((30, n)) * 10.0 ** rng.uniform(-3, 3, (30, 1))
+            X = 3.0 * rng.standard_normal((30, n))
+            depth = rng.uniform(-1.0, 2.0, 30) * np.linalg.norm(A, axis=1)
+            b = np.vecdot(A, X) - depth
+            b[0] = np.vecdot(A[0], X[0]) - 0.5 * geometry.FEASIBILITY_TOL * np.linalg.norm(A[0])
+            A[-1], X[-1], b[-1] = 10.0, 1e308, 0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                point, moved, settled = geometry.project_one_cut(
+                    X, A, b, np.linalg.norm(A, axis=1))
+            assert not moved[0] and not settled[-1]
+            assert settled[:-1].all() and 5 < moved.sum() < 29
+            for x, a, b_row, p, m in zip(X[:-1], A, b, point, moved):
+                result = project_polyhedron(x, CutPolyhedron([a], [b_row]))
+                assert p.tobytes() == result.point.tobytes()
+                assert m == (not result.feasible)
+            with np.errstate(over="ignore"), pytest.raises(ProjectionFailedError):
+                project_polyhedron(X[-1], CutPolyhedron(A[-1:], b[-1:]))
 
     def test_feasible_point_returned_unchanged(self):
         P = CutPolyhedron([[1.0, 0.0]], [0.0])
