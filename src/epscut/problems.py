@@ -188,7 +188,9 @@ class MaxAffineProblem(Problem):
         self.intercepts = intercepts
 
     def piece_values(self, X):
-        return X @ self.coefs.T + self.intercepts
+        # One dot product per piece, as for a single point: a matrix
+        # product would round a batch differently from its rows.
+        return np.vecdot(X[..., None, :], self.coefs) + self.intercepts
 
     def piece_gradients(self, X):
         return np.broadcast_to(self.coefs, X.shape[:-1] + self.coefs.shape)

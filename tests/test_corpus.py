@@ -30,7 +30,7 @@ from epscut import (
     trace_to_json,
 )
 
-CORPUS_SHA256 = "13fe8d0ea4470205b3c09b38372c4898901c0d7fb4f7656917289c0e5efa59f3"
+CORPUS_SHA256 = "079ba160dcb22e7e32fa9d061d2f73404c5515231e525428093406c92e0d8698"
 
 BALL = BallProblem([0.0, 0.0], 1.0)
 OPPOSING = MaxAffineProblem([[1.0], [-1.0]], [1.0, 1.0], activity_tol=0.0)

@@ -134,6 +134,21 @@ class TestOracleContract:
             assert_allclose(values[idx], problem.piece_values(X[idx]), rtol=1e-14)
             assert_allclose(grads[idx], problem.piece_gradients(X[idx]), rtol=1e-14)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(KINDS), n=st.sampled_from([1, 2, 3, 8, 20, 200]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batch_is_bit_identical_to_points(self, kind, n, seed):
+        # solve_multistart evaluates a batch of points where solve evaluates
+        # one; both must see the same bits.
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, kind, n)
+        X = rng.standard_normal((12, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (12, 1))
+        values = problem.piece_values(X)
+        grads = problem.piece_gradients(X)
+        for x, v, g in zip(X, values, grads):
+            assert v.tobytes() == problem.piece_values(x).tobytes()
+            assert g.tobytes() == problem.piece_gradients(x).tobytes()
+
     @pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.kind)
     def test_bundle_is_gradient_rows_of_active_pieces(self, problem, rng):
         for _ in range(10):

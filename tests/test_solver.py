@@ -32,9 +32,10 @@ from epscut import (
     solve,
     solve_multistart,
 )
-from epscut import solver
-from epscut.problems import Evaluation
+from epscut import solver, trace_to_csv, trace_to_json
+from epscut.problems import KINDS, Evaluation
 from conftest import radial_ball_reference
+from test_problems import random_problem
 
 BALL = BallProblem([0.0, 0.0], 1.0)
 AXES_MAX = MaxAffineProblem([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], activity_tol=0.0)
@@ -463,6 +464,85 @@ class TestMultistart:
     def test_empty_start_list_rejected(self):
         with pytest.raises(ValueError):
             solve_multistart(BALL, [], harmonic_opts())
+
+
+def trace_bytes(trace) -> bytes:
+    """Every serialized byte of a trace, plus the bytes of its iterates."""
+    text = trace_to_csv(trace) + trace_to_json(trace)
+    return text.encode() + b"".join(x.tobytes() for x in trace.iterates + [trace.final_x])
+
+
+def assert_lockstep_matches_solve(problem, starts, opts):
+    """solve_multistart gives, start by start, solve's trace byte for byte,
+    without a warning of any kind."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = solve_multistart(problem, starts, opts)
+        single = [solve(problem, x0, opts) for x0 in starts]
+    assert [trace_bytes(t) for t in batch] == [trace_bytes(t) for t in single]
+    return batch
+
+
+OPTION_CHOICES = dict(
+    baseline_mode=st.sampled_from(solver.BASELINE_MODES),
+    infeasible_cut_fallback=st.sampled_from(solver.FALLBACK_MODES),
+    record_sublevel_distance=st.booleans(),
+)
+
+
+class TestLockstep:
+    """solve_multistart advances its starts together; each run must still
+    be the run of solve from that start."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(KINDS), n=st.sampled_from([1, 2, 3, 6, 20]),
+           j_max=st.sampled_from([1, 3, 8]), seed=st.integers(0, 2**32 - 1),
+           **OPTION_CHOICES)
+    def test_random_problems(self, kind, n, j_max, seed, **options):
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, kind, n)
+        starts = rng.standard_normal((8, n)) * 10.0 ** rng.uniform(-1.0, 2.0, (8, 1))
+        if kind == "shifted_ball_infeasible":
+            starts[3] = 0.0
+        opts = harmonic_opts(max_iter=20, j_max=j_max, **options)
+        assert_lockstep_matches_solve(problem, starts, opts)
+
+    # Starts whose runs end with an error status: (status, problem, starts).
+    # The last cut is finite, but its length overflows.
+    EDGE_STARTS = (
+        (TerminationStatus.ZERO_SUBGRADIENT, ShiftedBallProblem(2), [[0.0, 0.0]]),
+        (TerminationStatus.NONFINITE_STEP, BALL, [[1e200, 0.0], [1.2e154, 0.0]]),
+        (TerminationStatus.PROJECTION_FAILED, MaxAffineProblem([[1e-83]], [1e160]), [[0.0]]),
+        (TerminationStatus.INFEASIBLE_CUTS, OPPOSING, [[0.0]]),
+        (TerminationStatus.NONFINITE_STEP, MaxAffineProblem([[1e200, 1e200]], [1.0]),
+         [[1e-300, 0.0]]),
+    )
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(edge=st.sampled_from(EDGE_STARTS), seed=st.integers(0, 2**32 - 1),
+           **OPTION_CHOICES)
+    def test_batches_mixing_error_statuses(self, edge, seed, **options):
+        status, problem, edge_starts = edge
+        rng = np.random.default_rng(seed)
+        starts = list(rng.uniform(-3.0, 3.0, (6, problem.dim)))
+        for x0 in edge_starts:
+            starts.insert(int(rng.integers(0, len(starts) + 1)), np.array(x0))
+        opts = harmonic_opts(max_iter=15, **options)
+        traces = assert_lockstep_matches_solve(problem, starts, opts)
+        if status is not TerminationStatus.INFEASIBLE_CUTS or (
+            options["infeasible_cut_fallback"] == "fail"
+            and options["baseline_mode"] != "single_cut"
+        ):
+            assert sum(t.status is status for t in traces) >= len(edge_starts)
+
+    def test_multi_cut_steps_and_closed_form_share_a_batch(self):
+        # AXES_MAX has two-cut bundles near the diagonal and one-cut ones
+        # elsewhere; some starts are feasible from the outset.
+        starts = [[1.0, 1.0], [3.0, -1.0], [-2.0, -2.0], [0.5, 2.5], [2.0, 2.0 + 1e-12]]
+        traces = assert_lockstep_matches_solve(AXES_MAX, starts, harmonic_opts())
+        counts = {row.cut_count_active for t in traces for row in t.rows[:-1]}
+        assert counts == {1, 2}
+        assert traces[2].status_iteration == 0
 
 
 class TestNonconvexLocal:
