@@ -14,7 +14,9 @@ Gram-Schmidt column at a time, and a constraint leaves by truncating the
 factors and adding the later constraints again. All feasibility tests are
 scale-aware: violations ``<a, x> - b`` are measured relative to ``||a||``
 so that cuts with wildly different normal magnitudes are treated
-uniformly. Only the LP of
+uniformly. ``project_one_cut`` makes the one-cut projection for a whole
+batch of points at once, in the closed form of the kernel's first step and
+with its entry and stop tests. Only the LP of
 ``chebyshev_point`` needs SciPy, which it imports on first use.
 """
 
@@ -243,8 +245,9 @@ def project_polyhedron(x0, poly: CutPolyhedron) -> ProjectionResult:
         for _ in range(2 * (k + 1)):
             m = len(ws.work)
             if not m:
-                # An empty working set: the closed-form one-cut step, which
-                # is always the full step.
+                # An empty working set: no multiplier blocks and a nonzero
+                # normal always moves x, so this is the full step, in the
+                # closed form that project_one_cut shares.
                 x, t, zz = _one_cut_step(x, a_p, b[p])
                 _check_finite(x)
                 ws.add(p, lam_p + t, None, a_p, math.sqrt(zz))

@@ -6,8 +6,10 @@ pieces. A problem implements exactly two broadcasting oracle methods:
   piece_values(X)     (..., n) -> (..., k)     values of all k pieces
   piece_gradients(X)  (..., n) -> (..., k, n)  gradients of all k pieces
 
-The same two methods serve ``evaluate`` on one point and the sampled
-convexity check on a batch of points. ``evaluate`` returns, besides the
+The same two methods serve ``evaluate`` on one point, and
+``solve_multistart`` and the sampled convexity check on a batch of points.
+Each row of a batch gets exactly the bits its point gets alone, so a batched
+run reproduces the per-point one. ``evaluate`` returns, besides the
 value, a bundle of generalized gradients as a (J, n) array: the gradients of
 all pieces active within a small threshold, most active first. For a
 maximum of C1 pieces the generalized gradients at x form the convex hull of

@@ -17,6 +17,13 @@ onto the intersection of these cuts. Every run ends with one status:
 
 The last four mean that the step from x_i could not be computed.
 
+``solve`` runs one start point by point. ``solve_multistart`` runs a batch
+of starts in lockstep: each round evaluates the oracle once for every live
+start and makes every one-cut step at once, in closed form
+(``geometry.project_one_cut``); any other step is the step of ``solve``
+(``_step``). Both give the same trace from a start, byte for byte, because
+the oracles round a batch exactly as its points.
+
 Inputs are checked where they enter. The public functions (``evaluate``,
 ``build_cuts``, ``project_polyhedron``, ``CutPolyhedron``, ...) check their
 arguments; ``solve`` checks x0 once, and ``SolveOptions`` checks itself when
@@ -25,8 +32,10 @@ returns finite, so the loop checks no iterate again. What the oracle
 returns is checked once per step, by ``build_cuts``: it builds its cuts
 through the ``CutPolyhedron`` constructor, whose checks of f(x_i), the cut
 offsets and the lengths of the cut normals are the step's only finiteness
-checks. The loop runs with NumPy's overflow and invalid-operation warnings
-off, since the status already reports what they would.
+checks. A closed-form step of ``solve_multistart`` makes the same checks on
+its cut and leaves a row that fails them to ``_step``, which reports it.
+The loops run with NumPy's overflow and invalid-operation warnings off,
+since the status already reports what they would.
 
 Baselines:
   zero_eps   cuts built with eps = 0 (the classical unshifted linearization)
