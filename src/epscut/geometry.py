@@ -330,7 +330,9 @@ def _one_cut_step(x, a, b):
     the one-cut projection of ``project_one_cut``."""
     aa = np.vecdot(a, a)
     t = (np.vecdot(a, x) - b) / aa
-    return x - t[..., None] * a, t, aa
+    # (t * a.T).T scales each row of a by its t; for one point it is the
+    # plain t * a, without the cost of indexing a 0-d t.
+    return x - (t * a.T).T, t, aa
 
 
 def _roundoff(a, x, b, norm):
