@@ -508,7 +508,7 @@ class TestLockstep:
         assert_lockstep_matches_solve(problem, starts, opts)
 
     # Starts whose runs end with an error status: (status, problem, starts).
-    # The last cut is finite, but its length overflows.
+    # In the last, the cut is finite but its length overflows.
     EDGE_STARTS = (
         (TerminationStatus.ZERO_SUBGRADIENT, ShiftedBallProblem(2), [[0.0, 0.0]]),
         (TerminationStatus.NONFINITE_STEP, BALL, [[1e200, 0.0], [1.2e154, 0.0]]),
