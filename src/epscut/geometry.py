@@ -16,8 +16,9 @@ scale-aware: violations ``<a, x> - b`` are measured relative to ``||a||``
 so that cuts with wildly different normal magnitudes are treated
 uniformly. ``project_one_cut`` makes the one-cut projection for a whole
 batch of points at once, in the closed form of the kernel's first step and
-with its entry and stop tests. Only the LP of
-``chebyshev_point`` needs SciPy, which it imports on first use.
+with its entry and stop tests. ``chebyshev_point`` finds an interior point
+for the sampled certificate check with one call of the same kernel, so the
+module needs NumPy only.
 """
 
 from __future__ import annotations
@@ -59,9 +60,11 @@ _START_MIN_CUTS = 4
 # Multiple of the machine epsilon in the round-off bound of a residual
 # <a, x> - b, which is about eps * (|a| . |x| + |b|).
 _ROUNDOFF_FACTOR = 8.0 * np.finfo(float).eps
-# Deepest-ball LP of chebyshev_point: cap on the radius and box on the center.
+# chebyshev_point: cap on the ball radius, and the radius coordinate of the
+# lifted query point (near, r), far above the cap so that depth outweighs
+# distance from near.
 _CHEBYSHEV_RADIUS_CAP = 1e3
-_CHEBYSHEV_BOX = 1e4
+_CHEBYSHEV_HEIGHT = 1e5
 # Least number of rows per block of the VI checker's rejection sampler; a
 # block also holds four rows per sample still needed.
 _VI_BLOCK_ROWS = 64
@@ -476,30 +479,32 @@ class VariationalInequalityReport:
     n_attempts: int
 
 
-def chebyshev_point(poly: CutPolyhedron) -> np.ndarray | None:
-    """Deepest-ball center of the polyhedron, or None when the LP fails.
+def chebyshev_point(poly: CutPolyhedron, near) -> np.ndarray | None:
+    """Center of a deep ball inside the polyhedron, or None when it has none.
 
-    Solves max r s.t. <a_j, c> + r ||a_j|| <= b_j with r capped and the
-    center boxed, so unbounded polyhedra still yield a finite point. Returns
-    None unless the inradius found is strictly positive. Needs SciPy (the
-    ``verify`` extra), which is imported on the first call.
+    The centers c and radii r of the balls inside ``{x : A x <= b}`` form
+    the lifted polyhedron ``{(c, r) : <a_j, c> + r ||a_j|| <= b_j,
+    r <= _CHEBYSHEV_RADIUS_CAP}`` of the Chebyshev-center LP (Boyd and
+    Vandenberghe, Convex Optimization, 8.5.1). It is never empty, since r
+    is unbounded below. One ``project_polyhedron`` call projects
+    ``(near, _CHEBYSHEV_HEIGHT)`` onto it and returns c when r > 1e-12, so
+    the ball is deep and near ``near``, but not necessarily the deepest.
+    Returns None when r <= 1e-12, when the projection fails, or when c is
+    not strictly inside every cut: on a polyhedron of zero width, r is
+    round-off and may exceed 1e-12.
     """
-    from scipy.optimize import linprog
-
-    n = poly.dim
-    c_obj = np.zeros(n + 1)
-    c_obj[-1] = -1.0
-    A_ub = np.hstack([poly.normals, poly.normal_norms[:, None]])
-    res = linprog(
-        c_obj,
-        A_ub=A_ub,
-        b_ub=poly.offsets,
-        bounds=[(-_CHEBYSHEV_BOX, _CHEBYSHEV_BOX)] * n + [(0.0, _CHEBYSHEV_RADIUS_CAP)],
-        method="highs",
+    lifted = CutPolyhedron(
+        np.vstack([np.column_stack([poly.normals, poly.normal_norms]),
+                   np.eye(1, poly.dim + 1, poly.dim)]),
+        np.append(poly.offsets, _CHEBYSHEV_RADIUS_CAP),
     )
-    if not res.success or res.x is None or res.x[-1] <= 1e-12:
+    try:
+        point = project_polyhedron(
+            np.append(as_vector(near, poly.dim), _CHEBYSHEV_HEIGHT), lifted).point
+    except ProjectionFailedError:
         return None
-    return np.asarray(res.x[:n], dtype=float)
+    c, r = point[:-1], point[-1]
+    return c if r > 1e-12 and (poly.normals @ c < poly.offsets).all() else None
 
 
 def check_variational_inequality(
@@ -513,11 +518,12 @@ def check_variational_inequality(
 
     The projection x1 of x0 satisfies <x0 - x1, y - x1> <= 0 for every
     feasible y; this estimates the worst case over ``samples`` points drawn
-    by seeded rejection sampling around x1, topped up with the deepest-ball
-    interior point and segments toward it when rejection alone cannot fill
-    the quota. Raises NoFeasibleSampleFoundError if the quota cannot be met,
-    and ValueError if ``result.point`` violates a cut by more than
-    ``_VI_POINT_TOL`` (1e-8) in scaled terms.
+    by seeded rejection sampling around x1. Sample 0 is the interior point
+    ``chebyshev_point(poly, x1)`` when there is one, and segments from x1
+    toward it top up the quota when rejection alone cannot fill it. Raises
+    NoFeasibleSampleFoundError if the quota cannot be met, and ValueError
+    if ``result.point`` violates a cut by more than ``_VI_POINT_TOL``
+    (1e-8) in scaled terms.
 
     Draw ``i`` (counting from 0) is ``x1 + radii[i % 3] * z_i`` with ``z_i``
     a standard normal n-vector, and it is kept when it is strictly feasible.
@@ -541,7 +547,7 @@ def check_variational_inequality(
     gap = x0 - x1
     gap_norm = float(np.linalg.norm(gap))
     scale = 1.0 + gap_norm
-    interior = chebyshev_point(poly)
+    interior = chebyshev_point(poly, x1)
 
     ys = np.empty((samples, poly.dim))
     count = 0

@@ -271,7 +271,8 @@ def _least_violation(A, b) -> float:
     """The LP's least worst scaled violation ``max_j (<a_j, x> - b_j)/||a_j||``
     over x, floored at -1: positive exactly when the polyhedron is empty.
     Unlike a zero-objective feasibility LP, it has an optimum, which HiGHS
-    also finds for hundreds of cuts."""
+    also finds for hundreds of cuts. On a nonempty polyhedron it is the
+    Chebyshev-center LP: its negation is the inradius, capped at 1."""
     norms = np.linalg.norm(A, axis=1)
     lp = linprog(np.append(np.zeros(A.shape[1]), 1.0),
                  A_ub=np.hstack([A / norms[:, None], -np.ones((len(A), 1))]),
@@ -648,6 +649,83 @@ class TestVariationalInequality:
         with pytest.raises(ValueError):
             check_variational_inequality([1.0, 0.0], bad, P, samples=10, seed=0)
 
+    def test_slab_far_from_the_origin(self):
+        # The slab 2e4 <= x_1 <= 2e4 + 1e-3 is too thin for rejection draws
+        # to hit, so the quota rests on its interior point. A Chebyshev LP
+        # that boxed the center within |c_i| <= 1e4 found none here.
+        P = CutPolyhedron([[-1.0, 0.0], [1.0, 0.0]], [-2e4, 2e4 + 1e-3])
+        res = project_polyhedron([3e4, 0.0], P)
+        assert_allclose(geometry.chebyshev_point(P, res.point), [2e4 + 5e-4, 0.0],
+                        rtol=0.0, atol=1e-9)
+        report = check_variational_inequality([3e4, 0.0], res, P, samples=10, seed=0)
+        assert (report.n_samples, report.n_attempts) == (10, 2000)
+        assert report.max_normalized_violation <= 1e-9
+
+
+@st.composite
+def chebyshev_instances(draw):
+    """n <= 5, k <= 6: generic cuts around an anchor, some with a pair of
+    opposite cuts through the anchor (a zero-width slab in a random
+    direction), and a start whose projection anchors the interior point."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flat = draw(st.booleans())
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 4 if flat else 6))
+    A = rng.standard_normal((k, n))
+    A[np.linalg.norm(A, axis=1) < 1e-3, 0] = 1.0
+    A *= 10.0 ** rng.uniform(-1.0, 1.0, size=(k, 1))
+    anchor = rng.standard_normal(n)
+    b = A @ anchor + rng.uniform(-0.5, 1.0, size=k) * np.linalg.norm(A, axis=1)
+    if flat:
+        a = rng.standard_normal(n) + 1e-3
+        A, b = np.vstack([A, a, -a]), np.append(b, [a @ anchor, -(a @ anchor)])
+    return anchor + 2.0 * rng.standard_normal(n), A, b
+
+
+class TestChebyshevPoint:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(chebyshev_instances())
+    def test_none_exactly_when_the_lp_finds_no_ball(self, inst):
+        x0, A, b = inst
+        poly = CutPolyhedron(A, b)
+        try:
+            near = project_polyhedron(x0, poly).point
+        except InfeasiblePolyhedronError:
+            assume(False)
+        center = geometry.chebyshev_point(poly, near)
+        assert (center is None) == (-_least_violation(A, b) <= 1e-12)
+        if center is not None:
+            assert (poly.scaled_violations(center) < 0.0).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_width_slab_gives_none(self, n):
+        a = np.eye(n)[0]
+        P = CutPolyhedron([a, -a], [0.0, 0.0])
+        assert geometry.chebyshev_point(P, np.zeros(n)) is None
+
+    def test_round_off_radius_on_a_tilted_zero_width_slab(self):
+        # Rows 2 and 3 are opposite cuts through one line. Here the lifted
+        # projection ends with a radius of about 1.1e-12, which is round-off:
+        # its center violates row 2 by about 1.1e-12.
+        P = CutPolyhedron(
+            [[-0.1769408318604141, -0.34112628762957403],
+             [0.5160799753741088, -0.07658715787478723],
+             [0.15416278073388473, 0.5855080706106454],
+             [-0.15416278073388473, -0.5855080706106454]],
+            [0.569756874687203, -0.46681087882829053, -0.3676546554062162,
+             0.3676546554062162])
+        near = [-4.081067294288751, 0.4466104570868308]
+        assert geometry.chebyshev_point(P, near) is None
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_single_halfspace_depth_is_the_cap(self, rng, n):
+        for _ in range(20):
+            a = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 2.0)
+            h = halfspace(a, float(rng.standard_normal()))
+            near = nearest_point(10.0 * rng.standard_normal(n), h)
+            center = geometry.chebyshev_point(h, near)
+            depth = -h.scaled_violations(center)[0]
+            assert_allclose(depth, geometry._CHEBYSHEV_RADIUS_CAP, rtol=1e-12)
+
 
 def _reference_vi(x0, result, poly, samples, seed):
     """The VI checker as a loop over one draw at a time: the test oracle.
@@ -660,7 +738,7 @@ def _reference_vi(x0, result, poly, samples, seed):
     rng = np.random.default_rng(seed)
     gap = x0 - x1
     scale = 1.0 + float(np.linalg.norm(gap))
-    interior = geometry.chebyshev_point(poly)
+    interior = geometry.chebyshev_point(poly, x1)
     ys = [] if interior is None else [interior]
     budget = 200 * samples
     attempts = 0

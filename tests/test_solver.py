@@ -563,7 +563,8 @@ NO_SCIPY_SCRIPT = r"""
 import json, sys
 sys.modules["scipy"] = None
 from epscut import (BallProblem, CutPolyhedron, SolveOptions, TerminationStatus,
-                    chebyshev_point, cli, geometry, problem_to_dict, solve)
+                    chebyshev_point, check_variational_inequality, cli, geometry,
+                    problem_to_dict, solve)
 from test_corpus import _max_affine
 
 trace = solve(BallProblem([0.0, 0.0], 1.0), [2.0, 0.0],
@@ -583,12 +584,11 @@ with open(sys.argv[1], "w") as handle:
     json.dump(problem_to_dict(BallProblem([0.0, 0.0], 1.0)), handle)
 assert cli.main(["diagnose", "--problem", sys.argv[1], "--x0", "2,0"]) == 0
 
-try:
-    chebyshev_point(CutPolyhedron([[1.0]], [1.0]))
-except ImportError:
-    pass
-else:
-    raise AssertionError("chebyshev_point ran without SciPy")
+slab = CutPolyhedron([[-1.0, 0.0], [1.0, 0.0]], [0.0, 1.0])
+res = geometry.project_polyhedron([2.0, 0.5], slab)
+assert chebyshev_point(slab, res.point) is not None
+report = check_variational_inequality([2.0, 0.5], res, slab, samples=10, seed=0)
+assert report.max_normalized_violation <= 1e-9
 assert not [m for m, mod in sys.modules.items() if m.startswith("scipy") and mod is not None]
 """
 
