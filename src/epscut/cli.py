@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -57,7 +58,20 @@ class _ConfigError(Exception):
     pass
 
 
+# A comma-separated list of numbers whose first starts with '-', such as
+# "-2,0" or "-1e3,-5".
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+_NEGATIVE_NUMBERS = re.compile(rf"^-{_NUMBER}(?:,[-+]?{_NUMBER})*$")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that starts with '-' as a flag unless
+        # it matches this pattern; its own accepts one plain number only.
+        # Subparsers are built from this class, so they share the pattern.
+        self._negative_number_matcher = _NEGATIVE_NUMBERS
+
     # argparse's default usage-error exit code collides with the budget
     # exhaustion code; config problems of any kind must map to 1.
     def error(self, message):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
+from .geometry import as_points
 from .problems import Problem, exact_sublevel_distance
 from .solver import SolveTrace, TerminationStatus
 
@@ -71,25 +72,38 @@ def fit_decay_rate(values) -> RateFit:
 def estimate_kappa(problem: Problem, points, eps: float) -> float:
     """Empirical lower bound for the error-bound modulus on given points.
 
-    Returns max over the points of d(x, S_eps) / (f(x) + eps). Every point
-    must satisfy f(x) + eps > 0; the problem must have an analytic sublevel
-    distance (NotAvailableError otherwise). The result is only a sampled
-    lower bound on any valid modulus, never the modulus itself.
+    ``points`` is an (m, n) stack of m >= 1 points. Returns the largest
+    d(x, S_eps) / (f(x) + eps) over them, and 0.0 if none is positive; a
+    NaN ratio (inf / inf, where f and d both overflow) is skipped. One
+    ``piece_values`` call gives every f and one ``exact_sublevel_distance``
+    call every d. Errors, first match wins: ValueError for an empty,
+    ragged or non-finite stack, DimensionMismatchError for the wrong
+    dimension, ValueError naming the first point where f(x) + eps is not
+    positive, then what ``exact_sublevel_distance`` raises: ValueError for
+    a negative eps, NotAvailableError for a kind without an analytic
+    distance, SublevelEmptyError for an empty shifted set. The result is
+    only a sampled lower bound on any valid modulus, never the modulus
+    itself.
     """
-    points = list(points)
-    if not points:
+    X = np.asarray(points, dtype=float)
+    if X.shape[:1] == (0,):
         raise ValueError("at least one point is required")
-    best = 0.0
-    for idx, x in enumerate(points):
-        f = problem.value(x)
-        denom = f + eps
-        if not denom > 0.0:
-            raise ValueError(
-                f"point {idx}: f(x) + eps = {denom} is not positive"
-            )
-        d = exact_sublevel_distance(problem, x, eps)
-        best = max(best, d / denom)
-    return best
+    if X.ndim != 2:
+        raise ValueError(f"expected an (m, n) stack of points, got shape {X.shape}")
+    X = as_points(X, problem.dim)
+    denom = problem.piece_values(X).max(axis=-1) + eps
+    bad = np.flatnonzero(~(denom > 0.0))
+    if bad.size:
+        idx = int(bad[0])
+        raise ValueError(
+            f"point {idx}: f(x) + eps = {float(denom[idx])} is not positive"
+        )
+    d = exact_sublevel_distance(problem, X, eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = d / denom
+    # The largest ratio above 0.0, as max(best, ratio) from best = 0.0 finds
+    # it point by point; a NaN is never above.
+    return float(np.max(ratios, initial=0.0, where=ratios > 0.0))
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,23 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def as_points(x, dim: int) -> np.ndarray:
+    """Validate and convert ``x`` to a finite float64 array of points (..., dim).
+
+    A 1-D ``x`` is one point and raises what ``as_vector`` raises; a stack
+    may hold no points. Raises ValueError on 0-d input or NaN/Inf entries,
+    then DimensionMismatchError if the last axis is not ``dim``.
+    """
+    v = np.asarray(x, dtype=float)
+    if not v.ndim or not v.size and v.ndim == 1:
+        raise ValueError(f"expected a nonempty 1-D vector, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("vector entries must be finite")
+    if v.shape[-1] != dim:
+        raise DimensionMismatchError(f"expected dimension {dim}, got {v.shape[-1]}")
+    return v
+
+
 class CutPolyhedron:
     """The polyhedron {x : normals @ x <= offsets} of k cuts in R^n.
 

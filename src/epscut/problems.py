@@ -39,7 +39,7 @@ from .errors import (
     NotAvailableError,
     SublevelEmptyError,
 )
-from .geometry import CutPolyhedron, as_vector, project_polyhedron
+from .geometry import CutPolyhedron, as_points, as_vector, project_polyhedron
 
 DEFAULT_J_MAX = 8
 
@@ -417,24 +417,34 @@ def supports_sublevel_distance(problem: Problem) -> bool:
     return isinstance(problem, (BallProblem, MaxAffineProblem))
 
 
-def exact_sublevel_distance(problem: Problem, x, eps: float) -> float:
-    """Exact distance from x to the shifted sublevel set {f <= -eps}.
+def exact_sublevel_distance(problem: Problem, x, eps: float):
+    """Exact distance from each point to the shifted sublevel set {f <= -eps}.
 
-    Ball instances reduce to a concentric-ball distance; max-affine
-    instances reduce to a polyhedral projection. Raises NotAvailableError
-    for other kinds and SublevelEmptyError when the shifted set is empty.
+    Broadcasts over points, (..., n) -> (...): a 1-D ``x`` gives a float,
+    a stack an array whose every entry has the bits its point gets alone.
+    Ball instances reduce to a concentric-ball distance in closed form;
+    max-affine instances to one polyhedral projection per point, onto cuts
+    built once. Raises ValueError for a negative eps or a non-finite point,
+    DimensionMismatchError for points of the wrong dimension,
+    NotAvailableError for other kinds and SublevelEmptyError when the
+    shifted set is empty.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    x = as_vector(x, problem.dim)
+    X = as_points(x, problem.dim)
     if isinstance(problem, BallProblem):
         rr = problem.radius**2 - eps
         if rr <= 0.0:
             raise SublevelEmptyError(
                 f"no point satisfies f <= -{eps} for this ball instance"
             )
-        gap = x - problem.center
-        return max(0.0, math.sqrt(gap.dot(gap)) - math.sqrt(rr))
+        gap = X - problem.center
+        # Both branches are max(0.0, d): d where d > 0.0, else 0.0.
+        if X.ndim == 1:
+            d = math.sqrt(gap.dot(gap)) - math.sqrt(rr)
+            return d if d > 0.0 else 0.0
+        d = np.sqrt(np.vecdot(gap, gap)) - math.sqrt(rr)
+        return np.where(d > 0.0, d, 0.0)
     if isinstance(problem, MaxAffineProblem):
         flat = np.vecdot(problem.coefs, problem.coefs) == 0.0
         if np.any(problem.intercepts[flat] > -eps):
@@ -442,16 +452,23 @@ def exact_sublevel_distance(problem: Problem, x, eps: float) -> float:
                 "a constant piece exceeds the shift everywhere"
             )
         if np.all(flat):
-            return 0.0
+            return 0.0 if X.ndim == 1 else np.zeros(X.shape[:-1])
         cuts = CutPolyhedron(problem.coefs[~flat], -eps - problem.intercepts[~flat])
-        try:
-            result = project_polyhedron(x, cuts)
-        except InfeasiblePolyhedronError as exc:
-            raise SublevelEmptyError(str(exc)) from exc
-        return float(np.linalg.norm(x - result.point))
+        if X.ndim == 1:
+            return _polyhedral_distance(X, cuts)
+        dists = [_polyhedral_distance(x, cuts) for x in X.reshape(-1, problem.dim)]
+        return np.array(dists).reshape(X.shape[:-1])
     raise NotAvailableError(
         f"no analytic sublevel distance for kind {problem.kind!r}"
     )
+
+
+def _polyhedral_distance(x: np.ndarray, cuts: CutPolyhedron) -> float:
+    try:
+        result = project_polyhedron(x, cuts)
+    except InfeasiblePolyhedronError as exc:
+        raise SublevelEmptyError(str(exc)) from exc
+    return float(np.linalg.norm(x - result.point))
 
 
 def nonconvex_default_problem(activity_tol: float | None = None) -> MaxQuadraticsProblem:

@@ -34,21 +34,38 @@ def _parse_optional(text: str) -> float | None:
     return None if text == "" else float(text)
 
 
-# The one row schema of both forms, in TraceRow field order: column name,
-# CSV writer and CSV parser. Only the sublevel distance may be missing; it
-# is written as an empty field, and int/float reject an empty field anywhere
-# else.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value) -> str:
+    """``value`` as ``json.dumps`` writes it: a float by its repr, except
+    NaN and the infinities; anything else, such as None or the integer
+    shift of a constant schedule, by ``json.dumps`` itself."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_NONFINITE.get(text, text)
+    return json.dumps(value)
+
+
+# The one row schema of every form, in TraceRow field order: column name,
+# CSV writer, CSV parser and JSON writer. Only the sublevel distance may be
+# missing; it is written as an empty CSV field, and int/float reject an
+# empty field anywhere else.
 _SCHEMA = (
-    ("i", str, int),
-    ("eps_i", _fmt, float),
-    ("f_xi", _fmt, float),
-    ("J_i", str, int),
-    ("step_norm", _fmt, float),
-    ("dist_sublevel", _fmt_optional, _parse_optional),
-    ("cut_count_active", str, int),
+    ("i", str, int, str),
+    ("eps_i", _fmt, float, _json_float),
+    ("f_xi", _fmt, float, _json_float),
+    ("J_i", str, int, str),
+    ("step_norm", _fmt, float, _json_float),
+    ("dist_sublevel", _fmt_optional, _parse_optional, _json_float),
+    ("cut_count_active", str, int, str),
 )
-CSV_COLUMNS = tuple(column for column, _, _ in _SCHEMA)
+CSV_COLUMNS = tuple(column for column, *_ in _SCHEMA)
 _row_values = operator.attrgetter(*(f.name for f in dataclasses.fields(TraceRow)))
+# One row as json.dumps(indent=2) lays it out in the document's rows array.
+_JSON_ROW = "    {\n" + ",\n".join(
+    f"      {json.dumps(column)}: %s" for column in CSV_COLUMNS
+) + "\n    }"
 
 
 def trace_to_csv(trace: SolveTrace) -> str:
@@ -57,7 +74,7 @@ def trace_to_csv(trace: SolveTrace) -> str:
     writer.writerow(CSV_COLUMNS)
     columns = zip(*map(_row_values, trace.rows))
     writer.writerows(zip(*(
-        map(write, values) for values, (_, write, _) in zip(columns, _SCHEMA)
+        map(write, values) for values, (_, write, _, _) in zip(columns, _SCHEMA)
     )))
     return buf.getvalue()
 
@@ -78,22 +95,40 @@ def parse_trace_csv(text: str) -> list[TraceRow]:
             )
     columns = zip(*records)
     return list(map(TraceRow, *(list(map(parse, cells))
-                                for cells, (_, _, parse) in zip(columns, _SCHEMA))))
+                                for cells, (_, _, parse, _) in zip(columns, _SCHEMA))))
 
 
-def trace_to_dict(trace: SolveTrace) -> dict:
+def _document(trace: SolveTrace, rows: list) -> dict:
     return {
         "status": trace.status.value,
         "status_iteration": trace.status_iteration,
         "final_x": [float(v) for v in trace.final_x],
         "final_f": trace.final_f,
         "strict_feasible": trace.strict_feasible,
-        "rows": [dict(zip(CSV_COLUMNS, _row_values(r))) for r in trace.rows],
+        "rows": rows,
     }
 
 
+def trace_to_dict(trace: SolveTrace) -> dict:
+    return _document(
+        trace, [dict(zip(CSV_COLUMNS, _row_values(r))) for r in trace.rows]
+    )
+
+
 def trace_to_json(trace: SolveTrace) -> str:
-    return json.dumps(trace_to_dict(trace), indent=2) + "\n"
+    """``json.dumps(trace_to_dict(trace), indent=2)`` plus a newline, with
+    the rows written column by column: ``indent`` selects json's pure-Python
+    encoder, which would spend most of the time on the rows."""
+    head = json.dumps(_document(trace, []), indent=2)
+    if not trace.rows:
+        return head + "\n"
+    columns = zip(*map(_row_values, trace.rows))
+    cells = zip(*(
+        map(write, values) for values, (*_, write) in zip(columns, _SCHEMA)
+    ))
+    rows = ",\n".join(map(_JSON_ROW.__mod__, cells))
+    # The head ends with the empty rows array, '[]', and the closing brace.
+    return f"{head[:-4]}[\n{rows}\n  ]\n}}\n"
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -1,6 +1,7 @@
 """Trace format round-trips, CLI exit codes, and output determinism."""
 
 import json
+import math
 import os
 import pathlib
 import stat
@@ -9,15 +10,21 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epscut import (
     BallProblem,
     EpsilonSchedule,
     SolveOptions,
+    SolveTrace,
+    TerminationStatus,
+    TraceRow,
     parse_trace_csv,
     problem_to_dict,
     solve,
     trace_to_csv,
+    trace_to_dict,
     trace_to_json,
 )
 from epscut.cli import _build_options, _build_parser, main
@@ -98,6 +105,32 @@ class TestTraceFormats:
             assert rec["dist_sublevel"] == row.dist_sublevel
 
 
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+INTS = st.integers(-(2**70), 2**70)
+ROWS = st.builds(
+    TraceRow, INTS, FLOATS | INTS, FLOATS, INTS, FLOATS, st.none() | FLOATS, INTS
+)
+TRACES = st.builds(
+    SolveTrace, st.lists(ROWS, max_size=5), st.sampled_from(TerminationStatus), INTS,
+    st.lists(FLOATS, max_size=3).map(np.array), FLOATS, st.sampled_from([None, True, False]),
+    st.just([]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TRACES)
+@example(SolveTrace(
+    [TraceRow(0, 0.1, math.nan, 1, math.inf, None, 2**65),
+     TraceRow(1, 1, -math.inf, 0, -0.0, math.nan, 0)],
+    TerminationStatus.MAX_ITER_EXCEEDED, 1, np.array([-0.0, 1e308]), math.inf, None, [],
+))
+def test_json_writer_matches_json_dumps(trace):
+    # The rows are written column by column; the document must be the one
+    # json.dumps writes, byte for byte, whatever the cells hold: NaN, the
+    # infinities, -0.0, a missing distance, an integer shift, large ints.
+    assert trace_to_json(trace) == json.dumps(trace_to_dict(trace), indent=2) + "\n"
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
 def test_written_file_mode_matches_open(tmp_path, umask):
     previous = os.umask(umask)
@@ -153,6 +186,22 @@ class TestCmdSolve:
         ])
         assert code == 0
         assert len(parse_trace_csv(csv_path.read_text())) == 1
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "diagnose"])
+    @pytest.mark.parametrize("x0", ["-2,0", "-1e3,-5"])
+    def test_start_with_leading_minus(self, ball_file, tmp_path, command, x0):
+        # argparse takes an argument that starts with '-' for a flag unless
+        # it looks like a negative number.
+        json_path = tmp_path / "trace.json"
+        code = main([command, "--problem", ball_file, "--x0", x0,
+                     "--trace-json", str(json_path)])
+        assert code == 0
+        start = [float(v) for v in x0.split(",")]
+        assert json.loads(json_path.read_text())["rows"][0]["f_xi"] == BALL.value(start)
+
+    def test_flag_like_start_still_rejected(self, ball_file, capsys):
+        assert main(["solve", "--problem", ball_file, "--x0", "-x,0"]) == 1
+        assert "--x0: expected one argument" in capsys.readouterr().err
 
     def test_dim_mismatch_exit_one(self, ball_file, capsys):
         code = main(["solve", "--problem", ball_file, "--x0", "2,0,0"])

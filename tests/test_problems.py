@@ -12,6 +12,8 @@ from epscut.problems import KINDS
 from epscut import (
     BallBody,
     BallProblem,
+    DimensionMismatchError,
+    EpscutError,
     HalfspaceBody,
     MaxAffineProblem,
     MaxQuadraticsProblem,
@@ -337,6 +339,89 @@ class TestSublevelDistance:
     def test_supports(self):
         assert supports_sublevel_distance(BallProblem())
         assert supports_sublevel_distance(AXES_MAX)
+
+
+def distances_one_by_one(problem, X, eps):
+    """The 1-D distances of a stack's points in order, up to the type of
+    the first error a point raises (None if none does)."""
+    dists = []
+    for x in X.reshape(-1, X.shape[-1]):
+        try:
+            dists.append(exact_sublevel_distance(problem, x, eps))
+        except EpscutError as exc:
+            return dists, type(exc)
+    return dists, None
+
+
+class TestBatchedSublevelDistance:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["ball", "max_affine"]), n=st.sampled_from([1, 2, 3, 8, 40]),
+           lead=st.sampled_from([(1,), (7,), (2, 3)]), seed=st.integers(0, 2**32 - 1))
+    def test_stack_matches_points_bit_for_bit(self, kind, n, lead, seed):
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, kind, n)
+        X = rng.standard_normal(lead + (n,)) * 10.0 ** rng.uniform(-3.0, 3.0, lead + (1,))
+        if kind == "ball":
+            # Points inside and outside, and a shift that may empty the set.
+            X = problem.center + problem.radius * X
+            eps = problem.radius**2 * float(rng.uniform(0.0, 1.1))
+        else:
+            eps = float(10.0 ** rng.uniform(-6.0, 2.0))
+        if rng.random() < 0.3:
+            eps = 0.0
+        dists, error = distances_one_by_one(problem, X, eps)
+        if error is not None:
+            with pytest.raises(error):
+                exact_sublevel_distance(problem, X, eps)
+            return
+        assert all(type(d) is float for d in dists)
+        batch = exact_sublevel_distance(problem, X, eps)
+        assert batch.shape == lead
+        assert batch.tobytes() == np.array(dists).tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["ball", "max_affine"]), n=st.integers(1, 4),
+           m=st.integers(1, 5), bad=st.sampled_from([NAN, INF, -INF]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_errors_are_those_of_a_point(self, kind, n, m, bad, seed):
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, kind, n)
+        X = rng.standard_normal((m, n))
+        for points in (X[0], X):
+            with pytest.raises(ValueError, match="eps must be nonnegative"):
+                exact_sublevel_distance(problem, points, -1e-3)
+        wide = np.hstack([X, X[:, :1]])
+        for points in (wide[0], wide):
+            with pytest.raises(DimensionMismatchError):
+                exact_sublevel_distance(problem, points, 0.0)
+        row = int(rng.integers(m))
+        X[row, rng.integers(n)] = bad
+        for points in (X[row], X, X[None]):
+            with pytest.raises(ValueError, match="finite"):
+                exact_sublevel_distance(problem, points, 0.0)
+        with pytest.raises(ValueError, match="1-D"):
+            exact_sublevel_distance(problem, 1.0, 0.0)
+
+    def test_stacks_of_empty_shifted_sets(self):
+        stack = [[2.0, 0.0], [3.0, 1.0]]
+        flat = MaxAffineProblem([[0.0, 0.0], [1.0, 0.0]], [-0.5, 0.0])
+        apart = MaxAffineProblem([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0])
+        for problem, eps in ((BallProblem(), 1.0), (flat, 0.75), (apart, 0.0)):
+            for points in (stack[0], stack):
+                with pytest.raises(SublevelEmptyError):
+                    exact_sublevel_distance(problem, points, eps)
+
+    def test_stacks_of_other_kinds(self):
+        for problem in (nonconvex_default_problem(), ShiftedBallProblem(2)):
+            with pytest.raises(NotAvailableError):
+                exact_sublevel_distance(problem, [[1.0, 1.0], [2.0, 0.0]], 0.1)
+
+    def test_empty_and_flat_stacks(self):
+        assert exact_sublevel_distance(BallProblem(), np.empty((0, 2)), 0.0).shape == (0,)
+        assert exact_sublevel_distance(AXES_MAX, np.empty((3, 0, 2)), 0.5).shape == (3, 0)
+        flat = MaxAffineProblem([[0.0, 0.0]], [-1.0])
+        assert exact_sublevel_distance(flat, [2.0, 0.0], 0.5) == 0.0
+        assert exact_sublevel_distance(flat, np.ones((2, 3, 2)), 0.5).tolist() == [[0.0] * 3] * 2
 
 
 def random_problem(rng, kind, n):

@@ -424,14 +424,23 @@ class TestInputChecks:
     ])
     def test_bad_points_rejected(self, x, error):
         poly = CutPolyhedron([[1.0, 0.0]], [0.0])
-        for call in (
+        calls = [
             lambda: solve(BALL, x),
             lambda: evaluate(BALL, x),
             lambda: project_polyhedron(x, poly),
             lambda: build_cuts(x, evaluate(BALL, [2.0, 0.0]), 0.1),
+        ]
+        distances = [
             lambda: exact_sublevel_distance(BALL, x, 0.1),
             lambda: exact_sublevel_distance(AXES_MAX, x, 0.1),
-        ):
+        ]
+        if np.ndim(x) == 1:
+            calls += distances
+        else:
+            # exact_sublevel_distance broadcasts over points, (..., n) -> (...):
+            # a (1, 2) array is a stack of one good point to it.
+            assert [d().shape for d in distances] == [(1,), (1,)]
+        for call in calls:
             with np.errstate(invalid="ignore"), pytest.raises(error):
                 call()
 
