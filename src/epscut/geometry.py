@@ -8,8 +8,10 @@ active-set method of Goldfarb and Idnani (Math. Programming 27, 1983), and it
 returns a KKT certificate (active set plus nonnegative multipliers). Its
 working set is kept as a thin QR factorization. When every cut is violated
 at the query point and there are at least four cuts but no more than the
-dimension, the loop starts from a QR of the whole bundle, pruned by
-multiplier sign; otherwise it starts empty. Later constraints join one
+dimension, the loop starts from the whole bundle, pruned by multiplier
+sign, whose multipliers come from the Gram matrix of its unit normals; the
+QR factors of that start are built only when the loop first needs them.
+Otherwise it starts empty. Later constraints join one
 Gram-Schmidt column at a time, and a constraint leaves by truncating the
 factors and adding the later constraints again. All feasibility tests are
 scale-aware: violations ``<a, x> - b`` are measured relative to ``||a||``
@@ -49,13 +51,14 @@ MULTIPLIER_TOL = 1e-12
 # constraints are handled by dual steps (swaps) instead. Wedges thinner than
 # this are treated as numerically empty.
 _DEPENDENCE_TOL = 1e-7
-# Most QR factorizations the whole-bundle start makes before starting cold.
+# Most factorizations the whole-bundle start makes before starting cold.
 _START_FACTORIZATIONS = 3
-# Fewest cuts for which the whole-bundle start is tried. On two or three
-# cuts its fixed cost, mostly the NumPy call overhead of the QR and the
-# inverse, exceeds the adds it saves. Step projections of small
-# max-quadratic and SIP solves on a 2-vCPU x86 VM took 57 us against 37 us
-# cold at k = 2 and 62 against 54 at k = 3; from k = 4 the start won.
+# Fewest cuts for which the whole-bundle start is tried. Step projections
+# of small max-quadratic and SIP solves, every cut violated, took 58-63 us
+# with the start against 66-72 us cold at k = 2, and 73-91 against 86-105
+# us at k = 3 (two interleaved runs, 2-vCPU x86 VM, one BLAS thread). So
+# the start is no slower there; but its point carries other round-off than
+# the add-by-add loop's, and 4 keeps the traces of small bundles as they are.
 _START_MIN_CUTS = 4
 # Multiple of the machine epsilon in the round-off bound of a residual
 # <a, x> - b, which is about eps * (|a| . |x| + |b|).
@@ -217,13 +220,16 @@ def project_polyhedron(x0, poly: CutPolyhedron) -> ProjectionResult:
     ``(A[W] A[W]^T) lam = A[W] x0 - b[W]`` are nonnegative is dual feasible,
     so the loop may start from it instead of the empty set. When
     4 <= k <= n and every cut is violated at ``x0``, as in each step of
-    ``solve``, the kernel factors the whole bundle with one Householder QR
-    and, if some multiplier is negative, drops those cuts and factors again,
-    at most three times in all. A factorization with a diagonal entry under
-    the dependence threshold ends the attempt. If no attempt gives
-    nonnegative multipliers, the loop starts from the empty working set.
-    The loop then adds and drops as usual, so the start decides where the
-    iteration begins, not the projection it returns (up to round-off).
+    ``solve``, the kernel solves that system for the whole bundle through
+    the Gram matrix of the unit normals, and, if some multiplier is
+    negative, drops those cuts and solves again, at most three times in
+    all. A Cholesky factor with a diagonal entry under the dependence
+    threshold ends the attempt. If no attempt gives nonnegative
+    multipliers, the loop starts from the empty working set. The start sets
+    only the working set and its multipliers; one Householder QR builds its
+    factors when the loop first adds or drops. The loop then adds and drops
+    as usual, so the start decides where the iteration begins, not the
+    projection it returns (up to round-off).
 
     A point counts as inside when its largest scaled violation
     ``(<a_p,x> - b_p)/||a_p||`` is at most ``FEASIBILITY_TOL`` (1e-10). The
@@ -247,7 +253,7 @@ def project_polyhedron(x0, poly: CutPolyhedron) -> ProjectionResult:
     ws = _WorkingSet(A)
     adds = drops = start_size = 0
     if _START_MIN_CUTS <= k <= poly.dim and (scaled > FEASIBILITY_TOL).all():
-        point = _bundle_start(ws, b, norms, x)
+        point = _bundle_start(ws, norms, scaled, x)
         if point is not None:
             x = point
             start_size = len(ws.work)
@@ -366,38 +372,50 @@ def _check_finite(x):
         raise ProjectionFailedError("active-set iterate became nonfinite")
 
 
-def _bundle_start(ws, b, norms, x):
-    """Fill the empty working set ``ws`` with a whole-bundle start at ``x``
-    and return the start point, or return None and leave ``ws`` empty.
+def _bundle_start(ws, norms, scaled, x):
+    """Start the empty working set ``ws`` from the whole bundle at ``x`` and
+    return the start point, or return None and leave ``ws`` empty.
 
-    Factors ``A[S].T = Q R`` with S all cuts, R's diagonal made positive,
-    and solves ``R^T R lam = A[S] x - b[S]`` through ``R^-1``. Cuts with a
-    negative multiplier leave S and S is factored again, at most
-    ``_START_FACTORIZATIONS`` times. The start is the first S whose
-    multipliers are all nonnegative and whose point
-    ``x - Q R^-T (A[S] x - b[S])`` is finite. There is none when a diagonal
-    entry of R is at most ``_DEPENDENCE_TOL`` times its normal's length, as
-    for a single add, or when no attempt succeeds.
+    Works with the unit normals ``U = A / norms`` and their Gram matrix
+    ``C = U U^T``, formed once. An attempt on the cuts S takes the Cholesky
+    factor L of ``C[S, S]`` and solves ``C[S, S] mu = scaled[S]``, where
+    ``scaled`` holds the scaled violations ``(A x - b) / norms``; the
+    multipliers are ``lam = mu / norms[S]`` and the point is
+    ``x - mu U[S]``. Cuts with a negative multiplier leave S and the next
+    attempt factors the smaller principal submatrix, at most
+    ``_START_FACTORIZATIONS`` attempts in all. The start is the first S
+    whose multipliers are all nonnegative and whose point is finite. There
+    is none when a diagonal entry of L is at most ``_DEPENDENCE_TOL``, the
+    same test as ``|R_ii| / ||a_i||`` of a QR of ``A[S]^T`` and as for a
+    single add, when the factorization fails, or when no attempt succeeds.
+    Unit rows keep C in range whatever the normals' scale: the Gram matrix
+    of A itself squares the row lengths, which underflow or overflow.
+    ``ws`` records only S and its multipliers; its QR factors are built
+    when the loop first needs them.
     """
     A = ws.A
+    units = A / norms[:, None]
+    gram = units @ units.T
     work = np.arange(len(A))
     for _ in range(_START_FACTORIZATIONS):
-        normals = A[work]
-        q, r = np.linalg.qr(normals.T)
-        diag = np.diag(r)
-        if (np.abs(diag) <= _DEPENDENCE_TOL * norms[work]).any():
+        # Most starts end on their first attempt, which takes every cut;
+        # indexing would copy the whole matrix for it.
+        sub = gram if work.size == len(A) else gram[np.ix_(work, work)]
+        try:
+            chol = np.linalg.cholesky(sub)
+        except np.linalg.LinAlgError:
             return None
-        sign = np.copysign(1.0, diag)[:, None]
-        rinv = np.triu(np.linalg.inv(sign * r))
-        y = rinv.T @ (normals @ x - b[work])
-        lam = rinv @ y
-        keep = lam >= 0.0
+        if not (np.diagonal(chol) > _DEPENDENCE_TOL).all():
+            return None
+        # NumPy has no triangular solve; one LU solve of C[S, S] costs
+        # less than two general solves with L.
+        mu = np.linalg.solve(sub, scaled[work])
+        keep = mu >= 0.0
         if keep.all():
-            qt = sign * q.T
-            point = x - y @ qt
+            point = x - mu @ units[work]
             if not np.isfinite(point).all():
                 return None
-            ws.fill(work.tolist(), qt, rinv, lam)
+            ws.start(work.tolist(), mu / norms[work])
             return point
         work = work[keep]
         if not work.size:
@@ -415,6 +433,7 @@ class _WorkingSet:
     triangular solve. ``rinv`` is applied as a full matrix product, so it
     keeps explicit zeros below its diagonal. The buffers hold at most
     min(n, k) constraints, since admitted normals are linearly independent.
+    After ``start`` the factors are stale until ``split`` first needs them.
     """
 
     def __init__(self, A: np.ndarray):
@@ -424,20 +443,29 @@ class _WorkingSet:
         self.lam = np.empty(cap)
         self.qt = np.empty((cap, A.shape[1]))
         self.rinv = np.zeros((cap, cap))
+        self.stale = False
 
-    def fill(self, work: list[int], qt: np.ndarray, rinv: np.ndarray,
-             lam: np.ndarray) -> None:
-        """Take the factors of ``A[work].T = Q R`` as given: ``qt`` holds Q's
-        columns as rows, ``rinv`` is ``R^-1`` with exact zeros below its
-        diagonal, and ``lam`` the multipliers."""
-        m = len(work)
-        self.qt[:m] = qt
-        self.rinv[:m, :m] = rinv
-        self.lam[:m] = lam
+    def start(self, work: list[int], lam: np.ndarray) -> None:
+        """Take the independent cuts ``work`` with multipliers ``lam`` as the
+        working set, and leave its factors to ``factor``."""
+        self.lam[:len(work)] = lam
         self.work = work
+        self.stale = True
+
+    def factor(self) -> None:
+        """Build the factors of the whole working set from one Householder
+        QR of ``A[work].T``, with R's diagonal made positive."""
+        m = len(self.work)
+        q, r = np.linalg.qr(self.A[self.work].T)
+        sign = np.copysign(1.0, np.diagonal(r))[:, None]
+        self.qt[:m] = sign * q.T
+        self.rinv[:m, :m] = np.triu(np.linalg.inv(sign * r))
+        self.stale = False
 
     def split(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(R^-1 Q^T a, a - Q Q^T a)`` with one re-orthogonalization pass."""
+        if self.stale:
+            self.factor()
         m = len(self.work)
         qt = self.qt[:m]
         q = qt @ a

@@ -144,6 +144,10 @@ class BallProblem(Problem):
         center = as_vector(center)
         if not 0.0 < radius < math.inf:
             raise ValueError("radius must be positive and finite")
+        # f and the sublevel distance square the radius as a Python float,
+        # which raises OverflowError where the square is not finite.
+        if float(radius) * float(radius) == math.inf:
+            raise ValueError("radius squared must be finite (radius below about 1.34e154)")
         super().__init__(center.size, activity_tol, name)
         self.center = center
         self.radius = float(radius)

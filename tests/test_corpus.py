@@ -30,7 +30,7 @@ from epscut import (
     trace_to_json,
 )
 
-CORPUS_SHA256 = "079ba160dcb22e7e32fa9d061d2f73404c5515231e525428093406c92e0d8698"
+CORPUS_SHA256 = "a4656b8322434bf7bab8d28df8c61e282f949f8eeab6256e3255976de0b1d463"
 
 BALL = BallProblem([0.0, 0.0], 1.0)
 OPPOSING = MaxAffineProblem([[1.0], [-1.0]], [1.0, 1.0], activity_tol=0.0)

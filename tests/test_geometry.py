@@ -521,6 +521,31 @@ def step_instances(draw):
     return x0, A, A @ x0 - c, None if shape == "generic" else 0, None
 
 
+def _qr_start(A, b, x):
+    """The whole-bundle start as one Householder QR of ``A[S].T`` per
+    attempt, the reference for the kernel's Gram start: ``(S, point)``, or
+    None where it starts cold."""
+    norms = np.linalg.norm(A, axis=1)
+    work = np.arange(len(A))
+    for _ in range(geometry._START_FACTORIZATIONS):
+        normals = A[work]
+        q, r = np.linalg.qr(normals.T)
+        diag = np.diag(r)
+        if (np.abs(diag) <= geometry._DEPENDENCE_TOL * norms[work]).any():
+            return None
+        sign = np.copysign(1.0, diag)[:, None]
+        rinv = np.triu(np.linalg.inv(sign * r))
+        y = rinv.T @ (normals @ x - b[work])
+        keep = rinv @ y >= 0.0
+        if keep.all():
+            point = x - y @ (sign * q.T)
+            return (work.tolist(), point) if np.isfinite(point).all() else None
+        work = work[keep]
+        if not work.size:
+            return None
+    return None
+
+
 class TestBundleStart:
     @settings(max_examples=250, deadline=None, derandomize=True)
     @given(step_instances())
@@ -543,6 +568,47 @@ class TestBundleStart:
         if size is not None:
             assert res.start_size == size
 
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(step_instances())
+    def test_gram_start_matches_qr_start(self, inst):
+        x0, A, b, _, _ = inst
+        poly = CutPolyhedron(A, b)
+        scaled = poly.scaled_violations(x0)
+        assume(geometry._START_MIN_CUTS <= len(A) <= poly.dim)
+        assume((scaled > geometry.FEASIBILITY_TOL).all())
+        ws = geometry._WorkingSet(poly.normals)
+        point = geometry._bundle_start(ws, poly.normal_norms, scaled, x0)
+        reference = _qr_start(A, b, x0)
+        assert (point is None) == (reference is None)
+        size = project_polyhedron(x0, poly).start_size
+        if reference is None:
+            assert (ws.work, size) == ([], 0)
+            return
+        work, ref_point = reference
+        assert (ws.work, size) == (work, len(work))
+        assert np.linalg.norm(point - ref_point) <= 1e-9 * (1.0 + np.linalg.norm(x0))
+
+    @pytest.mark.parametrize("log_norm", [(-161.0, -150.0), (149.5, 150.5)])
+    def test_start_taken_at_extreme_row_scales(self, log_norm):
+        # Acute bundles with unit-normal multipliers mu in [0.5, 2], so the
+        # start keeps every cut. The row lengths square to below the
+        # smallest normal double, or to near 1e300: a Gram matrix of the
+        # rows themselves loses the small ones to subnormal round-off.
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(4, 9))
+            k = int(rng.integers(4, n + 1))
+            units = np.abs(rng.standard_normal((k, n))) @ _rotation(rng, n)
+            units /= np.linalg.norm(units, axis=1)[:, None]
+            norms = 10.0 ** rng.uniform(*log_norm, size=k)
+            A = norms[:, None] * units
+            x0 = rng.standard_normal(n)
+            mu = rng.uniform(0.5, 2.0, size=k)
+            b = A @ x0 - norms * (units @ (units.T @ mu))
+            res = project_polyhedron(x0, CutPolyhedron(A, b))
+            assert res.start_size == k
+            assert _kkt_error(x0, A, b, res) == ""
+
     @pytest.mark.parametrize("depth, factorizations, size",
                              [(1, 1, 4), (2, 2, 4), (3, 3, 4), (4, 3, 0), (5, 3, 0)])
     def test_chain_prunes_one_cut_per_factorization(self, monkeypatch, depth,
@@ -551,8 +617,9 @@ class TestBundleStart:
         rng = np.random.default_rng(depth)
         x0, A, b, expected = _block_instance(rng, depth + 5, [depth, 1, 1, 1], None)
         calls = []
-        qr = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda M: (calls.append(M.shape), qr(M))[1])
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda M: (calls.append(M.shape), cholesky(M))[1])
         res = project_polyhedron(x0, CutPolyhedron(A, b))
         assert (res.start_size, expected) == (size, size)
         k = depth + 3
@@ -563,17 +630,20 @@ class TestBundleStart:
     def test_two_or_three_cuts_start_cold(self, monkeypatch, k):
         calls = []
         monkeypatch.setattr(np.linalg, "qr", lambda M: calls.append(M))
+        monkeypatch.setattr(np.linalg, "cholesky", lambda M: calls.append(M))
         A = np.eye(k, 5)
         res = project_polyhedron(np.ones(5), CutPolyhedron(A, np.zeros(k)))
         assert (res.start_size, res.adds, res.drops, calls) == (0, k, 0, [])
         assert_allclose(res.point, np.r_[np.zeros(k), np.ones(5 - k)])
 
     def test_factors_hold_after_start_and_later_drops(self, monkeypatch):
-        fill, drop = geometry._WorkingSet.fill, geometry._WorkingSet.drop
+        # The start leaves its QR factors to the first split that needs
+        # them; check them there and after every later drop.
+        factor, drop = geometry._WorkingSet.factor, geometry._WorkingSet.drop
         started, dropped = [], []
 
-        def checking_fill(ws, *factors):
-            fill(ws, *factors)
+        def checking_factor(ws):
+            factor(ws)
             ws.started = True
             started.append(_assert_factors_hold(ws))
 
@@ -582,7 +652,7 @@ class TestBundleStart:
             if getattr(ws, "started", False):
                 dropped.append(_assert_factors_hold(ws))
 
-        monkeypatch.setattr(geometry._WorkingSet, "fill", checking_fill)
+        monkeypatch.setattr(geometry._WorkingSet, "factor", checking_factor)
         monkeypatch.setattr(geometry._WorkingSet, "drop", checking_drop)
         rng = np.random.default_rng(5)
         for _ in range(600):
@@ -593,7 +663,7 @@ class TestBundleStart:
             b = A @ x0 - rng.uniform(0.01, 1.0, size=k) * np.linalg.norm(A, axis=1)
             res = project_polyhedron(x0, CutPolyhedron(A, b))
             assert _kkt_error(x0, A, b, res) == ""
-        assert len(started) > 500
+        assert len(started) > 100
         assert len(dropped) >= 10
 
 

@@ -273,6 +273,7 @@ class TestFiniteProblemData:
         [
             lambda: BallProblem([0.0, NAN], 1.0),
             lambda: BallProblem([0.0, 0.0], INF),
+            lambda: BallProblem([0.0, 0.0], 1e200),
             lambda: ShiftedBallProblem(2, activity_tol=NAN),
             lambda: ShiftedBallProblem(2, activity_tol=INF),
             lambda: MaxAffineProblem([[1.0, NAN]], [0.0]),
@@ -286,7 +287,7 @@ class TestFiniteProblemData:
             lambda: SipDistanceProblem([HalfspaceBody([1e200, 1e200], 1.0)]),
         ],
         ids=[
-            "ball-center", "ball-radius", "shifted-activity-tol-nan",
+            "ball-center", "ball-radius", "ball-radius-squared", "shifted-activity-tol-nan",
             "shifted-activity-tol-inf", "max-affine-coef", "max-affine-intercept",
             "quad", "lin", "const", "sip-ball-radius", "sip-halfspace-offset",
             "sip-halfspace-zero-normal", "sip-halfspace-normal-overflow",
@@ -303,6 +304,8 @@ class TestFiniteProblemData:
             problem_from_dict(spec)
         with pytest.raises(ValueError, match="activity_tol"):
             problem_from_dict({"kind": "ball", "dim": 2, "activity_tol": NAN})
+        with pytest.raises(ValueError, match="radius squared"):
+            problem_from_dict({"kind": "ball", "dim": 2, "params": {"radius": 1e200}})
 
 
 class TestSublevelDistance:

@@ -243,6 +243,16 @@ class TestFailureSurface:
         assert trace.status is TerminationStatus.PROJECTION_FAILED
         assert trace.status_iteration == 0
 
+    @pytest.mark.parametrize("x0, iteration", [([1.0, 0.0], 0), ([3e150, 0.0], 6)])
+    def test_huge_radius_ends_with_a_status(self, x0, iteration):
+        # 1e150 squares to 1e300, so f and the sublevel distance stay finite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = solve(BallProblem([0.0, 0.0], 1e150), x0,
+                          SolveOptions(record_sublevel_distance=True))
+        assert trace.status is TerminationStatus.FEASIBLE_FOUND
+        assert trace.status_iteration == iteration
+
     def test_far_kink_instance_reaches_feasibility(self):
         # Far from the origin in the scale of these coefficients, a cut's
         # residual is pure round-off; the kernel must stop there, not cycle.
