@@ -159,6 +159,8 @@ def _resolve_x0(args, problem: Problem) -> np.ndarray:
         radius = float(radius_text)
     except ValueError as exc:
         raise _ConfigError(f"--x0-random expects SEED:RADIUS: {exc}") from exc
+    if seed < 0:
+        raise _ConfigError("--x0-random seed must be nonnegative")
     if not 0.0 < radius < math.inf:
         raise _ConfigError("--x0-random radius must be positive and finite")
     rng = np.random.default_rng(seed)

@@ -8,13 +8,20 @@ pieces. A problem implements exactly two broadcasting oracle methods:
 
 The same two methods serve ``evaluate`` on one point, and
 ``solve_multistart`` and the sampled convexity check on a batch of points.
-Each row of a batch gets exactly the bits its point gets alone, so a batched
-run reproduces the per-point one. ``evaluate`` returns, besides the
-value, a bundle of generalized gradients as a (J, n) array: the gradients of
-all pieces active within a small threshold, most active first. For a
-maximum of C1 pieces the generalized gradients at x form the convex hull of
-the active-piece gradients, so each bundle row is a valid element of it.
-Smooth instances are single-piece maxima.
+
+The oracles are deterministic, and the solvers rely on it: the same point
+gets the same bits, whenever it is evaluated and whatever batch it is in.
+A problem keeps no state between calls and draws nothing at random. So a
+batched run reproduces the per-point one, and ``solve`` can write the rest
+of a stalled run, where the iterate no longer moves, without calling the
+oracle again. ``exact_sublevel_distance`` keeps the same contract.
+
+``evaluate`` returns, besides the value, a bundle of generalized gradients
+as a (J, n) array: the gradients of all pieces active within a small
+threshold, most active first. For a maximum of C1 pieces the generalized
+gradients at x form the convex hull of the active-piece gradients, so each
+bundle row is a valid element of it. Smooth instances are single-piece
+maxima.
 
 Instances:
   ball                     f(x) = ||x - c||^2 - r^2          (smooth, convex)

@@ -17,12 +17,14 @@ onto the intersection of these cuts. Every run ends with one status:
 
 The last four mean that the step from x_i could not be computed.
 
-``solve`` runs one start point by point. ``solve_multistart`` runs a batch
-of starts in lockstep: each round evaluates the oracle once for every live
-start and makes every one-cut step at once, in closed form
-(``geometry.project_one_cut``); any other step is the step of ``solve``
-(``_step``). Both give the same trace from a start, byte for byte, because
-the oracles round a batch exactly as its points.
+``solve`` runs one start point by point, and writes the rest of a stalled
+run (a step that leaves x in place, under an unchanged shift) in one pass.
+``solve_multistart`` runs a batch of starts in lockstep: each round
+evaluates the oracle once for every live start and makes every one-cut
+step at once, in closed form (``geometry.project_one_cut``); any other
+step is the step of ``solve`` (``_step``). It steps through a stall like
+any other iteration. Both give the same trace from a start, byte for byte,
+because the oracles round a batch exactly as its points.
 
 Inputs are checked where they enter. The public functions (``evaluate``,
 ``build_cuts``, ``project_polyhedron``, ``CutPolyhedron``, ...) check their
@@ -166,6 +168,12 @@ def _shift(opts: SolveOptions, i: int) -> float:
     return 0.0 if opts.baseline_mode == "zero_eps" else eps_at(opts.schedule, i)
 
 
+def _same_bits(a: float, b: float) -> bool:
+    """Whether two shifts are one value: the same type, equal, and the same
+    sign of zero."""
+    return type(a) is type(b) and a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 def _sublevel_distance(problem: Problem, x, eps: float) -> float | None:
     try:
         return exact_sublevel_distance(problem, x, eps)
@@ -235,6 +243,18 @@ def solve(problem: Problem, x0, opts: SolveOptions | None = None) -> SolveTrace:
     always complete. ``dist_sublevel`` is None where the exact distance is
     not recorded, not defined (an empty shifted sublevel set) or cannot be
     computed (its projection fails, or the problem data overflow).
+
+    A step that leaves x where it is (x already lies inside its cuts, as
+    when the zero shift stalls just outside the boundary) is repeated by
+    every later step for as long as the shift keeps its bits: the oracle
+    and the kernel give the same bits from the same point, so the next
+    evaluation, cuts, projection and distance are this step's again. The
+    loop writes those rows and iterates straight away, without evaluating
+    anything, and steps again from x at the first iteration whose shift
+    differs in type, value or sign of zero. The trace is the one the
+    step-by-step loop gives, byte for byte. The harmonic and logarithmic
+    schedules change the shift at every step, so in practice only the
+    ``zero_eps`` baseline and the constant schedule take this path.
     """
     opts = opts or SolveOptions()
     x = as_vector(x0, problem.dim).copy()
@@ -243,7 +263,8 @@ def solve(problem: Problem, x0, opts: SolveOptions | None = None) -> SolveTrace:
 
     rows: list[TraceRow] = []
     iterates = [x.copy()]
-    for i in range(opts.max_iter + 1):
+    i = 0
+    while True:
         evaluation = evaluate(problem, x, j_max)
         f_xi = evaluation.value
         eps_i = _shift(opts, i)
@@ -263,6 +284,14 @@ def solve(problem: Problem, x0, opts: SolveOptions | None = None) -> SolveTrace:
         )
         x = result.point
         iterates.append(x.copy())
+        i += 1
+        if result.feasible:
+            # x lay inside its own cuts and came back unmoved, so every later
+            # step repeats this one while the shift keeps its bits.
+            while i < opts.max_iter and _same_bits(_shift(opts, i), eps_i):
+                rows.append(TraceRow(i, eps_i, f_xi, len(evaluation.bundle), 0.0, dist, 0))
+                iterates.append(x.copy())
+                i += 1
 
     # The loop always stops by ``break``: at the latest when i == max_iter.
     return _finish(rows, iterates, status, i, eps_i, f_xi, len(evaluation.bundle), dist, x)

@@ -240,6 +240,14 @@ class TestCmdSolve:
         assert main(["solve", "--problem", ball_file, *x0_flags]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "compare", "diagnose"])
+    @pytest.mark.parametrize("seed", ["-1", "-12345678901234567890"])
+    def test_negative_random_seed_exit_one(self, ball_file, command, seed, capsys):
+        # NumPy's generator raises a bare ValueError for a negative seed.
+        code = main([command, "--problem", ball_file, f"--x0-random={seed}:3"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --x0-random seed must be nonnegative\n"
+
     @pytest.mark.parametrize(
         "flags", [["--schedule", "harmonicly"], ["--eps0", "inf"], ["--eps0", "nan"]],
         ids=["schedule-prefix", "eps0-inf", "eps0-nan"],

@@ -1,6 +1,7 @@
 """Driver tests: steps, cut validity, termination semantics, baselines."""
 
 import collections
+import math
 import os
 import pathlib
 import subprocess
@@ -33,7 +34,8 @@ from epscut import (
     solve_multistart,
 )
 from epscut import solver, trace_to_csv, trace_to_json
-from epscut.problems import KINDS, Evaluation
+from epscut.geometry import as_vector
+from epscut.problems import KINDS, Evaluation, supports_sublevel_distance
 from conftest import radial_ball_reference
 from test_problems import random_problem
 
@@ -336,6 +338,20 @@ class TestCallPoints:
         assert trace.rows[0].cut_count_active == 1
         assert counts == {"evaluate": 2, "build_cuts": 1, "project_polyhedron": 2}
 
+    def test_stalled_run_is_filled(self, monkeypatch):
+        # The zero shift stalls from step 5 on: the kernel hands x back, so
+        # the 995 later steps are written without calling any layer, and
+        # the last row is evaluated once more to end the run.
+        counts = self.count_calls(monkeypatch)
+        opts = harmonic_opts(baseline_mode="zero_eps", max_iter=1000,
+                             record_sublevel_distance=True)
+        trace = solve(BALL, [2.0, 0.0], opts)
+        assert trace.status is TerminationStatus.MAX_ITER_EXCEEDED
+        assert len(trace.rows) == len(trace.iterates) == 1001
+        assert [row.cut_count_active for row in trace.rows[4:7]] == [1, 0, 0]
+        assert counts == {"evaluate": 7, "exact_sublevel_distance": 7,
+                          "build_cuts": 6, "project_polyhedron": 6}
+
 
 def reference_build_cuts(x, evaluation, eps) -> CutPolyhedron:
     """build_cuts through the validating constructor, after the zero-row check."""
@@ -500,6 +516,102 @@ def assert_lockstep_matches_solve(problem, starts, opts):
         single = [solve(problem, x0, opts) for x0 in starts]
     assert [trace_bytes(t) for t in batch] == [trace_bytes(t) for t in single]
     return batch
+
+
+# The loop of solve before it filled stalled runs: every iteration
+# evaluates, measures and steps. It calls the layers through the solver
+# module, so a patched name reaches both loops.
+@np.errstate(over="ignore", invalid="ignore")
+def _solve_reference(problem, x0, opts):
+    x = as_vector(x0, problem.dim).copy()
+    j_max = 1 if opts.baseline_mode == "single_cut" else opts.j_max
+    record_dist = opts.record_sublevel_distance and supports_sublevel_distance(problem)
+
+    rows = []
+    iterates = [x.copy()]
+    for i in range(opts.max_iter + 1):
+        evaluation = solver.evaluate(problem, x, j_max)
+        f_xi = evaluation.value
+        eps_i = solver._shift(opts, i)
+        dist = solver._sublevel_distance(problem, x, eps_i) if record_dist else None
+        if f_xi <= 0.0:
+            status = TerminationStatus.FEASIBLE_FOUND
+        elif i == opts.max_iter:
+            status = TerminationStatus.MAX_ITER_EXCEEDED
+        else:
+            status, result = solver._step(x, evaluation, eps_i, opts.infeasible_cut_fallback)
+        if status is not None:
+            break
+        step = result.point - x
+        rows.append(
+            solver.TraceRow(i, eps_i, f_xi, len(evaluation.bundle), math.sqrt(step.dot(step)),
+                            dist, len(result.active_set))
+        )
+        x = result.point
+        iterates.append(x.copy())
+    return solver._finish(rows, iterates, status, i, eps_i, f_xi, len(evaluation.bundle), dist, x)
+
+
+SCHEDULES = {
+    "harmonic": EpsilonSchedule.harmonic,
+    "const": EpsilonSchedule.constant_for_testing,
+    "log": EpsilonSchedule.logarithmic,
+}
+
+
+class TestStalledRunFill:
+    """A step that leaves x in place repeats while the shift keeps its
+    bits; solve writes those rows without stepping, and its trace must be
+    the step-by-step loop's."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(KINDS), n=st.sampled_from([1, 2, 3, 6]),
+           schedule=st.sampled_from(sorted(SCHEDULES)), eps0=st.sampled_from([0.1, 1e-20]),
+           max_iter=st.sampled_from([1, 2, 50, 300]), seed=st.integers(0, 2**32 - 1),
+           baseline_mode=st.sampled_from(solver.BASELINE_MODES),
+           infeasible_cut_fallback=st.sampled_from(solver.FALLBACK_MODES),
+           record_sublevel_distance=st.booleans())
+    def test_matches_reference(self, kind, n, schedule, eps0, max_iter, seed, **options):
+        # A shift of 1e-20 is below the round-off of most of these cuts, so
+        # the const schedule can stall as the zero shift does, and the
+        # harmonic and log ones can stall with a new shift at every step.
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, kind, n)
+        x0 = rng.standard_normal(n) * 10.0 ** rng.uniform(-1.0, 6.0)
+        opts = SolveOptions(schedule=SCHEDULES[schedule](eps0), max_iter=max_iter, **options)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = solve(problem, x0, opts)
+        assert trace_bytes(trace) == trace_bytes(_solve_reference(problem, x0, opts))
+
+    def test_fill_stops_where_the_shift_changes(self, monkeypatch):
+        # Shift segments: a switch of sign of zero and one of type (0 and
+        # 0.0 compare equal) each end a fill, and so does a new value.
+        changes = [20, 30, 40, 55, 70]
+        shifts = [0.0, -0.0, 0.0, 0, 1e-300, 0.0]
+
+        def shift(opts, i):
+            shift.calls.append(i)
+            return shifts[sum(i >= c for c in changes)]
+
+        shift.calls = []
+        evaluated = []
+        evaluate = solver.evaluate
+
+        def marking(*args):
+            evaluated.append(len(shift.calls))
+            return evaluate(*args)
+
+        monkeypatch.setattr(solver, "_shift", shift)
+        monkeypatch.setattr(solver, "evaluate", marking)
+        opts = SolveOptions(max_iter=100, record_sublevel_distance=True)
+        trace = solve(BALL, [2.0, 0.0], opts)
+        # solve asks for the shift of iteration i right after evaluating at it.
+        at = [shift.calls[k] for k in evaluated]
+        assert at == [0, 1, 2, 3, 4, 5, *changes, 100]
+        assert trace.status is TerminationStatus.MAX_ITER_EXCEEDED
+        assert [str(trace.rows[c].eps_i) for c in changes] == ["-0.0", "0.0", "0", "1e-300", "0.0"]
+        assert trace_bytes(trace) == trace_bytes(_solve_reference(BALL, [2.0, 0.0], opts))
 
 
 OPTION_CHOICES = dict(
