@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,9 +60,8 @@ KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class Evaluation:
-    """Oracle output at one point: value, (J, n) gradient bundle, active pieces."""
+class Evaluation(NamedTuple):
+    """Oracle output at one point, a named tuple: value, (J, n) bundle, active pieces."""
 
     value: float
     bundle: np.ndarray
@@ -450,28 +450,25 @@ def exact_sublevel_distance(problem: Problem, x, eps: float):
                 f"no point satisfies f <= -{eps} for this ball instance"
             )
         gap = X - problem.center
-        # Both branches are max(0.0, d): d where d > 0.0, else 0.0.
-        if X.ndim == 1:
-            d = math.sqrt(gap.dot(gap)) - math.sqrt(rr)
-            return d if d > 0.0 else 0.0
         d = np.sqrt(np.vecdot(gap, gap)) - math.sqrt(rr)
-        return np.where(d > 0.0, d, 0.0)
-    if isinstance(problem, MaxAffineProblem):
+        d = np.where(d > 0.0, d, 0.0)
+    elif isinstance(problem, MaxAffineProblem):
         flat = np.vecdot(problem.coefs, problem.coefs) == 0.0
         if np.any(problem.intercepts[flat] > -eps):
             raise SublevelEmptyError(
                 "a constant piece exceeds the shift everywhere"
             )
         if np.all(flat):
-            return 0.0 if X.ndim == 1 else np.zeros(X.shape[:-1])
-        cuts = CutPolyhedron(problem.coefs[~flat], -eps - problem.intercepts[~flat])
-        if X.ndim == 1:
-            return _polyhedral_distance(X, cuts)
-        dists = [_polyhedral_distance(x, cuts) for x in X.reshape(-1, problem.dim)]
-        return np.array(dists).reshape(X.shape[:-1])
-    raise NotAvailableError(
-        f"no analytic sublevel distance for kind {problem.kind!r}"
-    )
+            d = np.zeros(X.shape[:-1])
+        else:
+            cuts = CutPolyhedron(problem.coefs[~flat], -eps - problem.intercepts[~flat])
+            dists = [_polyhedral_distance(x, cuts) for x in X.reshape(-1, problem.dim)]
+            d = np.array(dists).reshape(X.shape[:-1])
+    else:
+        raise NotAvailableError(
+            f"no analytic sublevel distance for kind {problem.kind!r}"
+        )
+    return float(d) if X.ndim == 1 else d
 
 
 def _polyhedral_distance(x: np.ndarray, cuts: CutPolyhedron) -> float:
@@ -574,6 +571,8 @@ def problem_from_dict(spec: dict) -> Problem:
             problem = SipDistanceProblem(bodies, activity_tol, name)
     except KeyError as exc:
         raise ValueError(f"problem spec params: missing field {exc.args[0]!r}") from exc
+    except (TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"problem spec field 'params': malformed value ({exc})") from exc
 
     if problem.dim != dim:
         raise ValueError(

@@ -48,7 +48,9 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,10 +90,13 @@ class SolveOptions:
     record_sublevel_distance: bool = False
 
     def __post_init__(self):
-        if self.j_max < 1:
-            raise ValueError("j_max must be at least 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        for name in ("j_max", "max_iter"):
+            try:
+                value = operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.baseline_mode not in BASELINE_MODES:
             raise ValueError(f"unknown baseline mode {self.baseline_mode!r}")
         if self.infeasible_cut_fallback not in FALLBACK_MODES:
@@ -109,9 +114,8 @@ class TerminationStatus(enum.Enum):
     PROJECTION_FAILED = "ProjectionFailed"
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """One per-iterate record; exactly the columns of the CSV format."""
+class TraceRow(NamedTuple):
+    """One per-iterate record, a named tuple of its cells in CSV column order."""
 
     i: int
     eps_i: float

@@ -11,10 +11,8 @@ whole-file atomic (temp file then rename).
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
-import operator
 import os
 import stat
 import tempfile
@@ -61,7 +59,6 @@ _SCHEMA = (
     ("cut_count_active", str, int, str),
 )
 CSV_COLUMNS = tuple(column for column, *_ in _SCHEMA)
-_row_values = operator.attrgetter(*(f.name for f in dataclasses.fields(TraceRow)))
 # One row as json.dumps(indent=2) lays it out in the document's rows array.
 _JSON_ROW = "    {\n" + ",\n".join(
     f"      {json.dumps(column)}: %s" for column in CSV_COLUMNS
@@ -72,7 +69,7 @@ def trace_to_csv(trace: SolveTrace) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    columns = zip(*map(_row_values, trace.rows))
+    columns = zip(*trace.rows)
     writer.writerows(zip(*(
         map(write, values) for values, (_, write, _, _) in zip(columns, _SCHEMA)
     )))
@@ -110,9 +107,7 @@ def _document(trace: SolveTrace, rows: list) -> dict:
 
 
 def trace_to_dict(trace: SolveTrace) -> dict:
-    return _document(
-        trace, [dict(zip(CSV_COLUMNS, _row_values(r))) for r in trace.rows]
-    )
+    return _document(trace, [dict(zip(CSV_COLUMNS, r)) for r in trace.rows])
 
 
 def trace_to_json(trace: SolveTrace) -> str:
@@ -122,7 +117,7 @@ def trace_to_json(trace: SolveTrace) -> str:
     head = json.dumps(_document(trace, []), indent=2)
     if not trace.rows:
         return head + "\n"
-    columns = zip(*map(_row_values, trace.rows))
+    columns = zip(*trace.rows)
     cells = zip(*(
         map(write, values) for values, (*_, write) in zip(columns, _SCHEMA)
     ))

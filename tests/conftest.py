@@ -102,6 +102,25 @@ def radial_ball_reference(t0, eps0, max_iter=1000):
     return None, t
 
 
+# Problem specs whose params have the wrong types, or an integer too large
+# for a float. Building from them raised TypeError, AttributeError or
+# OverflowError before problem_from_dict named the params.
+MALFORMED_SPECS = {
+    "pieces-of-numbers": {"kind": "max_affine", "dim": 2, "params": {"pieces": [1]}},
+    "pieces-object": {"kind": "max_affine", "dim": 2, "params": {"pieces": {"a": 1}}},
+    "radius-string": {"kind": "ball", "dim": 2, "params": {"radius": "1"}},
+    "bodies-of-numbers": {"kind": "sip_distance", "dim": 2, "params": {"bodies": [3]}},
+    "body-radius-string": {
+        "kind": "sip_distance", "dim": 2,
+        "params": {"bodies": [{"type": "ball", "center": [0.0, 0.0], "radius": "2"}]},
+    },
+    "intercept-huge-int": {
+        "kind": "max_affine", "dim": 1,
+        "params": {"pieces": [{"coef": [1.0], "intercept": 10**400}]},
+    },
+}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

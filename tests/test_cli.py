@@ -34,6 +34,7 @@ from epscut.problems import (
     nonconvex_default_problem,
 )
 from epscut.traceio import CSV_COLUMNS, write_text_atomic
+from conftest import MALFORMED_SPECS
 
 BALL = BallProblem([0.0, 0.0], 1.0)
 
@@ -93,6 +94,18 @@ class TestTraceFormats:
         with pytest.raises(ValueError):
             parse_trace_csv(f"{header}\n{row}\n")
 
+    def test_rows_are_tuples_of_their_cells(self):
+        trace = self.trace()
+        row = trace.rows[1]
+        cells = (row.i, row.eps_i, row.f_xi, row.j_i, row.step_norm, row.dist_sublevel,
+                 row.cut_count_active)
+        assert isinstance(row, tuple) and row == cells and tuple(row) == cells
+        assert [dict(zip(CSV_COLUMNS, r)) for r in trace.rows] == trace_to_dict(trace)["rows"]
+        assert repr(TraceRow(0, 0.1, 1.0, 1, 0.5, None, 1)) == (
+            "TraceRow(i=0, eps_i=0.1, f_xi=1.0, j_i=1, step_norm=0.5, "
+            "dist_sublevel=None, cut_count_active=1)"
+        )
+
     def test_json_round_trip(self):
         trace = self.trace()
         payload = json.loads(trace_to_json(trace))
@@ -145,6 +158,20 @@ def test_written_file_mode_matches_open(tmp_path, umask):
     assert mode == 0o666 & ~umask
 
 
+@pytest.mark.parametrize("failure", ["encode", "rename"])
+def test_failed_write_leaves_no_temp_file(tmp_path, failure):
+    if failure == "encode":
+        # A lone surrogate has no encoding, so the write itself fails.
+        path, text, error = tmp_path / "trace.csv", "i\n\ud800\n", UnicodeError
+    else:
+        # A nonempty directory cannot be replaced by a file.
+        path, text, error = tmp_path / "out", "i\n", OSError
+        (path / "inner").mkdir(parents=True)
+    with pytest.raises(error):
+        write_text_atomic(str(path), text)
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_rewrite_keeps_file_mode(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("old\n")
@@ -159,6 +186,14 @@ def test_default_flags_build_default_options(command):
     # SolveOptions documents that its defaults are the CLI's.
     args = _build_parser().parse_args([command, "--problem", "p.json", "--x0", "1,0"])
     assert _build_options(args) == SolveOptions()
+
+
+def assert_config_error(code, capsys):
+    """Exit 1 with a single ``error:`` line on stderr and nothing on stdout."""
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestCmdSolve:
@@ -222,6 +257,36 @@ class TestCmdSolve:
         path.write_text(json.dumps(spec))
         assert main(["solve", "--problem", str(path), "--x0", "1,1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS)
+    def test_malformed_params_exit_one(self, tmp_path, spec, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert_config_error(main(["solve", "--problem", str(path), "--x0", "1,1"]), capsys)
+
+    @pytest.mark.parametrize("problem", ["missing", "directory", "not-json"])
+    def test_unusable_problem_file_exit_one(self, tmp_path, problem, capsys):
+        path = tmp_path / problem
+        if problem == "directory":
+            path.mkdir()
+        elif problem == "not-json":
+            path.write_text("{kind: ball}")
+        assert_config_error(main(["solve", "--problem", str(path), "--x0", "1,1"]), capsys)
+
+    @pytest.mark.parametrize("x0_flags", [
+        ["--x0", "1,x"],
+        ["--x0-random", "5"],
+        ["--x0-random", "a:1"],
+    ], ids=["x0-not-a-number", "random-no-radius", "random-seed-not-a-number"])
+    def test_malformed_start_exit_one(self, ball_file, x0_flags, capsys):
+        assert_config_error(main(["solve", "--problem", ball_file, *x0_flags]), capsys)
+
+    def test_unwritable_trace_path_exit_one(self, ball_file, tmp_path, capsys):
+        csv_path = tmp_path / "missing" / "trace.csv"
+        code = main(["solve", "--problem", ball_file, "--x0", "2,0",
+                     "--trace-csv", str(csv_path)])
+        assert_config_error(code, capsys)
+        assert not (tmp_path / "missing").exists()
 
     def test_missing_x0_exit_one(self, ball_file):
         assert main(["solve", "--problem", ball_file]) == 1

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from epscut.problems import KINDS
+from conftest import MALFORMED_SPECS
+from epscut.problems import KINDS, Evaluation
 from epscut import (
     BallBody,
     BallProblem,
@@ -107,6 +108,15 @@ class TestEvaluate:
     def test_j_max_validation(self):
         with pytest.raises(ValueError):
             evaluate(BallProblem(), [1.0, 0.0], j_max=0)
+
+
+def test_evaluation_is_a_named_tuple():
+    ev = evaluate(AXES_MAX, [1.0, 1.0])
+    assert Evaluation._fields == ("value", "bundle", "active")
+    value, bundle, active = ev
+    assert (value, active) == (ev.value, ev.active) == (1.0, [0, 1])
+    assert bundle is ev.bundle
+    assert repr(Evaluation(1.0, None, [0])) == "Evaluation(value=1.0, bundle=None, active=[0])"
 
 
 class TestOracleContract:
@@ -419,6 +429,11 @@ class TestBatchedSublevelDistance:
             with pytest.raises(NotAvailableError):
                 exact_sublevel_distance(problem, [[1.0, 1.0], [2.0, 0.0]], 0.1)
 
+    def test_point_gives_a_float(self):
+        for problem in (BallProblem(), AXES_MAX, MaxAffineProblem([[0.0, 0.0]], [-1.0])):
+            for x in ([2.0, 1.0], [0.1, -0.2]):
+                assert type(exact_sublevel_distance(problem, x, 0.5)) is float
+
     def test_empty_and_flat_stacks(self):
         assert exact_sublevel_distance(BallProblem(), np.empty((0, 2)), 0.0).shape == (0,)
         assert exact_sublevel_distance(AXES_MAX, np.empty((3, 0, 2)), 0.5).shape == (3, 0)
@@ -502,6 +517,11 @@ class TestSpecSerialization:
             )
         with pytest.raises(ValueError, match="activity_tol"):
             problem_from_dict({"kind": "ball", "dim": 2, "params": {}, "activity_tol": -1})
+
+    @pytest.mark.parametrize("spec", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS)
+    def test_malformed_params_name_params(self, spec):
+        with pytest.raises(ValueError, match="'params'"):
+            problem_from_dict(spec)
 
     def test_default_nonconvex_boundary_is_on_both_pieces(self):
         x = nonconvex_default_boundary()

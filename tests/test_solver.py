@@ -4,6 +4,7 @@ import collections
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -221,6 +222,26 @@ class TestSolveErrors:
             SolveOptions(baseline_mode="both")
         with pytest.raises(ValueError):
             SolveOptions(infeasible_cut_fallback="retry")
+
+    @pytest.mark.parametrize("field", ["j_max", "max_iter"])
+    @pytest.mark.parametrize("value", [2.5, 1.0, "3", None])
+    def test_run_lengths_must_be_integers(self, field, value):
+        # A max_iter of 2.5 is never met by the iteration counter, so solve
+        # ran forever; a j_max of 2.5 failed as a slice in one loop only.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolveOptions(**{field: value})
+
+    @pytest.mark.parametrize("field", ["j_max", "max_iter"])
+    def test_numpy_integer_run_lengths_run_both_loops(self, field):
+        problem, x0 = ShiftedBallProblem(2), [3.0, 1.0]
+        base = {"j_max": 2, "max_iter": 5}
+        opts = SolveOptions(**{**base, field: np.int64(3)})
+        plain = SolveOptions(**{**base, field: 3})
+        for run in (lambda o: [solve(problem, x0, o)],
+                    lambda o: solve_multistart(problem, [x0, x0], o)):
+            traces = run(opts)
+            assert all(t.status is TerminationStatus.MAX_ITER_EXCEEDED for t in traces)
+            assert [trace_bytes(t) for t in traces] == [trace_bytes(t) for t in run(plain)]
 
 
 class TestFailureSurface:
@@ -499,6 +520,19 @@ class TestMultistart:
     def test_empty_start_list_rejected(self):
         with pytest.raises(ValueError):
             solve_multistart(BALL, [], harmonic_opts())
+
+    @pytest.mark.parametrize("starts", [
+        [[2.0, 0.0], [1.0]],
+        [[2.0, [0.0]]],
+        [[2.0, 0.0], [np.inf, 0.0]],
+        [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]],
+    ], ids=["ragged", "nested", "non-finite", "wrong-dimension"])
+    def test_bad_start_raises_what_as_vector_raises(self, starts):
+        with pytest.raises(Exception) as expected:
+            for x0 in starts:
+                as_vector(x0, BALL.dim)
+        with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+            solve_multistart(BALL, starts, harmonic_opts())
 
 
 def trace_bytes(trace) -> bytes:
