@@ -168,7 +168,14 @@ def _resolve_x0(args, problem: Problem) -> np.ndarray:
     if not 0.0 < radius < math.inf:
         raise _ConfigError("--x0-random radius must be positive and finite")
     rng = np.random.default_rng(seed)
-    return radius * ball_samples(rng, 1, problem.dim)[0]
+    try:
+        return radius * ball_samples(rng, 1, problem.dim)[0]
+    except (ValueError, MemoryError) as exc:
+        # A spec's dim is bounded only from below; NumPy rejects a huge one.
+        reason = str(exc) or type(exc).__name__
+        raise _ConfigError(
+            f"--x0-random: no point of dimension {problem.dim}: {reason}"
+        ) from exc
 
 
 def _build_options(args, record_dist: bool | None = None) -> SolveOptions:

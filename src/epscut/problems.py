@@ -512,7 +512,8 @@ def problem_from_dict(spec: dict) -> Problem:
     if kind not in KINDS:
         raise ValueError(f"problem spec field 'kind': expected one of {KINDS}, got {kind!r}")
     dim = spec.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    # JSON true and false are Python bools, which are ints too.
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValueError("problem spec field 'dim': expected a positive integer")
     params = spec.get("params", {})
     if not isinstance(params, dict):
@@ -520,7 +521,8 @@ def problem_from_dict(spec: dict) -> Problem:
     name = spec.get("name")
     activity_tol = spec.get("activity_tol")
     if activity_tol is not None and (
-        not isinstance(activity_tol, (int, float)) or not 0 <= activity_tol < math.inf
+        not isinstance(activity_tol, (int, float)) or isinstance(activity_tol, bool)
+        or not 0 <= activity_tol < math.inf
     ):
         raise ValueError(
             "problem spec field 'activity_tol': expected a finite nonnegative number"

@@ -18,6 +18,11 @@ KINDS = ("harmonic", "logarithmic", "constant_for_testing")
 class EpsilonSchedule:
     """Closed-form shift sequence eps(i), evaluated statelessly.
 
+    ``eps0`` (and a harmonic ``p``) are stored as Python floats, whatever
+    number type they were given as, so every shift is a Python float: an
+    integer or NumPy ``eps0`` gives the shifts, and the trace cells, of
+    ``float(eps0)``.
+
     kinds:
       harmonic             eps0 / (i+1)**p,  0 < p <= 1
       logarithmic          eps0 / log(i+e)
@@ -33,8 +38,11 @@ class EpsilonSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not 0.0 < self.eps0 < math.inf:
             raise ValueError("eps0 must be positive and finite")
-        if self.kind == "harmonic" and not 0.0 < self.p <= 1.0:
-            raise ValueError("harmonic exponent p must lie in (0, 1]")
+        object.__setattr__(self, "eps0", float(self.eps0))
+        if self.kind == "harmonic":
+            if not 0.0 < self.p <= 1.0:
+                raise ValueError("harmonic exponent p must lie in (0, 1]")
+            object.__setattr__(self, "p", float(self.p))
 
     @classmethod
     def harmonic(cls, eps0: float = 0.1, p: float = 1.0) -> "EpsilonSchedule":

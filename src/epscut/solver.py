@@ -115,7 +115,11 @@ class TerminationStatus(enum.Enum):
 
 
 class TraceRow(NamedTuple):
-    """One per-iterate record, a named tuple of its cells in CSV column order."""
+    """One per-iterate record, a named tuple of its cells in CSV column order.
+
+    The cells are Python ints, floats and None (no sublevel distance), which
+    ``traceio`` hands to ``csv`` and ``json`` as they are.
+    """
 
     i: int
     eps_i: float

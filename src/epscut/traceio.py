@@ -1,10 +1,12 @@
 """Stable on-disk formats for solve traces.
 
 CSV columns, in order: i, eps_i, f_xi, J_i, step_norm, dist_sublevel,
-cut_count_active. The header row is mandatory; floats are written in
-shortest round-trip decimal (``repr``), so parsing reproduces every numeric
-field bit-exactly; a missing sublevel distance is an empty field. The JSON
-form carries the same rows plus the termination record. File writes are
+cut_count_active. The header row is mandatory. A trace row holds Python
+ints, floats and None (a missing sublevel distance), and ``csv`` writes the
+rows as they are: a float by its shortest round-trip decimal (``repr``), so
+parsing reproduces every numeric field bit-exactly, an int by ``str`` and
+None as an empty field. The JSON form carries the same rows plus the
+termination record; json's encoder writes its cells. File writes are
 whole-file atomic (temp file then rename).
 """
 
@@ -20,45 +22,23 @@ import tempfile
 from .solver import SolveTrace, TraceRow
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _fmt_optional(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def _parse_optional(text: str) -> float | None:
     return None if text == "" else float(text)
 
 
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(value) -> str:
-    """``value`` as ``json.dumps`` writes it: a float by its repr, except
-    NaN and the infinities; anything else, such as None or the integer
-    shift of a constant schedule, by ``json.dumps`` itself."""
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _JSON_NONFINITE.get(text, text)
-    return json.dumps(value)
-
-
-# The one row schema of every form, in TraceRow field order: column name,
-# CSV writer, CSV parser and JSON writer. Only the sublevel distance may be
-# missing; it is written as an empty CSV field, and int/float reject an
-# empty field anywhere else.
+# The one row schema of every form, in TraceRow field order: column name and
+# CSV parser. Only the sublevel distance may be missing; it is written as an
+# empty CSV field, and int/float reject an empty field anywhere else.
 _SCHEMA = (
-    ("i", str, int, str),
-    ("eps_i", _fmt, float, _json_float),
-    ("f_xi", _fmt, float, _json_float),
-    ("J_i", str, int, str),
-    ("step_norm", _fmt, float, _json_float),
-    ("dist_sublevel", _fmt_optional, _parse_optional, _json_float),
-    ("cut_count_active", str, int, str),
+    ("i", int),
+    ("eps_i", float),
+    ("f_xi", float),
+    ("J_i", int),
+    ("step_norm", float),
+    ("dist_sublevel", _parse_optional),
+    ("cut_count_active", int),
 )
-CSV_COLUMNS = tuple(column for column, *_ in _SCHEMA)
+CSV_COLUMNS = tuple(column for column, _ in _SCHEMA)
 # One row as json.dumps(indent=2) lays it out in the document's rows array.
 _JSON_ROW = "    {\n" + ",\n".join(
     f"      {json.dumps(column)}: %s" for column in CSV_COLUMNS
@@ -69,10 +49,7 @@ def trace_to_csv(trace: SolveTrace) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    columns = zip(*trace.rows)
-    writer.writerows(zip(*(
-        map(write, values) for values, (_, write, _, _) in zip(columns, _SCHEMA)
-    )))
+    writer.writerows(trace.rows)
     return buf.getvalue()
 
 
@@ -92,7 +69,7 @@ def parse_trace_csv(text: str) -> list[TraceRow]:
             )
     columns = zip(*records)
     return list(map(TraceRow, *(list(map(parse, cells))
-                                for cells, (_, _, parse, _) in zip(columns, _SCHEMA))))
+                                for cells, (_, parse) in zip(columns, _SCHEMA))))
 
 
 def _document(trace: SolveTrace, rows: list) -> dict:
@@ -111,17 +88,17 @@ def trace_to_dict(trace: SolveTrace) -> dict:
 
 
 def trace_to_json(trace: SolveTrace) -> str:
-    """``json.dumps(trace_to_dict(trace), indent=2)`` plus a newline, with
-    the rows written column by column: ``indent`` selects json's pure-Python
-    encoder, which would spend most of the time on the rows."""
+    """``json.dumps(trace_to_dict(trace), indent=2)`` plus a newline.
+    ``indent`` selects json's pure-Python encoder, which would spend most
+    of the time on the rows, so json's C encoder writes the cells of all
+    rows in one compact call, and each row's cells fill its indented
+    template."""
     head = json.dumps(_document(trace, []), indent=2)
     if not trace.rows:
         return head + "\n"
-    columns = zip(*trace.rows)
-    cells = zip(*(
-        map(write, values) for values, (*_, write) in zip(columns, _SCHEMA)
-    ))
-    rows = ",\n".join(map(_JSON_ROW.__mod__, cells))
+    # '[[c,c,...],[c,...]]': no cell holds a comma or a bracket.
+    compact = json.dumps(trace.rows, separators=(",", ":"))[2:-2].split("],[")
+    rows = ",\n".join([_JSON_ROW % tuple(row.split(",")) for row in compact])
     # The head ends with the empty rows array, '[]', and the closing brace.
     return f"{head[:-4]}[\n{rows}\n  ]\n}}\n"
 

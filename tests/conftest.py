@@ -120,6 +120,14 @@ MALFORMED_SPECS = {
     },
 }
 
+# JSON true where a spec wants a number: a Python bool, which is an int too.
+BOOLEAN_SPECS = {
+    "dim-true": {"kind": "ball", "dim": True, "params": {"center": [0.0]}},
+    "activity-tol-true": {
+        "kind": "ball", "dim": 1, "params": {"center": [0.0]}, "activity_tol": True,
+    },
+}
+
 
 @pytest.fixture
 def rng():

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import stat
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from epscut import (
     SolveTrace,
     TerminationStatus,
     TraceRow,
+    eps_at,
     parse_trace_csv,
     problem_to_dict,
     solve,
@@ -27,6 +29,7 @@ from epscut import (
     trace_to_dict,
     trace_to_json,
 )
+from epscut import cli
 from epscut.cli import _build_options, _build_parser, main
 from epscut.problems import (
     MaxAffineProblem,
@@ -34,7 +37,7 @@ from epscut.problems import (
     nonconvex_default_problem,
 )
 from epscut.traceio import CSV_COLUMNS, write_text_atomic
-from conftest import MALFORMED_SPECS
+from conftest import BOOLEAN_SPECS, MALFORMED_SPECS
 
 BALL = BallProblem([0.0, 0.0], 1.0)
 
@@ -106,6 +109,19 @@ class TestTraceFormats:
             "dist_sublevel=None, cut_count_active=1)"
         )
 
+    @pytest.mark.parametrize("eps0, text", [(1, "1.0"), (np.float64(0.1), "0.1")],
+                             ids=["int", "numpy"])
+    def test_constant_schedule_writes_float_shifts(self, eps0, text):
+        # The schedule stores eps0 as a Python float, so both files write
+        # the shift as the float it equals: 1.0, not 1.
+        schedule = EpsilonSchedule.constant_for_testing(eps0)
+        assert type(schedule.eps0) is float and type(eps_at(schedule, 2)) is float
+        trace = solve(BALL, [2.0, 0.0], SolveOptions(schedule=schedule, max_iter=3))
+        expected = [text] * len(trace.rows)
+        csv_lines = trace_to_csv(trace).splitlines()[1:]
+        assert [line.split(",")[1] for line in csv_lines] == expected
+        assert re.findall(r'"eps_i": (.*),', trace_to_json(trace)) == expected
+
     def test_json_round_trip(self):
         trace = self.trace()
         payload = json.loads(trace_to_json(trace))
@@ -138,10 +154,42 @@ TRACES = st.builds(
     TerminationStatus.MAX_ITER_EXCEEDED, 1, np.array([-0.0, 1e308]), math.inf, None, [],
 ))
 def test_json_writer_matches_json_dumps(trace):
-    # The rows are written column by column; the document must be the one
-    # json.dumps writes, byte for byte, whatever the cells hold: NaN, the
+    # json's compact encoder writes the rows' cells; the document must be the
+    # one json.dumps writes, byte for byte, whatever the cells hold: NaN, the
     # infinities, -0.0, a missing distance, an integer shift, large ints.
     assert trace_to_json(trace) == json.dumps(trace_to_dict(trace), indent=2) + "\n"
+
+
+def reference_csv(trace) -> str:
+    """The CSV as a writer that formats cell by cell makes it: a float
+    column by ``repr(float(v))``, a missing distance as an empty field and
+    an int column by ``str``."""
+    def cell(column, value):
+        if column in ("i", "J_i", "cut_count_active"):
+            return str(value)
+        return "" if value is None else repr(float(value))
+
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(map(cell, CSV_COLUMNS, row)) for row in trace.rows]
+    return "\n".join(lines) + "\n"
+
+
+CSV_FLOATS = FLOATS | st.just(1e308)
+CSV_ROWS = st.builds(
+    TraceRow, INTS, CSV_FLOATS, CSV_FLOATS, INTS, CSV_FLOATS, st.none() | CSV_FLOATS, INTS
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(CSV_ROWS, max_size=5))
+@example([TraceRow(2**70, math.nan, math.inf, -(2**70), -0.0, None, 0),
+          TraceRow(0, 1e308, -math.inf, 1, 5e-324, math.nan, 2**65)])
+def test_csv_writer_matches_cell_by_cell_reference(rows):
+    # csv writes a float by its repr and an int by str, as the reference
+    # does, for rows of Python floats and ints.
+    trace = SolveTrace(rows, TerminationStatus.MAX_ITER_EXCEEDED, 0, np.zeros(1), 0.0,
+                       None, [])
+    assert trace_to_csv(trace) == reference_csv(trace)
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
@@ -287,6 +335,29 @@ class TestCmdSolve:
                      "--trace-csv", str(csv_path)])
         assert_config_error(code, capsys)
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("spec", BOOLEAN_SPECS.values(), ids=BOOLEAN_SPECS)
+    def test_boolean_spec_field_exit_one(self, tmp_path, spec, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(spec))
+        assert_config_error(main(["solve", "--problem", str(path), "--x0-random", "1:1"]),
+                            capsys)
+
+    def test_random_start_of_huge_dim_exit_one(self, tmp_path, capsys):
+        # NumPy rejects the shape before it allocates anything.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"kind": "shifted_ball_infeasible", "dim": 10**30}))
+        code = main(["solve", "--problem", str(path), "--x0-random", "1:1"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: --x0-random") and err.count("\n") == 1
+
+    def test_random_start_out_of_memory_exit_one(self, ball_file, monkeypatch, capsys):
+        def out_of_memory(rng, count, dim):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "ball_samples", out_of_memory)
+        assert_config_error(main(["solve", "--problem", ball_file, "--x0-random", "1:1"]),
+                            capsys)
 
     def test_missing_x0_exit_one(self, ball_file):
         assert main(["solve", "--problem", ball_file]) == 1

@@ -102,3 +102,11 @@ def corpus_digest() -> str:
 
 def test_corpus_is_byte_identical():
     assert corpus_digest() == CORPUS_SHA256
+
+
+def test_cells_are_python_numbers():
+    # csv and json write a row's cells as they are. A NumPy scalar would
+    # come out of csv as 'np.float64(0.1)', and json rejects a NumPy int.
+    for trace in corpus_traces():
+        for row in trace.rows:
+            assert {type(cell) for cell in row} <= {int, float, type(None)}, row

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import MALFORMED_SPECS
+from conftest import BOOLEAN_SPECS, MALFORMED_SPECS
 from epscut.problems import KINDS, Evaluation
 from epscut import (
     BallBody,
@@ -517,6 +517,10 @@ class TestSpecSerialization:
             )
         with pytest.raises(ValueError, match="activity_tol"):
             problem_from_dict({"kind": "ball", "dim": 2, "params": {}, "activity_tol": -1})
+        with pytest.raises(ValueError, match="'dim'"):
+            problem_from_dict(BOOLEAN_SPECS["dim-true"])
+        with pytest.raises(ValueError, match="'activity_tol'"):
+            problem_from_dict(BOOLEAN_SPECS["activity-tol-true"])
 
     @pytest.mark.parametrize("spec", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS)
     def test_malformed_params_name_params(self, spec):

@@ -1,5 +1,6 @@
 """Shift schedule tests: closed forms, monotonicity, sublinearity witnesses."""
 
+import numpy as np
 import pytest
 
 from epscut import EpsilonSchedule, eps_at, parse_schedule
@@ -93,3 +94,21 @@ def test_parse_accepts_only_harmonic_forms(descriptor):
 def test_eps0_must_be_finite(kind, eps0):
     with pytest.raises(ValueError):
         parse_schedule(kind, eps0)
+
+
+@pytest.mark.parametrize("eps0", [1, np.float64(0.1), np.float32(0.5)],
+                         ids=["int", "float64", "float32"])
+@pytest.mark.parametrize("kind", ["harmonic", "log", "const"])
+def test_shifts_are_python_floats(kind, eps0):
+    # The trace writers write a row's cells as they are, so a shift must be
+    # a Python float whatever number type eps0 was given as.
+    schedule = parse_schedule(kind, eps0)
+    assert type(schedule.eps0) is float and schedule.eps0 == eps0
+    assert all(type(eps_at(schedule, i)) is float for i in range(5))
+
+
+def test_harmonic_exponent_is_stored_as_a_float():
+    schedule = EpsilonSchedule.harmonic(0.1, np.float64(0.5))
+    assert type(schedule.p) is float
+    assert eps_at(schedule, 3) == eps_at(EpsilonSchedule.harmonic(0.1, 0.5), 3)
+    assert type(eps_at(schedule, 3)) is float
