@@ -17,10 +17,10 @@ factors and adding the later constraints again. All feasibility tests are
 scale-aware: violations ``<a, x> - b`` are measured relative to ``||a||``
 so that cuts with wildly different normal magnitudes are treated
 uniformly. ``project_one_cut`` makes the one-cut projection for a whole
-batch of points at once, in the closed form of the kernel's first step and
-with its entry and stop tests. ``chebyshev_point`` finds an interior point
-for the sampled certificate check with one call of the same kernel, so the
-module needs NumPy only.
+batch of points at once, in the closed form of the kernel's first step, and
+says where the kernel would return that step. ``chebyshev_point`` finds an
+interior point for the sampled certificate check with one call of the same
+kernel, so the module needs NumPy only.
 """
 
 from __future__ import annotations
@@ -329,24 +329,24 @@ def project_one_cut(x, a, b, norm):
 
     Broadcasts over leading axes: ``x`` and ``a`` are (..., n), ``b`` and
     ``norm`` are (...), and ``norm`` is the positive, finite length of ``a``
-    as ``CutPolyhedron.normal_norms`` holds it. Returns
-    ``(point, moved, settled)``. Where the scaled violation
-    ``(<a, x> - b) / norm`` is at most ``FEASIBILITY_TOL`` the point is x
-    and ``moved`` is false: the kernel's entry test, with no active cut.
-    Elsewhere the point is the kernel's first add, ``x - t a`` with
-    ``t = (<a, x> - b) / <a, a>``. ``settled`` is false where the kernel
-    would not return that point: the step is not finite, or the kernel's
-    stop test fails there and it would go on. Every settled point equals
+    as ``CutPolyhedron.normal_norms`` holds it. Returns ``(point, settled)``.
+    The point is the kernel's first add, ``x - t a`` with
+    ``t = (<a, x> - b) / <a, a>``. ``settled`` is true only where the kernel
+    would return exactly that moved point: x fails the kernel's entry test
+    (its scaled violation ``(<a, x> - b) / norm`` exceeds
+    ``FEASIBILITY_TOL``), the step is finite, and the kernel's stop test
+    holds there. A point inside its cut, which the kernel hands back
+    unmoved, is not settled. Every settled point equals
     ``project_polyhedron``'s bit for bit.
     """
-    inside = (np.vecdot(a, x) - b) / norm <= FEASIBILITY_TOL
-    point = np.where(inside[..., None], x, _one_cut_step(x, a, b)[0])
+    point = _one_cut_step(x, a, b)[0]
     scaled = (np.vecdot(a, point) - b) / norm
-    settled = inside | np.isfinite(point).all(axis=-1) & (
+    outside = (np.vecdot(a, x) - b) / norm > FEASIBILITY_TOL
+    settled = outside & np.isfinite(point).all(axis=-1) & (
         (scaled <= FEASIBILITY_TOL)
         | (scaled < math.inf) & (scaled <= _roundoff(a, point, b, norm))
     )
-    return point, ~inside, settled
+    return point, settled
 
 
 def _one_cut_step(x, a, b):

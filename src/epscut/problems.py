@@ -36,6 +36,7 @@ Instances:
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -116,29 +117,32 @@ class Problem(ABC):
         return keep
 
 
+def check_count(name: str, value) -> None:
+    """Raise ValueError unless value is an integer of at least 1: a value of
+    a type with ``__index__`` other than bool. A float is not a count,
+    however integral."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer")
+    if operator.index(value) < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
 def evaluate(problem: Problem, x, j_max: int = DEFAULT_J_MAX) -> Evaluation:
     """Value and subgradient bundle at x.
 
     The bundle holds the gradients of every piece whose value is within the
     activity threshold of the maximum, ordered most active first (ties by
-    piece index) and capped at ``j_max``.
+    piece index) and capped at ``j_max``, which ``check_count`` checks.
     """
-    if j_max < 1:
-        raise ValueError("j_max must be at least 1")
+    check_count("j_max", j_max)
     x = as_vector(x, problem.dim)
     values = problem.piece_values(x)
     f = float(values.max())
-    active = most_active(values, problem.activity_mask(values, f), j_max)
+    order = (-values).argsort(kind="stable")
+    active = order[problem.activity_mask(values, f)[order]][:j_max]
     return Evaluation(
         value=f, bundle=problem.piece_gradients(x)[active], active=active.tolist()
     )
-
-
-def most_active(values, keep, j_max: int) -> np.ndarray:
-    """Indices of the bundle pieces at one point: those that ``keep`` marks,
-    most active first (ties by piece index), at most ``j_max`` of them."""
-    order = (-values).argsort(kind="stable")
-    return order[keep[order]][:j_max]
 
 
 class BallProblem(Problem):

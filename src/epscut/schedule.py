@@ -9,6 +9,7 @@ constant kind exists only to exercise baselines that violate it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 KINDS = ("harmonic", "logarithmic", "constant_for_testing")
@@ -18,10 +19,12 @@ KINDS = ("harmonic", "logarithmic", "constant_for_testing")
 class EpsilonSchedule:
     """Closed-form shift sequence eps(i), evaluated statelessly.
 
-    ``eps0`` (and a harmonic ``p``) are stored as Python floats, whatever
-    number type they were given as, so every shift is a Python float: an
-    integer or NumPy ``eps0`` gives the shifts, and the trace cells, of
-    ``float(eps0)``.
+    ``eps0`` and ``p`` are stored as Python floats, whatever real number
+    type they were given as, so every shift is a Python float: an integer
+    or NumPy ``eps0`` gives the shifts, and the trace cells, of
+    ``float(eps0)``. A bad value of either raises ValueError: a bool, a
+    string or another non-real, a real too large for a float, or one out of
+    range.
 
     kinds:
       harmonic             eps0 / (i+1)**p,  0 < p <= 1
@@ -36,13 +39,12 @@ class EpsilonSchedule:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        object.__setattr__(self, "eps0", _as_float("eps0", self.eps0))
+        object.__setattr__(self, "p", _as_float("p", self.p))
         if not 0.0 < self.eps0 < math.inf:
             raise ValueError("eps0 must be positive and finite")
-        object.__setattr__(self, "eps0", float(self.eps0))
-        if self.kind == "harmonic":
-            if not 0.0 < self.p <= 1.0:
-                raise ValueError("harmonic exponent p must lie in (0, 1]")
-            object.__setattr__(self, "p", float(self.p))
+        if self.kind == "harmonic" and not 0.0 < self.p <= 1.0:
+            raise ValueError("harmonic exponent p must lie in (0, 1]")
 
     @classmethod
     def harmonic(cls, eps0: float = 0.1, p: float = 1.0) -> "EpsilonSchedule":
@@ -55,6 +57,15 @@ class EpsilonSchedule:
     @classmethod
     def constant_for_testing(cls, eps0: float = 0.1) -> "EpsilonSchedule":
         return cls("constant_for_testing", eps0)
+
+
+def _as_float(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 def eps_at(schedule: EpsilonSchedule, i: int) -> float:

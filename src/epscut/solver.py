@@ -19,12 +19,15 @@ The last four mean that the step from x_i could not be computed.
 
 ``solve`` runs one start point by point, and writes the rest of a stalled
 run (a step that leaves x in place, under an unchanged shift) in one pass.
-``solve_multistart`` runs a batch of starts in lockstep: each round
-evaluates the oracle once for every live start and makes every one-cut
-step at once, in closed form (``geometry.project_one_cut``); any other
-step is the step of ``solve`` (``_step``). It steps through a stall like
-any other iteration. Both give the same trace from a start, byte for byte,
-because the oracles round a batch exactly as its points.
+``solve_multistart`` is a batched front end to the same loop. Its starts
+advance in lockstep for as long as each step is a one-cut move: each round
+evaluates the oracle once for every start in the batch and makes all those
+moves at once, in closed form (``geometry.project_one_cut``). A start whose
+step is anything else (more cuts, a point inside its cut, a cut that cannot
+be built) leaves the batch, and the loop of ``solve`` continues its run
+from that iteration, stall fill included. Both give the same trace from a
+start, byte for byte, because the oracles round a batch exactly as its
+points.
 
 Inputs are checked where they enter. The public functions (``evaluate``,
 ``build_cuts``, ``project_polyhedron``, ``CutPolyhedron``, ...) check their
@@ -35,7 +38,8 @@ returns is checked once per step, by ``build_cuts``: it builds its cuts
 through the ``CutPolyhedron`` constructor, whose checks of f(x_i), the cut
 offsets and the lengths of the cut normals are the step's only finiteness
 checks. A closed-form step of ``solve_multistart`` makes the same checks on
-its cut and leaves a row that fails them to ``_step``, which reports it.
+its cut and hands a run that fails them to the loop of ``solve``, which
+reports it.
 The loops run with NumPy's overflow and invalid-operation warnings off,
 since the status already reports what they would.
 
@@ -48,7 +52,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -67,9 +70,9 @@ from .problems import (
     DEFAULT_J_MAX,
     Evaluation,
     Problem,
+    check_count,
     evaluate,
     exact_sublevel_distance,
-    most_active,
     supports_sublevel_distance,
 )
 from .schedule import EpsilonSchedule, eps_at
@@ -90,13 +93,8 @@ class SolveOptions:
     record_sublevel_distance: bool = False
 
     def __post_init__(self):
-        for name in ("j_max", "max_iter"):
-            try:
-                value = operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1")
+        check_count("j_max", self.j_max)
+        check_count("max_iter", self.max_iter)
         if self.baseline_mode not in BASELINE_MODES:
             raise ValueError(f"unknown baseline mode {self.baseline_mode!r}")
         if self.infeasible_cut_fallback not in FALLBACK_MODES:
@@ -239,9 +237,6 @@ def _start_points(starts: list, dim: int) -> np.ndarray:
     return X
 
 
-# Far from the origin the oracle and the cuts overflow. build_cuts and the
-# kernel turn that into a status, so NumPy need not warn about it.
-@np.errstate(over="ignore", invalid="ignore")
 def solve(problem: Problem, x0, opts: SolveOptions | None = None) -> SolveTrace:
     """Run the iteration from x0 until feasibility or the budget runs out.
 
@@ -266,12 +261,21 @@ def solve(problem: Problem, x0, opts: SolveOptions | None = None) -> SolveTrace:
     """
     opts = opts or SolveOptions()
     x = as_vector(x0, problem.dim).copy()
+    return _run(problem, x, 0, [], [x.copy()], opts)
+
+
+# Far from the origin the oracle and the cuts overflow. build_cuts and the
+# kernel turn that into a status, so NumPy need not warn about it.
+@np.errstate(over="ignore", invalid="ignore")
+def _run(problem: Problem, x, i: int, rows: list[TraceRow], iterates: list[np.ndarray],
+         opts: SolveOptions) -> SolveTrace:
+    """The loop of ``solve``, from x at iteration i to the end of the run.
+
+    ``rows`` holds the rows of iterations 0 to i - 1 and ``iterates`` the
+    points x_0 to x_i; both are extended in place and go into the trace.
+    """
     j_max = 1 if opts.baseline_mode == "single_cut" else opts.j_max
     record_dist = opts.record_sublevel_distance and supports_sublevel_distance(problem)
-
-    rows: list[TraceRow] = []
-    iterates = [x.copy()]
-    i = 0
     while True:
         evaluation = evaluate(problem, x, j_max)
         f_xi = evaluation.value
@@ -313,13 +317,17 @@ def solve_multistart(
 ) -> list[SolveTrace]:
     """Independent runs from several starts; output order matches input.
 
-    Each trace is the one ``solve`` gives from that start, byte for byte,
-    but the runs advance in lockstep: one round makes iteration i of every
-    live run. A round evaluates the oracle once on all live points, and it
-    makes every step whose bundle has one cut at once, in closed form
-    (``project_one_cut``). The other steps, and the one-cut steps that the
-    closed form cannot settle, go through the step of ``solve`` one point
-    at a time. A run leaves the batch when it stops.
+    Each trace is the one ``solve`` gives from that start, byte for byte.
+    The runs start in lockstep: one round makes iteration i of every run
+    still in the batch. A round evaluates the oracle once on all their
+    points and projects each onto its top piece's cut at once, in closed
+    form (``project_one_cut``). A run whose step is that one-cut move, as
+    the kernel would make it, stays in the batch. A run that stops leaves
+    it with its last row. Any other run (a bundle of two or more cuts, cut
+    data that are zero or not finite, a closed form the kernel would not
+    settle, or a point already inside its cut) leaves the batch for good:
+    the loop of ``solve`` continues it from that iteration, stall fill
+    included.
 
     Per-start failures are already captured inside each trace's status, so a
     bad start never aborts the batch. Every start is checked before the
@@ -341,53 +349,39 @@ def solve_multistart(
         eps_i = _shift(opts, i)
         values = problem.piece_values(X)
         f = values.max(axis=-1)
-        keep = problem.activity_mask(values, f[:, None])
-        sizes = np.minimum(keep.sum(axis=-1), j_max)
-        grads = problem.piece_gradients(X)
-        # Every one-cut step in closed form; the cut is the top piece's. A
-        # row whose cut data are zero or not finite takes the step of solve,
-        # which gives its status.
-        g = grads[np.arange(len(X)), values.argmax(axis=-1)]
+        sizes = np.minimum(problem.activity_mask(values, f[:, None]).sum(axis=-1), j_max)
+        # The cut of a one-cut bundle is the top piece's.
+        g = problem.piece_gradients(X)[np.arange(len(X)), values.argmax(axis=-1)]
         offsets = np.vecdot(g, X) - f - eps_i
         norms = np.linalg.norm(g, axis=-1)
-        point, moved, settled = project_one_cut(X, g, offsets, norms)
+        point, settled = project_one_cut(X, g, offsets, norms)
+        # A cut that build_cuts would reject leaves the batch, and _run
+        # reports it.
         settled &= (sizes == 1) & (norms > 0.0) & np.isfinite(norms) & np.isfinite(offsets)
-        X_next = np.where(settled[:, None], point, X)
-        cut_counts = (settled & moved).tolist()
-        sizes = sizes.tolist()
-        f_list = f.tolist()
-        settled = settled.tolist()
-        statuses: list[TerminationStatus | None] = []
-        for r, f_xi in enumerate(f_list):
+        step = point - X
+        step_norms = np.sqrt(np.vecdot(step, step)).tolist()
+        live = []
+        for r, (f_xi, size, stays) in enumerate(zip(f.tolist(), sizes.tolist(),
+                                                   settled.tolist())):
+            start = owner[r]
             status = None
             if f_xi <= 0.0:
                 status = TerminationStatus.FEASIBLE_FOUND
             elif i == opts.max_iter:
                 status = TerminationStatus.MAX_ITER_EXCEEDED
-            elif not settled[r]:
-                active = most_active(values[r], keep[r], j_max)
-                evaluation = Evaluation(f_xi, grads[r][active], active.tolist())
-                status, result = _step(X[r], evaluation, eps_i, opts.infeasible_cut_fallback)
-                if status is None:
-                    X_next[r] = result.point
-                    cut_counts[r] = len(result.active_set)
-            statuses.append(status)
-        dists = ([_sublevel_distance(problem, x, eps_i) for x in X] if record_dist
-                 else [None] * len(X))
-        step = X_next - X
-        step_norms = np.sqrt(np.vecdot(step, step)).tolist()
-        live = []
-        for r, status in enumerate(statuses):
-            start = owner[r]
+            elif not stays:
+                traces[start] = _run(problem, X[r].copy(), i, rows[start], iterates[start],
+                                     opts)
+                continue
+            dist = _sublevel_distance(problem, X[r], eps_i) if record_dist else None
             if status is None:
-                rows[start].append(TraceRow(i, eps_i, f_list[r], sizes[r], step_norms[r],
-                                            dists[r], int(cut_counts[r])))
-                iterates[start].append(X_next[r].copy())
+                rows[start].append(TraceRow(i, eps_i, f_xi, 1, step_norms[r], dist, 1))
+                iterates[start].append(point[r].copy())
                 live.append(r)
             else:
                 traces[start] = _finish(rows[start], iterates[start], status, i, eps_i,
-                                        f_list[r], sizes[r], dists[r], X[r].copy())
+                                        f_xi, size, dist, X[r].copy())
         if not live:
             return traces
-        X = X_next[live]
+        X = point[live]
         owner = [owner[r] for r in live]

@@ -109,6 +109,13 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(BallProblem(), [1.0, 0.0], j_max=0)
 
+    @pytest.mark.parametrize("j_max", [2.5, 1.0, None, "3", True])
+    def test_j_max_must_be_an_integer(self, j_max):
+        # A float, a string or None raised a bare TypeError from the range
+        # check or the bundle slice, and True capped the bundle at one piece.
+        with pytest.raises(ValueError, match="j_max must be an integer"):
+            evaluate(BallProblem(), [1.0, 0.0], j_max)
+
 
 def test_evaluation_is_a_named_tuple():
     ev = evaluate(AXES_MAX, [1.0, 1.0])

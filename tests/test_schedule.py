@@ -112,3 +112,24 @@ def test_harmonic_exponent_is_stored_as_a_float():
     assert type(schedule.p) is float
     assert eps_at(schedule, 3) == eps_at(EpsilonSchedule.harmonic(0.1, 0.5), 3)
     assert type(eps_at(schedule, 3)) is float
+
+
+BAD_NUMBERS = [10**400, "0.1", True, None, [0.1], complex(0.1, 0.0)]
+BAD_IDS = ["10**400", "str", "bool", "None", "list", "complex"]
+
+
+@pytest.mark.parametrize("eps0", BAD_NUMBERS, ids=BAD_IDS)
+@pytest.mark.parametrize("kind", ["harmonic", "logarithmic", "constant_for_testing"])
+def test_bad_eps0_raises_value_error(kind, eps0):
+    # An integer too large for a float overflowed, a string failed the
+    # range comparison with TypeError, and a bool passed as 1.
+    with pytest.raises(ValueError, match="eps0"):
+        EpsilonSchedule(kind, eps0)
+
+
+@pytest.mark.parametrize("p", BAD_NUMBERS, ids=BAD_IDS)
+@pytest.mark.parametrize("kind", ["harmonic", "logarithmic", "constant_for_testing"])
+def test_bad_exponent_raises_value_error(kind, p):
+    # Only the harmonic kind uses p, but every kind stores it.
+    with pytest.raises(ValueError, match="^p "):
+        EpsilonSchedule(kind, 0.1, p)

@@ -224,10 +224,11 @@ class TestSolveErrors:
             SolveOptions(infeasible_cut_fallback="retry")
 
     @pytest.mark.parametrize("field", ["j_max", "max_iter"])
-    @pytest.mark.parametrize("value", [2.5, 1.0, "3", None])
+    @pytest.mark.parametrize("value", [2.5, 1.0, "3", None, True])
     def test_run_lengths_must_be_integers(self, field, value):
         # A max_iter of 2.5 is never met by the iteration counter, so solve
-        # ran forever; a j_max of 2.5 failed as a slice in one loop only.
+        # ran forever; a j_max of 2.5 failed as a slice in one loop only. A
+        # bool is not a count either: max_iter=True ran one iteration.
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SolveOptions(**{field: value})
 
@@ -662,14 +663,19 @@ class TestLockstep:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(kind=st.sampled_from(KINDS), n=st.sampled_from([1, 2, 3, 6, 20]),
            j_max=st.sampled_from([1, 3, 8]), seed=st.integers(0, 2**32 - 1),
-           **OPTION_CHOICES)
-    def test_random_problems(self, kind, n, j_max, seed, **options):
+           schedule=st.sampled_from(["harmonic", "const"]), **OPTION_CHOICES)
+    def test_random_problems(self, kind, n, j_max, seed, schedule, **options):
+        # A constant shift of 1e-20 is below the round-off of most cuts, so
+        # runs stall and leave the batch for the loop of solve, which fills
+        # the stall.
         rng = np.random.default_rng(seed)
         problem = random_problem(rng, kind, n)
         starts = rng.standard_normal((8, n)) * 10.0 ** rng.uniform(-1.0, 2.0, (8, 1))
         if kind == "shifted_ball_infeasible":
             starts[3] = 0.0
-        opts = harmonic_opts(max_iter=20, j_max=j_max, **options)
+        schedule = (EpsilonSchedule.harmonic(0.1, 1.0) if schedule == "harmonic"
+                    else EpsilonSchedule.constant_for_testing(1e-20))
+        opts = SolveOptions(schedule=schedule, max_iter=20, j_max=j_max, **options)
         assert_lockstep_matches_solve(problem, starts, opts)
 
     # Starts whose runs end with an error status: (status, problem, starts).
@@ -708,6 +714,35 @@ class TestLockstep:
         counts = {row.cut_count_active for t in traces for row in t.rows[:-1]}
         assert counts == {1, 2}
         assert traces[2].status_iteration == 0
+
+    def test_stalled_runs_leave_the_batch_and_are_filled(self, monkeypatch):
+        # The zero shift stalls each run a few steps in. A stalled run
+        # leaves the batch for the loop of solve, which writes the rest of
+        # the stall without calling the oracle; stepping through the stall
+        # in the batch took one oracle call per round, 1,001 in all.
+        ball = BallProblem([0.0, 0.0], 1.0)
+        starts = [[2.0, 0.0], [-3.0, 0.2], [-1.5, 1.5], [0.5, -2.0]]
+        opts = harmonic_opts(baseline_mode="zero_eps", max_iter=1000)
+        traces = assert_lockstep_matches_solve(ball, starts, opts)
+        assert all(t.status is TerminationStatus.MAX_ITER_EXCEEDED for t in traces)
+
+        calls = collections.Counter()
+        piece_values, evaluate = ball.piece_values, solver.evaluate
+
+        def counting_values(X):
+            calls["piece_values"] += 1
+            return piece_values(X)
+
+        def counting_evaluate(*args):
+            calls["evaluate"] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(ball, "piece_values", counting_values)
+        monkeypatch.setattr(solver, "evaluate", counting_evaluate)
+        again = solve_multistart(ball, starts, opts)
+        # Every oracle call, batched or through evaluate, calls piece_values.
+        assert 0 < calls["evaluate"] < calls["piece_values"] < 50
+        assert [trace_bytes(t) for t in again] == [trace_bytes(t) for t in traces]
 
 
 class TestNonconvexLocal:
