@@ -25,7 +25,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import diagnostics
-from .errors import InsufficientDataError, NotAvailableError
+from .errors import DimensionMismatchError, InsufficientDataError, NotAvailableError
+from .geometry import as_vector
 from .problems import (
     DEFAULT_J_MAX,
     Problem,
@@ -147,16 +148,9 @@ def _resolve_x0(args, problem: Problem) -> np.ndarray:
         raise _ConfigError("exactly one of --x0 and --x0-random is required")
     if args.x0 is not None:
         try:
-            values = [float(part) for part in args.x0.split(",")]
-        except ValueError as exc:
+            return as_vector([float(part) for part in args.x0.split(",")], problem.dim)
+        except (ValueError, DimensionMismatchError) as exc:
             raise _ConfigError(f"--x0: {exc}") from exc
-        if len(values) != problem.dim:
-            raise _ConfigError(
-                f"--x0 has {len(values)} components, problem dim is {problem.dim}"
-            )
-        if not all(map(math.isfinite, values)):
-            raise _ConfigError("--x0 components must be finite")
-        return np.asarray(values)
     try:
         seed_text, _, radius_text = args.x0_random.partition(":")
         seed = int(seed_text)

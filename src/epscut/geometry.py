@@ -26,6 +26,8 @@ kernel, so the module needs NumPy only.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,20 +78,41 @@ _VI_BLOCK_ROWS = 64
 _VI_POINT_TOL = 1e-8
 
 
+def check_count(name: str, value) -> int:
+    """Return ``value`` as an int if it is an integer of at least 1: a value
+    of a type with ``__index__`` other than bool. A float is not a count,
+    however integral. Anything else raises ValueError naming ``name``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer")
+    count = operator.index(value)
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return count
+
+
+def as_float(name: str, value) -> float:
+    """Return the real number ``value`` as a Python float. A bool, a string
+    or another non-real, or a real too large for a float, raises ValueError
+    naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+
+
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Validate and convert ``x`` to a finite 1-D float64 array.
 
-    Raises DimensionMismatchError if ``dim`` is given and does not match,
-    ValueError on NaN/Inf entries or empty input.
+    Raises ValueError on input that is not a nonempty 1-D vector, then what
+    ``as_points`` raises: ValueError on NaN/Inf entries, and
+    DimensionMismatchError if ``dim`` is given and does not match.
     """
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a nonempty 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("vector entries must be finite")
-    if dim is not None and v.size != dim:
-        raise DimensionMismatchError(f"expected dimension {dim}, got {v.size}")
-    return v
+    return as_points(v, v.size if dim is None else dim)
 
 
 def as_points(x, dim: int) -> np.ndarray:
@@ -323,26 +346,29 @@ def project_polyhedron(x0, poly: CutPolyhedron) -> ProjectionResult:
                             start_size)
 
 
-def project_one_cut(x, a, b, norm):
+def project_one_cut(x, a, b):
     """Project each point onto its own halfspace {y : <a, y> <= b} in closed
     form, as ``project_polyhedron`` does on a one-cut polyhedron.
 
-    Broadcasts over leading axes: ``x`` and ``a`` are (..., n), ``b`` and
-    ``norm`` are (...), and ``norm`` is the positive, finite length of ``a``
-    as ``CutPolyhedron.normal_norms`` holds it. Returns ``(point, settled)``.
-    The point is the kernel's first add, ``x - t a`` with
-    ``t = (<a, x> - b) / <a, a>``. ``settled`` is true only where the kernel
-    would return exactly that moved point: x fails the kernel's entry test
-    (its scaled violation ``(<a, x> - b) / norm`` exceeds
-    ``FEASIBILITY_TOL``), the step is finite, and the kernel's stop test
-    holds there. A point inside its cut, which the kernel hands back
-    unmoved, is not settled. Every settled point equals
-    ``project_polyhedron``'s bit for bit.
+    Broadcasts over leading axes: ``x`` and ``a`` are (..., n) and ``b`` is
+    (...). Returns ``(point, settled)``. The point is the kernel's first
+    add, ``x - t a`` with ``t = (<a, x> - b) / <a, a>``. ``settled`` is true
+    only where ``CutPolyhedron`` would accept the cut (the length ``norm``
+    of ``a``, computed as its ``normal_norms`` are, is nonzero and finite,
+    and ``b`` is finite) and the kernel would return exactly that moved
+    point: x fails the kernel's entry test (its scaled violation
+    ``(<a, x> - b) / norm`` exceeds ``FEASIBILITY_TOL``), the step is
+    finite, and the kernel's stop test holds there. A point inside its cut,
+    which the kernel hands back unmoved, is not settled. Every settled point
+    equals ``project_polyhedron``'s bit for bit. Unsettled rows may warn of
+    division by zero, overflow or invalid values.
     """
+    norm = np.linalg.norm(a, axis=-1)
     point = _one_cut_step(x, a, b)[0]
     scaled = (np.vecdot(a, point) - b) / norm
     outside = (np.vecdot(a, x) - b) / norm > FEASIBILITY_TOL
-    settled = outside & np.isfinite(point).all(axis=-1) & (
+    accepted = (norm > 0.0) & (norm < math.inf) & np.isfinite(b)
+    settled = accepted & outside & np.isfinite(point).all(axis=-1) & (
         (scaled <= FEASIBILITY_TOL)
         | (scaled < math.inf) & (scaled <= _roundoff(a, point, b, norm))
     )
@@ -567,8 +593,8 @@ def check_variational_inequality(
     ``chebyshev_point(poly, x1)`` when there is one, and segments from x1
     toward it top up the quota when rejection alone cannot fill it. Raises
     NoFeasibleSampleFoundError if the quota cannot be met, and ValueError
-    if ``result.point`` violates a cut by more than ``_VI_POINT_TOL``
-    (1e-8) in scaled terms.
+    if ``samples`` fails ``check_count`` or ``result.point`` violates a cut
+    by more than ``_VI_POINT_TOL`` (1e-8) in scaled terms.
 
     Draw ``i`` (counting from 0) is ``x1 + radii[i % 3] * z_i`` with ``z_i``
     a standard normal n-vector, and it is kept when it is strictly feasible.
@@ -583,8 +609,7 @@ def check_variational_inequality(
     """
     x0 = as_vector(x0, poly.dim)
     x1 = as_vector(result.point, poly.dim)
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    check_count("samples", samples)
     if not poly.contains(x1, _VI_POINT_TOL):
         raise ValueError("result.point does not lie in the polyhedron")
 

@@ -31,12 +31,20 @@ Instances:
   shifted_ball_infeasible  f(x) = ||x||^2 + 1                (no feasible point;
                            the gradient vanishes at the origin, which is the
                            designated trigger for the zero-subgradient path)
+
+Each instance class also reads and writes the ``params`` of its kind's JSON
+spec, with the defaults and required fields of that kind: the class method
+``_from_params(params, dim, activity_tol, name)`` builds a problem from
+them, and ``_params()`` returns the params that rebuild the problem. One
+registry maps each kind to its class. ``KINDS`` lists the kinds in its
+order, and ``problem_from_dict`` and ``problem_to_dict`` dispatch through it.
+A count (``dim``, ``j_max``, ``pairs``) is checked by ``check_count`` and
+``activity_tol`` by ``as_float``, both from ``geometry``.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -48,17 +56,16 @@ from .errors import (
     NotAvailableError,
     SublevelEmptyError,
 )
-from .geometry import CutPolyhedron, as_points, as_vector, project_polyhedron
+from .geometry import (
+    CutPolyhedron,
+    as_float,
+    as_points,
+    as_vector,
+    check_count,
+    project_polyhedron,
+)
 
 DEFAULT_J_MAX = 8
-
-KINDS = (
-    "ball",
-    "max_affine",
-    "max_quadratics",
-    "sip_distance",
-    "shifted_ball_infeasible",
-)
 
 
 class Evaluation(NamedTuple):
@@ -70,7 +77,12 @@ class Evaluation(NamedTuple):
 
 
 class Problem(ABC):
-    """A feasibility instance f(x) <= 0 given as a finite maximum of pieces."""
+    """A feasibility instance f(x) <= 0 given as a finite maximum of pieces.
+
+    ``dim`` must pass ``check_count``, and ``activity_tol``, when given, must
+    be a finite nonnegative real number, which is stored as a Python float;
+    anything else raises ValueError.
+    """
 
     kind: str = ""
     # While f > 0, pieces with value <= 0 stay out of the bundle. Distance
@@ -80,11 +92,11 @@ class Problem(ABC):
 
     def __init__(self, dim: int, activity_tol: float | None = None,
                  name: str | None = None):
-        if dim < 1:
-            raise ValueError("dim must be at least 1")
-        if activity_tol is not None and not 0.0 <= activity_tol < math.inf:
-            raise ValueError("activity_tol must be finite and nonnegative")
-        self.dim = int(dim)
+        self.dim = check_count("dim", dim)
+        if activity_tol is not None:
+            activity_tol = as_float("activity_tol", activity_tol)
+            if not 0.0 <= activity_tol < math.inf:
+                raise ValueError("activity_tol must be finite and nonnegative")
         self.activity_tol = activity_tol
         self.name = name or self.kind
 
@@ -115,16 +127,6 @@ class Problem(ABC):
         if self.nonpositive_pieces_inactive:
             keep &= (values > 0.0) | (f <= 0.0)
         return keep
-
-
-def check_count(name: str, value) -> None:
-    """Raise ValueError unless value is an integer of at least 1: a value of
-    a type with ``__index__`` other than bool. A float is not a count,
-    however integral."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer")
-    if operator.index(value) < 1:
-        raise ValueError(f"{name} must be at least 1")
 
 
 def evaluate(problem: Problem, x, j_max: int = DEFAULT_J_MAX) -> Evaluation:
@@ -163,6 +165,14 @@ class BallProblem(Problem):
         self.center = center
         self.radius = float(radius)
 
+    @classmethod
+    def _from_params(cls, params, dim, activity_tol, name):
+        return cls(params.get("center", [0.0] * dim), params.get("radius", 1.0),
+                   activity_tol, name)
+
+    def _params(self):
+        return {"center": self.center.tolist(), "radius": self.radius}
+
     def piece_values(self, X):
         D = X - self.center
         return (np.vecdot(D, D) - self.radius**2)[..., None]
@@ -179,6 +189,13 @@ class ShiftedBallProblem(Problem):
     def __init__(self, dim: int = 2, activity_tol: float | None = None,
                  name: str | None = None):
         super().__init__(dim, activity_tol, name)
+
+    @classmethod
+    def _from_params(cls, params, dim, activity_tol, name):
+        return cls(dim, activity_tol, name)
+
+    def _params(self):
+        return {}
 
     def piece_values(self, X):
         return (np.vecdot(X, X) + 1.0)[..., None]
@@ -204,6 +221,16 @@ class MaxAffineProblem(Problem):
         self.coefs = coefs
         self.intercepts = intercepts
 
+    @classmethod
+    def _from_params(cls, params, dim, activity_tol, name):
+        pieces = _nonempty(params, "pieces")
+        return cls([p["coef"] for p in pieces], [p.get("intercept", 0.0) for p in pieces],
+                   activity_tol, name)
+
+    def _params(self):
+        return {"pieces": [{"coef": c.tolist(), "intercept": float(d)}
+                           for c, d in zip(self.coefs, self.intercepts)]}
+
     def piece_values(self, X):
         # One dot product per piece, as for a single point: a matrix
         # product would round a batch differently from its rows.
@@ -227,9 +254,12 @@ class QuadraticPiece:
         if q.shape != (lin.size, lin.size):
             raise ValueError("quadratic matrix shape must match the linear term")
         const = float(self.const)
-        if not (np.isfinite(q).all() and math.isfinite(const)):
-            raise ValueError("quadratic matrix and constant must be finite")
-        object.__setattr__(self, "quad", 0.5 * (q + q.T))
+        # A non-finite entry leaves its symmetrized entry non-finite too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            quad = 0.5 * (q + q.T)
+        if not (np.isfinite(quad).all() and math.isfinite(const)):
+            raise ValueError("symmetrized quadratic matrix and constant must be finite")
+        object.__setattr__(self, "quad", quad)
         object.__setattr__(self, "lin", lin)
         object.__setattr__(self, "const", const)
 
@@ -259,6 +289,19 @@ class MaxQuadraticsProblem(Problem):
         self.quads = np.array([p.quad for p in pieces])
         self.lins = np.array([p.lin for p in pieces])
         self.consts = np.array([p.const for p in pieces])
+
+    @classmethod
+    def _from_params(cls, params, dim, activity_tol, name):
+        pieces = [
+            QuadraticPiece(p.get("quad", np.zeros((dim, dim))), p.get("lin", np.zeros(dim)),
+                           p.get("const", 0.0))
+            for p in _nonempty(params, "pieces")
+        ]
+        return cls(pieces, activity_tol, name)
+
+    def _params(self):
+        return {"pieces": [{"quad": q.tolist(), "lin": b.tolist(), "const": float(c)}
+                           for q, b, c in zip(self.quads, self.lins, self.consts)]}
 
     def piece_values(self, X):
         X = X[..., None, :]
@@ -362,11 +405,51 @@ class SipDistanceProblem(Problem):
         super().__init__(dim, activity_tol, name)
         self.bodies = bodies
 
+    @classmethod
+    def _from_params(cls, params, dim, activity_tol, name):
+        bodies = []
+        for entry in _nonempty(params, "bodies"):
+            body_type = entry.get("type")
+            if body_type == "ball":
+                bodies.append(BallBody(entry["center"], entry["radius"]))
+            elif body_type == "halfspace":
+                bodies.append(HalfspaceBody(entry["normal"], entry["offset"]))
+            else:
+                raise ValueError(
+                    f"field 'params.bodies[].type': expected 'ball' or 'halfspace', got {body_type!r}"
+                )
+        return cls(bodies, activity_tol, name)
+
+    def _params(self):
+        return {"bodies": [
+            {"type": "ball", "center": body.center.tolist(), "radius": body.radius}
+            if isinstance(body, BallBody) else
+            {"type": "halfspace", "normal": body.normal.tolist(), "offset": body.offset}
+            for body in self.bodies
+        ]}
+
     def piece_values(self, X):
         return np.stack([body.distance(X) for body in self.bodies], axis=-1)
 
     def piece_gradients(self, X):
         return np.stack([body.distance_gradient(X) for body in self.bodies], axis=-2)
+
+
+# The spec kinds and the class that reads and writes each one's params.
+_CLASS_OF_KIND = {
+    cls.kind: cls
+    for cls in (BallProblem, MaxAffineProblem, MaxQuadraticsProblem, SipDistanceProblem,
+                ShiftedBallProblem)
+}
+KINDS = tuple(_CLASS_OF_KIND)
+
+
+def _nonempty(params: dict, field_name: str):
+    """``params[field_name]``, which a spec must give as a nonempty list."""
+    value = params.get(field_name)
+    if not value:
+        raise ValueError(f"field 'params.{field_name}' is required and nonempty")
+    return value
 
 
 @dataclass(frozen=True)
@@ -395,8 +478,7 @@ def check_approximate_convexity(
         raise ValueError("delta must be positive")
     if not eps_ac > 0.0:
         raise ValueError("eps_ac must be positive")
-    if pairs < 1:
-        raise ValueError("pairs must be positive")
+    check_count("pairs", pairs)
     center = as_vector(center, problem.dim)
     rng = np.random.default_rng(seed)
 
@@ -439,12 +521,12 @@ def exact_sublevel_distance(problem: Problem, x, eps: float):
     a stack an array whose every entry has the bits its point gets alone.
     Ball instances reduce to a concentric-ball distance in closed form;
     max-affine instances to one polyhedral projection per point, onto cuts
-    built once. Raises ValueError for a negative eps or a non-finite point,
-    DimensionMismatchError for points of the wrong dimension,
+    built once. Raises ValueError for a negative or NaN eps or a non-finite
+    point, DimensionMismatchError for points of the wrong dimension,
     NotAvailableError for other kinds and SublevelEmptyError when the
     shifted set is empty.
     """
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ValueError("eps must be nonnegative")
     X = as_points(x, problem.dim)
     if isinstance(problem, BallProblem):
@@ -516,9 +598,7 @@ def problem_from_dict(spec: dict) -> Problem:
     if kind not in KINDS:
         raise ValueError(f"problem spec field 'kind': expected one of {KINDS}, got {kind!r}")
     dim = spec.get("dim")
-    # JSON true and false are Python bools, which are ints too.
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ValueError("problem spec field 'dim': expected a positive integer")
+    check_count("problem spec field 'dim'", dim)
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise ValueError("problem spec field 'params': expected an object")
@@ -533,48 +613,7 @@ def problem_from_dict(spec: dict) -> Problem:
         )
 
     try:
-        if kind == "ball":
-            center = params.get("center", [0.0] * dim)
-            radius = params.get("radius", 1.0)
-            problem = BallProblem(center, radius, activity_tol, name)
-        elif kind == "shifted_ball_infeasible":
-            problem = ShiftedBallProblem(dim, activity_tol, name)
-        elif kind == "max_affine":
-            pieces = params.get("pieces")
-            if not pieces:
-                raise ValueError("field 'params.pieces' is required and nonempty")
-            coefs = [p["coef"] for p in pieces]
-            intercepts = [p.get("intercept", 0.0) for p in pieces]
-            problem = MaxAffineProblem(coefs, intercepts, activity_tol, name)
-        elif kind == "max_quadratics":
-            pieces = params.get("pieces")
-            if not pieces:
-                raise ValueError("field 'params.pieces' is required and nonempty")
-            built = [
-                QuadraticPiece(
-                    p.get("quad", np.zeros((dim, dim))),
-                    p.get("lin", np.zeros(dim)),
-                    p.get("const", 0.0),
-                )
-                for p in pieces
-            ]
-            problem = MaxQuadraticsProblem(built, activity_tol, name)
-        else:
-            bodies_spec = params.get("bodies")
-            if not bodies_spec:
-                raise ValueError("field 'params.bodies' is required and nonempty")
-            bodies = []
-            for entry in bodies_spec:
-                body_type = entry.get("type")
-                if body_type == "ball":
-                    bodies.append(BallBody(entry["center"], entry["radius"]))
-                elif body_type == "halfspace":
-                    bodies.append(HalfspaceBody(entry["normal"], entry["offset"]))
-                else:
-                    raise ValueError(
-                        f"field 'params.bodies[].type': expected 'ball' or 'halfspace', got {body_type!r}"
-                    )
-            problem = SipDistanceProblem(bodies, activity_tol, name)
+        problem = _CLASS_OF_KIND[kind]._from_params(params, dim, activity_tol, name)
     except KeyError as exc:
         raise ValueError(f"problem spec params: missing field {exc.args[0]!r}") from exc
     except (TypeError, AttributeError, OverflowError) as exc:
@@ -588,47 +627,12 @@ def problem_from_dict(spec: dict) -> Problem:
 
 
 def problem_to_dict(problem: Problem) -> dict:
-    """Inverse of problem_from_dict for the supported kinds."""
-    spec: dict = {"name": problem.name, "kind": problem.kind, "dim": problem.dim}
-    if isinstance(problem, BallProblem):
-        spec["params"] = {
-            "center": problem.center.tolist(),
-            "radius": problem.radius,
-        }
-    elif isinstance(problem, ShiftedBallProblem):
-        spec["params"] = {}
-    elif isinstance(problem, MaxAffineProblem):
-        spec["params"] = {
-            "pieces": [
-                {"coef": c.tolist(), "intercept": float(d)}
-                for c, d in zip(problem.coefs, problem.intercepts)
-            ]
-        }
-    elif isinstance(problem, MaxQuadraticsProblem):
-        spec["params"] = {
-            "pieces": [
-                {"quad": q.tolist(), "lin": b.tolist(), "const": float(c)}
-                for q, b, c in zip(problem.quads, problem.lins, problem.consts)
-            ]
-        }
-    elif isinstance(problem, SipDistanceProblem):
-        bodies = []
-        for body in problem.bodies:
-            if isinstance(body, BallBody):
-                bodies.append(
-                    {"type": "ball", "center": body.center.tolist(), "radius": body.radius}
-                )
-            else:
-                bodies.append(
-                    {
-                        "type": "halfspace",
-                        "normal": body.normal.tolist(),
-                        "offset": body.offset,
-                    }
-                )
-        spec["params"] = {"bodies": bodies}
-    else:
+    """Inverse of problem_from_dict for the supported kinds: raises
+    ValueError for a problem that is not an instance of its kind's class."""
+    if not isinstance(problem, _CLASS_OF_KIND.get(problem.kind, ())):
         raise ValueError(f"cannot serialize problem kind {problem.kind!r}")
+    spec = {"name": problem.name, "kind": problem.kind, "dim": problem.dim,
+            "params": problem._params()}
     if problem.activity_tol is not None:
         spec["activity_tol"] = problem.activity_tol
     return spec

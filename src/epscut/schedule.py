@@ -9,8 +9,9 @@ constant kind exists only to exercise baselines that violate it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
+
+from .geometry import as_float
 
 KINDS = ("harmonic", "logarithmic", "constant_for_testing")
 
@@ -39,8 +40,8 @@ class EpsilonSchedule:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        object.__setattr__(self, "eps0", _as_float("eps0", self.eps0))
-        object.__setattr__(self, "p", _as_float("p", self.p))
+        object.__setattr__(self, "eps0", as_float("eps0", self.eps0))
+        object.__setattr__(self, "p", as_float("p", self.p))
         if not 0.0 < self.eps0 < math.inf:
             raise ValueError("eps0 must be positive and finite")
         if self.kind == "harmonic" and not 0.0 < self.p <= 1.0:
@@ -57,15 +58,6 @@ class EpsilonSchedule:
     @classmethod
     def constant_for_testing(cls, eps0: float = 0.1) -> "EpsilonSchedule":
         return cls("constant_for_testing", eps0)
-
-
-def _as_float(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is too large for a float") from None
 
 
 def eps_at(schedule: EpsilonSchedule, i: int) -> float:

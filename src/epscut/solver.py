@@ -65,12 +65,17 @@ from .errors import (
     ZeroNormalError,
     ZeroSubgradientError,
 )
-from .geometry import CutPolyhedron, as_vector, project_one_cut, project_polyhedron
+from .geometry import (
+    CutPolyhedron,
+    as_vector,
+    check_count,
+    project_one_cut,
+    project_polyhedron,
+)
 from .problems import (
     DEFAULT_J_MAX,
     Evaluation,
     Problem,
-    check_count,
     evaluate,
     exact_sublevel_distance,
     supports_sublevel_distance,
@@ -352,12 +357,10 @@ def solve_multistart(
         sizes = np.minimum(problem.activity_mask(values, f[:, None]).sum(axis=-1), j_max)
         # The cut of a one-cut bundle is the top piece's.
         g = problem.piece_gradients(X)[np.arange(len(X)), values.argmax(axis=-1)]
-        offsets = np.vecdot(g, X) - f - eps_i
-        norms = np.linalg.norm(g, axis=-1)
-        point, settled = project_one_cut(X, g, offsets, norms)
-        # A cut that build_cuts would reject leaves the batch, and _run
-        # reports it.
-        settled &= (sizes == 1) & (norms > 0.0) & np.isfinite(norms) & np.isfinite(offsets)
+        point, settled = project_one_cut(X, g, np.vecdot(g, X) - f - eps_i)
+        # A cut that build_cuts would reject is not settled: it leaves the
+        # batch, and _run reports it.
+        settled &= sizes == 1
         step = point - X
         step_norms = np.sqrt(np.vecdot(step, step)).tolist()
         live = []

@@ -359,6 +359,14 @@ class TestCmdSolve:
         assert_config_error(main(["solve", "--problem", ball_file, "--x0-random", "1:1"]),
                             capsys)
 
+    @pytest.mark.parametrize("x0", ["1,x", "nan,0", "2,0,0"],
+                             ids=["not-a-number", "nan", "wrong-dim"])
+    def test_bad_x0_names_the_flag(self, ball_file, x0, capsys):
+        code = main(["solve", "--problem", ball_file, "--x0", x0])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: --x0: ") and err.count("\n") == 1, err
+
     def test_missing_x0_exit_one(self, ball_file):
         assert main(["solve", "--problem", ball_file]) == 1
 

@@ -129,23 +129,30 @@ class TestPolyhedronProjection:
         # A settled row is one where the kernel moves x, and its point must
         # equal the kernel's bit for bit. Rows inside their cut (a third of
         # them; the kernel hands x back) are not settled, and neither is a
-        # row whose step overflows, where the kernel raises.
+        # row whose step overflows, where the kernel raises, nor a violated
+        # row that CutPolyhedron rejects: a zero normal or an offset of -inf.
         for n in (1, 2, 3, 8, 50, 200):
             A = rng.standard_normal((30, n)) * 10.0 ** rng.uniform(-3, 3, (30, 1))
             X = 3.0 * rng.standard_normal((30, n))
             depth = rng.uniform(-1.0, 2.0, 30) * np.linalg.norm(A, axis=1)
             b = np.vecdot(A, X) - depth
             b[0] = np.vecdot(A[0], X[0]) - 0.5 * geometry.FEASIBILITY_TOL * np.linalg.norm(A[0])
+            A[-3], b[-3] = 0.0, -1.0
+            b[-2] = -np.inf
             A[-1], X[-1], b[-1] = 10.0, 1e308, 0.0
-            with np.errstate(over="ignore", invalid="ignore"):
-                point, settled = geometry.project_one_cut(X, A, b, np.linalg.norm(A, axis=1))
-            assert not settled[0] and not settled[-1]
-            assert 5 < settled.sum() < 29
-            for x, a, b_row, p, s in zip(X[:-1], A, b, point, settled):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                point, settled = geometry.project_one_cut(X, A, b)
+            assert not settled[0] and not settled[-3:].any()
+            assert 5 < settled.sum() < 27
+            for x, a, b_row, p, s in zip(X[:-3], A, b, point, settled):
                 result = project_polyhedron(x, CutPolyhedron([a], [b_row]))
                 assert s == (not result.feasible)
                 if s:
                     assert p.tobytes() == result.point.tobytes()
+            with pytest.raises(ZeroNormalError):
+                CutPolyhedron(A[-3:-2], b[-3:-2])
+            with pytest.raises(ValueError, match="offsets must be finite"):
+                CutPolyhedron(A[-2:-1], b[-2:-1])
             with np.errstate(over="ignore"), pytest.raises(ProjectionFailedError):
                 project_polyhedron(X[-1], CutPolyhedron(A[-1:], b[-1:]))
 
@@ -712,6 +719,14 @@ class TestVariationalInequality:
         res = project_polyhedron([3.0], P)
         with pytest.raises(NoFeasibleSampleFoundError):
             check_variational_inequality([3.0], res, P, samples=10, seed=0)
+
+    @pytest.mark.parametrize("samples", [2.5, True])
+    def test_samples_must_be_an_integer(self, samples):
+        # Both raised a bare TypeError.
+        P = CutPolyhedron([[1.0, 0.0]], [0.0])
+        res = project_polyhedron([1.0, 0.0], P)
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            check_variational_inequality([1.0, 0.0], res, P, samples=samples)
 
     def test_point_outside_polyhedron_rejected(self):
         P = CutPolyhedron([[1.0, 0.0]], [0.0])

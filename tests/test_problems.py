@@ -1,6 +1,7 @@
 """Oracle tests: values, bundles, generalized-gradient validity, distances."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from epscut import (
     MaxAffineProblem,
     MaxQuadraticsProblem,
     NotAvailableError,
+    Problem,
+    QuadraticPiece,
     ShiftedBallProblem,
     SipDistanceProblem,
     SublevelEmptyError,
@@ -280,6 +283,12 @@ class TestApproximateConvexity:
         with pytest.raises(ValueError):
             check_approximate_convexity(AXES_MAX, [0.0, 0.0], 0.1, 0.0)
 
+    @pytest.mark.parametrize("pairs", [2.5, True])
+    def test_pairs_must_be_an_integer(self, pairs):
+        # Both raised a bare TypeError from the sampler.
+        with pytest.raises(ValueError, match="pairs must be an integer"):
+            check_approximate_convexity(AXES_MAX, [0.0, 0.0], 0.1, 0.5, pairs=pairs)
+
 
 NAN, INF = float("nan"), float("inf")
 
@@ -298,6 +307,7 @@ class TestFiniteProblemData:
             lambda: MaxQuadraticsProblem([([[1.0, NAN], [0.0, 1.0]], [0.0, 0.0], 0.0)]),
             lambda: MaxQuadraticsProblem([(np.eye(2), [0.0, INF], 0.0)]),
             lambda: MaxQuadraticsProblem([(np.eye(2), [0.0, 0.0], NAN)]),
+            lambda: MaxQuadraticsProblem([([[0.0, 1.7e308], [1.7e308, 0.0]], [0.0, 0.0], 0.0)]),
             lambda: SipDistanceProblem([BallBody([0.0, 0.0], INF)]),
             lambda: SipDistanceProblem([HalfspaceBody([1.0, 0.0], NAN)]),
             lambda: SipDistanceProblem([HalfspaceBody([0.0, 0.0], 1.0)]),
@@ -306,13 +316,21 @@ class TestFiniteProblemData:
         ids=[
             "ball-center", "ball-radius", "ball-radius-squared", "shifted-activity-tol-nan",
             "shifted-activity-tol-inf", "max-affine-coef", "max-affine-intercept",
-            "quad", "lin", "const", "sip-ball-radius", "sip-halfspace-offset",
+            "quad", "lin", "const", "quad-symmetrized", "sip-ball-radius", "sip-halfspace-offset",
             "sip-halfspace-zero-normal", "sip-halfspace-normal-overflow",
         ],
     )
     def test_constructor_rejects_non_finite(self, build):
         with np.errstate(over="ignore"), pytest.raises(ValueError):
             build()
+
+    def test_symmetrized_quad_overflow_is_rejected_quietly(self):
+        # Finite entries whose symmetrized sum overflows: the piece stored
+        # inf, with an overflow warning, and f was NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="symmetrized"):
+                QuadraticPiece([[0.0, 1.7e308], [1.7e308, 0.0]], [0.0, 0.0], 0.0)
 
     def test_spec_rejects_non_finite(self):
         spec = problem_to_dict(MaxAffineProblem([[1.0, 0.0]], [0.0]))
@@ -323,6 +341,30 @@ class TestFiniteProblemData:
             problem_from_dict({"kind": "ball", "dim": 2, "activity_tol": NAN})
         with pytest.raises(ValueError, match="radius squared"):
             problem_from_dict({"kind": "ball", "dim": 2, "params": {"radius": 1e200}})
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize("dim", [2.5, True, "3", None])
+    def test_dim_must_be_an_integer(self, dim):
+        # 2.5 built a 2-D problem and True a 1-D one; "3" and None raised a
+        # bare TypeError.
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            ShiftedBallProblem(dim)
+
+    def test_numpy_integer_dim_is_stored_as_an_int(self):
+        problem = ShiftedBallProblem(np.int64(3))
+        assert type(problem.dim) is int and problem.dim == 3
+
+    @pytest.mark.parametrize("tol", [True, "1", 10**400], ids=["bool", "string", "huge-int"])
+    def test_activity_tol_must_be_a_real_number(self, tol):
+        # True and 10**400 were kept as the tolerance, the latter to raise a
+        # bare OverflowError from evaluate; "1" raised a bare TypeError.
+        with pytest.raises(ValueError, match="activity_tol"):
+            BallProblem([0.0, 0.0], 1.0, activity_tol=tol)
+
+    def test_activity_tol_is_stored_as_a_float(self):
+        for tol in (1, np.float64(0.5)):
+            assert type(ShiftedBallProblem(2, activity_tol=tol).activity_tol) is float
 
 
 class TestSublevelDistance:
@@ -407,9 +449,11 @@ class TestBatchedSublevelDistance:
         rng = np.random.default_rng(seed)
         problem = random_problem(rng, kind, n)
         X = rng.standard_normal((m, n))
-        for points in (X[0], X):
+        # A NaN shift returned 0.0 on a ball and blamed the offsets on a
+        # max-affine problem.
+        for points, eps in zip((X[0], X, X[0], X), (-1e-3, -1e-3, NAN, NAN)):
             with pytest.raises(ValueError, match="eps must be nonnegative"):
-                exact_sublevel_distance(problem, points, -1e-3)
+                exact_sublevel_distance(problem, points, eps)
         wide = np.hstack([X, X[:, :1]])
         for points in (wide[0], wide):
             with pytest.raises(DimensionMismatchError):
@@ -506,6 +550,27 @@ class TestSpecSerialization:
         assert (rebuilt.kind, rebuilt.dim, rebuilt.name) == (kind, n, problem.name)
         X = 3.0 * np.random.default_rng(seed).standard_normal((5, n))
         assert np.array_equal(rebuilt.piece_values(X), problem.piece_values(X))
+
+    def test_kinds_in_order(self):
+        assert KINDS == ("ball", "max_affine", "max_quadratics", "sip_distance",
+                         "shifted_ball_infeasible")
+
+    def test_only_instances_of_a_kinds_class_serialize(self):
+        class Lookalike(Problem):
+            kind = "ball"
+
+            def piece_values(self, X):
+                return np.vecdot(X, X)[..., None]
+
+            def piece_gradients(self, X):
+                return (2.0 * X)[..., None, :]
+
+        class Named(BallProblem):
+            pass
+
+        with pytest.raises(ValueError, match="cannot serialize problem kind 'ball'"):
+            problem_to_dict(Lookalike(2))
+        assert problem_to_dict(Named()) == problem_to_dict(BallProblem())
 
     def test_error_messages_name_offending_field(self):
         with pytest.raises(ValueError, match="'kind'"):
