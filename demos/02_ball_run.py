@@ -28,12 +28,12 @@ for r in trace.rows:
           f"{r.step_norm:>10.6f} {r.dist_sublevel:>13.6g}")
 
 # The zero-shift baseline uses the plain linearization cut
-# f(x_i) + <s, x - x_i> <= 0. On a strictly convex instance its cut boundary
-# stays strictly outside the sublevel set, so the iterates creep toward the
-# boundary but never cross it.
+# f(x_i) + <s, x - x_i> <= 0: a constant schedule of zero shifts. On a
+# strictly convex instance its cut boundary stays strictly outside the
+# sublevel set, so the iterates creep toward the boundary but never cross it.
 baseline = solve(
     problem, [2.0, 0.0],
-    SolveOptions(baseline_mode="zero_eps", max_iter=1000,
+    SolveOptions(schedule=EpsilonSchedule.constant_for_testing(0.0), max_iter=1000,
                  record_sublevel_distance=True),
 )
 worst = min(r.f_xi for r in baseline.rows)

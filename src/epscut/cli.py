@@ -11,6 +11,14 @@ Exit codes:
 
 All file writes are atomic; identical configurations and seeds produce
 byte-identical outputs.
+
+Baselines (--baseline; compare runs both beside the flags' own run):
+  zero_eps   cuts built with eps = 0 (the classical unshifted linearization),
+             as with --schedule const --eps0 0
+  single_cut only the most active subgradient is used (J_i = 1), as with
+             --j-max 1
+A baseline replaces only those options. The other flags still apply, and
+all of them are checked first.
 """
 
 from __future__ import annotations
@@ -34,9 +42,8 @@ from .problems import (
     supports_sublevel_distance,
     ball_samples,
 )
-from .schedule import parse_schedule
+from .schedule import EpsilonSchedule, parse_schedule
 from .solver import (
-    BASELINE_MODES,
     FALLBACK_MODES,
     SolveOptions,
     SolveTrace,
@@ -45,13 +52,15 @@ from .solver import (
 )
 from .traceio import trace_to_csv, trace_to_json, write_text_atomic
 
-EXIT_CODE_BY_STATUS = {
-    TerminationStatus.FEASIBLE_FOUND: 0,
-    TerminationStatus.MAX_ITER_EXCEEDED: 2,
-    TerminationStatus.ZERO_SUBGRADIENT: 3,
-    TerminationStatus.INFEASIBLE_CUTS: 3,
-    TerminationStatus.NONFINITE_STEP: 3,
-    TerminationStatus.PROJECTION_FAILED: 3,
+# Every status but these two means that a step could not be computed.
+EXIT_CODE_BY_STATUS = {status: 3 for status in TerminationStatus} | {
+    TerminationStatus.FEASIBLE_FOUND: 0, TerminationStatus.MAX_ITER_EXCEEDED: 2}
+
+# The options each --baseline choice replaces in the run of the other flags.
+BASELINES = {
+    "none": {},
+    "zero_eps": {"schedule": EpsilonSchedule.constant_for_testing(0.0)},
+    "single_cut": {"j_max": 1},
 }
 
 
@@ -95,7 +104,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--j-max", type=int, default=DEFAULT_J_MAX, help="bundle size cap")
     sub.add_argument("--max-iter", type=int, default=1000)
-    sub.add_argument("--baseline", choices=BASELINE_MODES, default="none")
+    sub.add_argument("--baseline", choices=list(BASELINES), default="none")
     sub.add_argument(
         "--fallback",
         choices=FALLBACK_MODES,
@@ -172,21 +181,21 @@ def _resolve_x0(args, problem: Problem) -> np.ndarray:
         ) from exc
 
 
-def _build_options(args, record_dist: bool | None = None) -> SolveOptions:
+def _build_options(args, record_dist: bool | None = None,
+                   baseline: str | None = None) -> SolveOptions:
+    """The options of the flags, checked, then with those of the baseline
+    (by default --baseline's) replaced."""
     try:
-        schedule = parse_schedule(args.schedule, args.eps0)
-        return SolveOptions(
+        opts = SolveOptions(
             j_max=args.j_max,
             max_iter=args.max_iter,
-            schedule=schedule,
-            baseline_mode=args.baseline,
+            schedule=parse_schedule(args.schedule, args.eps0),
             infeasible_cut_fallback=args.fallback,
-            record_sublevel_distance=(
-                args.record_dist if record_dist is None else record_dist
-            ),
+            record_sublevel_distance=args.record_dist if record_dist is None else record_dist,
         )
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
+    return replace(opts, **BASELINES[baseline or args.baseline])
 
 
 def _write_outputs(args, trace: SolveTrace, report: dict | None = None) -> None:
@@ -247,11 +256,10 @@ def cmd_compare(args) -> int:
     problem = _load_problem(args.problem)
     x0 = _resolve_x0(args, problem)
     record = supports_sublevel_distance(problem)
-    opts = _build_options(args, record_dist=record)
-
-    traces = {"main": solve(problem, x0, opts)}
+    traces = {"main": solve(problem, x0, _build_options(args, record))}
+    # Each variant is the run of the flags with its own baseline, not --baseline.
     for baseline in ("zero_eps", "single_cut"):
-        traces[baseline] = solve(problem, x0, replace(opts, baseline_mode=baseline))
+        traces[baseline] = solve(problem, x0, _build_options(args, record, baseline))
 
     report = {
         "problem": problem.name,

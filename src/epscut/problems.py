@@ -472,12 +472,13 @@ def check_approximate_convexity(
     ``delta`` around ``center`` and, for every bundle gradient s at x,
     evaluates f(x) + <s, y-x> - eps_ac*||y-x|| - f(y). A nonpositive worst
     case means every sampled pair satisfied the inequality. Deterministic
-    for a fixed seed.
+    for a fixed seed. ``delta`` and ``eps_ac`` must be positive finite reals
+    (``as_float``), or ValueError names the one that is not.
     """
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
-    if not eps_ac > 0.0:
-        raise ValueError("eps_ac must be positive")
+    delta, eps_ac = as_float("delta", delta), as_float("eps_ac", eps_ac)
+    for name, value in (("delta", delta), ("eps_ac", eps_ac)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
     check_count("pairs", pairs)
     center = as_vector(center, problem.dim)
     rng = np.random.default_rng(seed)
@@ -586,6 +587,19 @@ def nonconvex_default_boundary() -> np.ndarray:
     return np.array([math.sqrt(t), t])
 
 
+def _bool_fields(value, path: str):
+    """The paths of the JSON true and false values in ``value``, such as
+    ``params.pieces[0].intercept``."""
+    if isinstance(value, bool):
+        yield path
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _bool_fields(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from _bool_fields(item, f"{path}[{k}]")
+
+
 def problem_from_dict(spec: dict) -> Problem:
     """Build a problem from its JSON description.
 
@@ -603,14 +617,16 @@ def problem_from_dict(spec: dict) -> Problem:
     if not isinstance(params, dict):
         raise ValueError("problem spec field 'params': expected an object")
     name = spec.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError(f"problem spec field 'name': expected a string, got {name!r}")
+    # NumPy and float() read true as 1.0 and false as 0.0.
+    flag = next(_bool_fields(params, "params"), None)
+    if flag is not None:
+        raise ValueError(f"problem spec field {flag!r}: expected a number, got a boolean")
+    # The problem's constructor checks the range of activity_tol.
     activity_tol = spec.get("activity_tol")
-    if activity_tol is not None and (
-        not isinstance(activity_tol, (int, float)) or isinstance(activity_tol, bool)
-        or not 0 <= activity_tol < math.inf
-    ):
-        raise ValueError(
-            "problem spec field 'activity_tol': expected a finite nonnegative number"
-        )
+    if activity_tol is not None:
+        activity_tol = as_float("problem spec field 'activity_tol'", activity_tol)
 
     try:
         problem = _CLASS_OF_KIND[kind]._from_params(params, dim, activity_tol, name)

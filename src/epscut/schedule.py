@@ -3,7 +3,9 @@
 The solver needs shifts eps_i > 0 whose decay is sublinear, meaning the
 ratio eps_{i+1}/eps_i tends to 1 (slower than every geometric sequence).
 Both non-constant kinds here have that property by construction; the
-constant kind exists only to exercise baselines that violate it.
+constant kind exists only to exercise baselines that violate it. A zero
+constant is the unshifted baseline: the classical linearization cut of
+Fukushima's method.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ class EpsilonSchedule:
     or NumPy ``eps0`` gives the shifts, and the trace cells, of
     ``float(eps0)``. A bad value of either raises ValueError: a bool, a
     string or another non-real, a real too large for a float, or one out of
-    range.
+    range. ``eps0`` must be positive and finite; the constant kind also
+    takes zero, stored as +0.0 (so -0.0 gives it too), which is the
+    unshifted baseline.
 
     kinds:
       harmonic             eps0 / (i+1)**p,  0 < p <= 1
@@ -40,10 +44,12 @@ class EpsilonSchedule:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        object.__setattr__(self, "eps0", as_float("eps0", self.eps0))
+        # Adding +0.0 turns -0.0 into +0.0 and leaves every other value as it is.
+        object.__setattr__(self, "eps0", as_float("eps0", self.eps0) + 0.0)
         object.__setattr__(self, "p", as_float("p", self.p))
-        if not 0.0 < self.eps0 < math.inf:
-            raise ValueError("eps0 must be positive and finite")
+        zero_ok = self.kind == "constant_for_testing"
+        if not (0.0 < self.eps0 < math.inf or zero_ok and self.eps0 == 0.0):
+            raise ValueError(f"eps0 must be {'nonnegative' if zero_ok else 'positive'} and finite")
         if self.kind == "harmonic" and not 0.0 < self.p <= 1.0:
             raise ValueError("harmonic exponent p must lie in (0, 1]")
 

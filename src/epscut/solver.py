@@ -42,10 +42,6 @@ its cut and hands a run that fails them to the loop of ``solve``, which
 reports it.
 The loops run with NumPy's overflow and invalid-operation warnings off,
 since the status already reports what they would.
-
-Baselines:
-  zero_eps   cuts built with eps = 0 (the classical unshifted linearization)
-  single_cut only the most active subgradient is used (J_i = 1)
 """
 
 from __future__ import annotations
@@ -82,7 +78,6 @@ from .problems import (
 )
 from .schedule import EpsilonSchedule, eps_at
 
-BASELINE_MODES = ("none", "zero_eps", "single_cut")
 FALLBACK_MODES = ("first_cut_only", "fail")
 
 
@@ -93,15 +88,12 @@ class SolveOptions:
     j_max: int = DEFAULT_J_MAX
     max_iter: int = 1000
     schedule: EpsilonSchedule = field(default_factory=EpsilonSchedule.harmonic)
-    baseline_mode: str = "none"
     infeasible_cut_fallback: str = "first_cut_only"
     record_sublevel_distance: bool = False
 
     def __post_init__(self):
         check_count("j_max", self.j_max)
         check_count("max_iter", self.max_iter)
-        if self.baseline_mode not in BASELINE_MODES:
-            raise ValueError(f"unknown baseline mode {self.baseline_mode!r}")
         if self.infeasible_cut_fallback not in FALLBACK_MODES:
             raise ValueError(
                 f"unknown fallback {self.infeasible_cut_fallback!r}"
@@ -173,10 +165,6 @@ def build_cuts(x, evaluation: Evaluation, eps: float) -> CutPolyhedron:
         return CutPolyhedron(G, np.vecdot(G, x) - evaluation.value - eps)
     except ZeroNormalError:
         raise ZeroSubgradientError(x) from None
-
-
-def _shift(opts: SolveOptions, i: int) -> float:
-    return 0.0 if opts.baseline_mode == "zero_eps" else eps_at(opts.schedule, i)
 
 
 def _same_bits(a: float, b: float) -> bool:
@@ -261,8 +249,8 @@ def solve(problem: Problem, x0, opts: SolveOptions | None = None) -> SolveTrace:
     anything, and steps again from x at the first iteration whose shift
     differs in type, value or sign of zero. The trace is the one the
     step-by-step loop gives, byte for byte. The harmonic and logarithmic
-    schedules change the shift at every step, so in practice only the
-    ``zero_eps`` baseline and the constant schedule take this path.
+    schedules change the shift at every step, so in practice only
+    constant schedules, the zero shift among them, take this path.
     """
     opts = opts or SolveOptions()
     x = as_vector(x0, problem.dim).copy()
@@ -279,12 +267,11 @@ def _run(problem: Problem, x, i: int, rows: list[TraceRow], iterates: list[np.nd
     ``rows`` holds the rows of iterations 0 to i - 1 and ``iterates`` the
     points x_0 to x_i; both are extended in place and go into the trace.
     """
-    j_max = 1 if opts.baseline_mode == "single_cut" else opts.j_max
     record_dist = opts.record_sublevel_distance and supports_sublevel_distance(problem)
     while True:
-        evaluation = evaluate(problem, x, j_max)
+        evaluation = evaluate(problem, x, opts.j_max)
         f_xi = evaluation.value
-        eps_i = _shift(opts, i)
+        eps_i = eps_at(opts.schedule, i)
         dist = _sublevel_distance(problem, x, eps_i) if record_dist else None
         if f_xi <= 0.0:
             status = TerminationStatus.FEASIBLE_FOUND
@@ -305,7 +292,7 @@ def _run(problem: Problem, x, i: int, rows: list[TraceRow], iterates: list[np.nd
         if result.feasible:
             # x lay inside its own cuts and came back unmoved, so every later
             # step repeats this one while the shift keeps its bits.
-            while i < opts.max_iter and _same_bits(_shift(opts, i), eps_i):
+            while i < opts.max_iter and _same_bits(eps_at(opts.schedule, i), eps_i):
                 rows.append(TraceRow(i, eps_i, f_xi, len(evaluation.bundle), 0.0, dist, 0))
                 iterates.append(x.copy())
                 i += 1
@@ -343,7 +330,6 @@ def solve_multistart(
     if not starts:
         raise ValueError("at least one start point is required")
     X = _start_points(starts, problem.dim)
-    j_max = 1 if opts.baseline_mode == "single_cut" else opts.j_max
     record_dist = opts.record_sublevel_distance and supports_sublevel_distance(problem)
 
     rows: list[list[TraceRow]] = [[] for _ in starts]
@@ -351,10 +337,10 @@ def solve_multistart(
     traces: list[SolveTrace | None] = [None] * len(starts)
     owner = list(range(len(starts)))  # the start of each live row
     for i in range(opts.max_iter + 1):
-        eps_i = _shift(opts, i)
+        eps_i = eps_at(opts.schedule, i)
         values = problem.piece_values(X)
         f = values.max(axis=-1)
-        sizes = np.minimum(problem.activity_mask(values, f[:, None]).sum(axis=-1), j_max)
+        sizes = np.minimum(problem.activity_mask(values, f[:, None]).sum(axis=-1), opts.j_max)
         # The cut of a one-cut bundle is the top piece's.
         g = problem.piece_gradients(X)[np.arange(len(X)), values.argmax(axis=-1)]
         point, settled = project_one_cut(X, g, np.vecdot(g, X) - f - eps_i)

@@ -120,11 +120,28 @@ MALFORMED_SPECS = {
     },
 }
 
-# JSON true where a spec wants a number: a Python bool, which is an int too.
+# JSON true or false where a spec wants a number: a Python bool, which is an
+# int too.
 BOOLEAN_SPECS = {
     "dim-true": {"kind": "ball", "dim": True, "params": {"center": [0.0]}},
     "activity-tol-true": {
         "kind": "ball", "dim": 1, "params": {"center": [0.0]}, "activity_tol": True,
+    },
+    "ball-radius-true": {"kind": "ball", "dim": 1, "params": {"center": [0.0], "radius": True}},
+    "max-affine-coef-true": {
+        "kind": "max_affine", "dim": 2,
+        "params": {"pieces": [{"coef": [1.0, 0.0]}, {"coef": [0.0, True]}]},
+    },
+    "max-affine-intercept-false": {
+        "kind": "max_affine", "dim": 1, "params": {"pieces": [{"coef": [1.0], "intercept": False}]},
+    },
+    "quadratic-const-true": {
+        "kind": "max_quadratics", "dim": 1,
+        "params": {"pieces": [{"quad": [[1.0]], "lin": [0.0], "const": True}]},
+    },
+    "sip-ball-radius-true": {
+        "kind": "sip_distance", "dim": 1,
+        "params": {"bodies": [{"type": "ball", "center": [0.0], "radius": True}]},
     },
 }
 

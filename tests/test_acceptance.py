@@ -138,7 +138,7 @@ def test_criterion_3_finite_convergence_matches_reference():
 def test_criterion_4_shift_necessity():
     baseline = solve(
         BALL, [2.0, 0.0],
-        SolveOptions(schedule=HARMONIC, baseline_mode="zero_eps", max_iter=1000),
+        SolveOptions(schedule=EpsilonSchedule.constant_for_testing(0.0), max_iter=1000),
     )
     shifted = solve(BALL, [2.0, 0.0], SolveOptions(schedule=HARMONIC))
     baseline_stays_out = (

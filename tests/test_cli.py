@@ -400,6 +400,28 @@ class TestCmdSolve:
         assert main(["solve", "--problem", ball_file, "--x0", "2,0", *flags]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--baseline", "both"], ["--baseline", "zero_eps", "--eps0", "nan"],
+         ["--baseline", "single_cut", "--j-max", "0"]],
+        ids=["unknown-baseline", "zero-eps-eps0-nan", "single-cut-j-max-0"],
+    )
+    def test_bad_baseline_run_exit_one(self, ball_file, flags, capsys):
+        # A baseline replaces options only after the flags are checked, so
+        # the flags it overrides must still be valid.
+        assert_config_error(main(["solve", "--problem", ball_file, "--x0", "2,0", *flags]),
+                            capsys)
+
+    def test_zero_eps_baseline_is_the_zero_constant_schedule(self, ball_file, tmp_path):
+        outputs = []
+        for flags in (["--baseline", "zero_eps"], ["--schedule", "const", "--eps0", "0"]):
+            csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
+            code = main(["solve", "--problem", ball_file, "--x0", "2,0", *flags,
+                         "--trace-csv", str(csv_path), "--trace-json", str(json_path)])
+            outputs.append((code, csv_path.read_bytes(), json_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 2
+
     def test_both_x0_sources_exit_one(self, ball_file):
         code = main([
             "solve", "--problem", ball_file, "--x0", "2,0",
@@ -505,6 +527,25 @@ class TestCmdCompare:
         assert main_v["decay_rho"] is not None and main_v["decay_rho"] < 1.0
         out = capsys.readouterr().out
         assert out.count("\n") == 3
+
+    def test_variants_ignore_the_baseline_flag(self, tmp_path, capsys):
+        # With cut-pairs near the diagonal, j_max moves both the shifted and
+        # the unshifted run, so a zero_eps variant that took --baseline
+        # single_cut's j_max = 1 would differ.
+        path = write_problem(
+            tmp_path, MaxAffineProblem([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], activity_tol=0.5))
+
+        def variants(*flags):
+            report_path = tmp_path / "cmp.json"
+            main(["compare", "--problem", path, "--x0", "2,2.1",
+                  "--report-json", str(report_path), *flags])
+            capsys.readouterr()
+            return json.loads(report_path.read_text())["variants"]
+
+        plain, single, one_cut = (variants(), variants("--baseline", "single_cut"),
+                                  variants("--j-max", "1"))
+        assert single["zero_eps"] == plain["zero_eps"] != one_cut["zero_eps"]
+        assert single["main"] == single["single_cut"] == plain["single_cut"] != plain["main"]
 
     def test_baseline_failure_recorded_not_fatal(self, tmp_path):
         path = write_problem(tmp_path, ShiftedBallProblem(2))

@@ -73,9 +73,9 @@ def _sip_distance() -> SipDistanceProblem:
 def corpus_traces() -> list:
     traces = [
         solve(BALL, [2.0, 0.0], _harmonic(record_sublevel_distance=True)),
-        solve(BALL, [2.5, -1.5], _harmonic(baseline_mode="zero_eps", max_iter=1000)),
-        solve(nonconvex_default_problem(), [2.5, 1.2],
-              _harmonic(baseline_mode="single_cut")),
+        solve(BALL, [2.5, -1.5],
+              SolveOptions(schedule=EpsilonSchedule.constant_for_testing(0.0), max_iter=1000)),
+        solve(nonconvex_default_problem(), [2.5, 1.2], _harmonic(j_max=1)),
     ]
     rng = np.random.default_rng(7)
     starts = nonconvex_default_boundary() + rng.uniform(-1.5, 1.5, (20, 2))

@@ -30,9 +30,9 @@ from test_problems import random_problem
 BALL = BallProblem([0.0, 0.0], 1.0)
 
 
-def ball_trace(**kwargs):
+def ball_trace(schedule=EpsilonSchedule.harmonic(0.1, 1.0), **kwargs):
     opts = SolveOptions(
-        schedule=EpsilonSchedule.harmonic(0.1, 1.0),
+        schedule=schedule,
         record_sublevel_distance=True,
         **kwargs,
     )
@@ -257,7 +257,7 @@ class TestClaimContrast:
         assert "terminated" in report.verdict
 
     def test_zero_shift_baseline_decays_without_terminating(self):
-        trace = ball_trace(baseline_mode="zero_eps", max_iter=50)
+        trace = ball_trace(EpsilonSchedule.constant_for_testing(0.0), max_iter=50)
         report = claim_contrast(trace)
         assert not report.terminated
         assert report.rate.rho < 1.0

@@ -1,6 +1,8 @@
 """Oracle tests: values, bundles, generalized-gradient validity, distances."""
 
 import json
+import math
+import re
 import warnings
 
 import numpy as np
@@ -282,6 +284,16 @@ class TestApproximateConvexity:
             check_approximate_convexity(AXES_MAX, [0.0, 0.0], 0.0, 0.5)
         with pytest.raises(ValueError):
             check_approximate_convexity(AXES_MAX, [0.0, 0.0], 0.1, 0.0)
+
+    @pytest.mark.parametrize("value", ["1", 10**400, True, math.inf, math.nan, 0.0, -1.0],
+                             ids=["str", "10**400", "bool", "inf", "nan", "zero", "negative"])
+    @pytest.mark.parametrize("field", ["delta", "eps_ac"])
+    def test_radius_and_slack_must_be_positive_finite_reals(self, field, value):
+        # A string raised a bare TypeError, 10**400 a bare OverflowError,
+        # True ran as 1, and delta=inf returned -inf after NaN warnings.
+        args = {"delta": 0.1, "eps_ac": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"^{field} "):
+            check_approximate_convexity(AXES_MAX, [0.0, 0.0], pairs=10, **args)
 
     @pytest.mark.parametrize("pairs", [2.5, True])
     def test_pairs_must_be_an_integer(self, pairs):
@@ -593,6 +605,25 @@ class TestSpecSerialization:
             problem_from_dict(BOOLEAN_SPECS["dim-true"])
         with pytest.raises(ValueError, match="'activity_tol'"):
             problem_from_dict(BOOLEAN_SPECS["activity-tol-true"])
+
+    @pytest.mark.parametrize("key, field", [
+        ("ball-radius-true", "params.radius"),
+        ("max-affine-coef-true", "params.pieces[1].coef[1]"),
+        ("max-affine-intercept-false", "params.pieces[0].intercept"),
+        ("quadratic-const-true", "params.pieces[0].const"),
+        ("sip-ball-radius-true", "params.bodies[0].radius"),
+    ])
+    def test_boolean_params_name_the_field(self, key, field):
+        # A bool is an int to NumPy and float(): radius true built the unit
+        # ball, and intercept false an intercept of 0.0.
+        with pytest.raises(ValueError, match=re.escape(f"field '{field}'")):
+            problem_from_dict(BOOLEAN_SPECS[key])
+
+    @pytest.mark.parametrize("name", [7, ["ball"]], ids=["int", "list"])
+    def test_name_must_be_a_string(self, name):
+        # A name of 7 reached every report as "problem": 7.
+        with pytest.raises(ValueError, match="'name'"):
+            problem_from_dict({"name": name, "kind": "ball", "dim": 2})
 
     @pytest.mark.parametrize("spec", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS)
     def test_malformed_params_name_params(self, spec):

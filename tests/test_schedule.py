@@ -1,5 +1,7 @@
 """Shift schedule tests: closed forms, monotonicity, sublinearity witnesses."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,28 @@ def test_harmonic_ratio_nondecreasing():
 def test_constant_kind_is_constant():
     s = EpsilonSchedule.constant_for_testing(0.25)
     assert [eps_at(s, i) for i in (0, 5, 500)] == [0.25, 0.25, 0.25]
+
+
+@pytest.mark.parametrize("eps0", [0.0, -0.0, 0], ids=["zero", "negative-zero", "int-zero"])
+def test_zero_constant_shifts_are_positive_zero(eps0):
+    # The unshifted baseline: every shift is +0.0, so a trace writes "0.0".
+    schedule = EpsilonSchedule.constant_for_testing(eps0)
+    assert parse_schedule("const", eps0) == schedule
+    for i in (0, 1, 1000):
+        shift = eps_at(schedule, i)
+        assert type(shift) is float and shift == 0.0 and math.copysign(1.0, shift) == 1.0
+
+
+@pytest.mark.parametrize("eps0", [0.0, -0.0])
+@pytest.mark.parametrize("kind", ["harmonic", "logarithmic"])
+def test_only_the_constant_kind_takes_zero(kind, eps0):
+    with pytest.raises(ValueError, match="eps0 must be positive and finite"):
+        EpsilonSchedule(kind, eps0)
+
+
+def test_constant_rejects_negative_shifts():
+    with pytest.raises(ValueError, match="eps0 must be nonnegative and finite"):
+        EpsilonSchedule.constant_for_testing(-1e-300)
 
 
 def test_validation():

@@ -36,7 +36,7 @@ from epscut import (
 )
 from epscut import solver, trace_to_csv, trace_to_json
 from epscut.geometry import as_vector
-from epscut.problems import KINDS, Evaluation, supports_sublevel_distance
+from epscut.problems import DEFAULT_J_MAX, KINDS, Evaluation, supports_sublevel_distance
 from conftest import radial_ball_reference
 from test_problems import random_problem
 
@@ -45,6 +45,8 @@ AXES_MAX = MaxAffineProblem([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], activity_tol=0
 # f = max(x+1, -x+1) = |x| + 1 > 0 everywhere; at 0 the two cuts oppose
 # each other exactly, so their intersection is empty.
 OPPOSING = MaxAffineProblem([[1.0], [-1.0]], [1.0, 1.0], activity_tol=0.0)
+# Every shift 0.0: the classical unshifted linearization cut.
+ZERO_SHIFT = EpsilonSchedule.constant_for_testing(0.0)
 
 
 def harmonic_opts(**kwargs) -> SolveOptions:
@@ -179,7 +181,7 @@ class TestZeroShiftBaseline:
     """
 
     def test_never_terminates_over_1000_iterations(self):
-        opts = harmonic_opts(baseline_mode="zero_eps", max_iter=1000)
+        opts = SolveOptions(schedule=ZERO_SHIFT, max_iter=1000)
         trace = solve(BALL, [2.0, 0.0], opts)
         assert trace.status is TerminationStatus.MAX_ITER_EXCEEDED
         assert len(trace.rows) == 1001
@@ -218,8 +220,6 @@ class TestSolveErrors:
             SolveOptions(j_max=0)
         with pytest.raises(ValueError):
             SolveOptions(max_iter=0)
-        with pytest.raises(ValueError):
-            SolveOptions(baseline_mode="both")
         with pytest.raises(ValueError):
             SolveOptions(infeasible_cut_fallback="retry")
 
@@ -365,8 +365,8 @@ class TestCallPoints:
         # the 995 later steps are written without calling any layer, and
         # the last row is evaluated once more to end the run.
         counts = self.count_calls(monkeypatch)
-        opts = harmonic_opts(baseline_mode="zero_eps", max_iter=1000,
-                             record_sublevel_distance=True)
+        opts = SolveOptions(schedule=ZERO_SHIFT, max_iter=1000,
+                            record_sublevel_distance=True)
         trace = solve(BALL, [2.0, 0.0], opts)
         assert trace.status is TerminationStatus.MAX_ITER_EXCEEDED
         assert len(trace.rows) == len(trace.iterates) == 1001
@@ -559,15 +559,14 @@ def assert_lockstep_matches_solve(problem, starts, opts):
 @np.errstate(over="ignore", invalid="ignore")
 def _solve_reference(problem, x0, opts):
     x = as_vector(x0, problem.dim).copy()
-    j_max = 1 if opts.baseline_mode == "single_cut" else opts.j_max
     record_dist = opts.record_sublevel_distance and supports_sublevel_distance(problem)
 
     rows = []
     iterates = [x.copy()]
     for i in range(opts.max_iter + 1):
-        evaluation = solver.evaluate(problem, x, j_max)
+        evaluation = solver.evaluate(problem, x, opts.j_max)
         f_xi = evaluation.value
-        eps_i = solver._shift(opts, i)
+        eps_i = solver.eps_at(opts.schedule, i)
         dist = solver._sublevel_distance(problem, x, eps_i) if record_dist else None
         if f_xi <= 0.0:
             status = TerminationStatus.FEASIBLE_FOUND
@@ -591,6 +590,7 @@ SCHEDULES = {
     "harmonic": EpsilonSchedule.harmonic,
     "const": EpsilonSchedule.constant_for_testing,
     "log": EpsilonSchedule.logarithmic,
+    "zero": lambda eps0: ZERO_SHIFT,
 }
 
 
@@ -603,7 +603,7 @@ class TestStalledRunFill:
     @given(kind=st.sampled_from(KINDS), n=st.sampled_from([1, 2, 3, 6]),
            schedule=st.sampled_from(sorted(SCHEDULES)), eps0=st.sampled_from([0.1, 1e-20]),
            max_iter=st.sampled_from([1, 2, 50, 300]), seed=st.integers(0, 2**32 - 1),
-           baseline_mode=st.sampled_from(solver.BASELINE_MODES),
+           j_max=st.sampled_from([DEFAULT_J_MAX, 1]),
            infeasible_cut_fallback=st.sampled_from(solver.FALLBACK_MODES),
            record_sublevel_distance=st.booleans())
     def test_matches_reference(self, kind, n, schedule, eps0, max_iter, seed, **options):
@@ -625,7 +625,7 @@ class TestStalledRunFill:
         changes = [20, 30, 40, 55, 70]
         shifts = [0.0, -0.0, 0.0, 0, 1e-300, 0.0]
 
-        def shift(opts, i):
+        def shift(schedule, i):
             shift.calls.append(i)
             return shifts[sum(i >= c for c in changes)]
 
@@ -637,7 +637,7 @@ class TestStalledRunFill:
             evaluated.append(len(shift.calls))
             return evaluate(*args)
 
-        monkeypatch.setattr(solver, "_shift", shift)
+        monkeypatch.setattr(solver, "eps_at", shift)
         monkeypatch.setattr(solver, "evaluate", marking)
         opts = SolveOptions(max_iter=100, record_sublevel_distance=True)
         trace = solve(BALL, [2.0, 0.0], opts)
@@ -650,7 +650,6 @@ class TestStalledRunFill:
 
 
 OPTION_CHOICES = dict(
-    baseline_mode=st.sampled_from(solver.BASELINE_MODES),
     infeasible_cut_fallback=st.sampled_from(solver.FALLBACK_MODES),
     record_sublevel_distance=st.booleans(),
 )
@@ -663,7 +662,7 @@ class TestLockstep:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(kind=st.sampled_from(KINDS), n=st.sampled_from([1, 2, 3, 6, 20]),
            j_max=st.sampled_from([1, 3, 8]), seed=st.integers(0, 2**32 - 1),
-           schedule=st.sampled_from(["harmonic", "const"]), **OPTION_CHOICES)
+           schedule=st.sampled_from(["harmonic", "const", "zero"]), **OPTION_CHOICES)
     def test_random_problems(self, kind, n, j_max, seed, schedule, **options):
         # A constant shift of 1e-20 is below the round-off of most cuts, so
         # runs stall and leave the batch for the loop of solve, which fills
@@ -673,8 +672,7 @@ class TestLockstep:
         starts = rng.standard_normal((8, n)) * 10.0 ** rng.uniform(-1.0, 2.0, (8, 1))
         if kind == "shifted_ball_infeasible":
             starts[3] = 0.0
-        schedule = (EpsilonSchedule.harmonic(0.1, 1.0) if schedule == "harmonic"
-                    else EpsilonSchedule.constant_for_testing(1e-20))
+        schedule = SCHEDULES[schedule](0.1 if schedule == "harmonic" else 1e-20)
         opts = SolveOptions(schedule=schedule, max_iter=20, j_max=j_max, **options)
         assert_lockstep_matches_solve(problem, starts, opts)
 
@@ -691,18 +689,19 @@ class TestLockstep:
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(edge=st.sampled_from(EDGE_STARTS), seed=st.integers(0, 2**32 - 1),
-           **OPTION_CHOICES)
-    def test_batches_mixing_error_statuses(self, edge, seed, **options):
+           schedule=st.sampled_from(["harmonic", "zero"]),
+           j_max=st.sampled_from([DEFAULT_J_MAX, 1]), **OPTION_CHOICES)
+    def test_batches_mixing_error_statuses(self, edge, seed, schedule, j_max, **options):
         status, problem, edge_starts = edge
         rng = np.random.default_rng(seed)
         starts = list(rng.uniform(-3.0, 3.0, (6, problem.dim)))
         for x0 in edge_starts:
             starts.insert(int(rng.integers(0, len(starts) + 1)), np.array(x0))
-        opts = harmonic_opts(max_iter=15, **options)
+        opts = SolveOptions(schedule=SCHEDULES[schedule](0.1), max_iter=15, j_max=j_max,
+                            **options)
         traces = assert_lockstep_matches_solve(problem, starts, opts)
         if status is not TerminationStatus.INFEASIBLE_CUTS or (
-            options["infeasible_cut_fallback"] == "fail"
-            and options["baseline_mode"] != "single_cut"
+            options["infeasible_cut_fallback"] == "fail" and j_max != 1
         ):
             assert sum(t.status is status for t in traces) >= len(edge_starts)
 
@@ -722,7 +721,7 @@ class TestLockstep:
         # in the batch took one oracle call per round, 1,001 in all.
         ball = BallProblem([0.0, 0.0], 1.0)
         starts = [[2.0, 0.0], [-3.0, 0.2], [-1.5, 1.5], [0.5, -2.0]]
-        opts = harmonic_opts(baseline_mode="zero_eps", max_iter=1000)
+        opts = SolveOptions(schedule=ZERO_SHIFT, max_iter=1000)
         traces = assert_lockstep_matches_solve(ball, starts, opts)
         assert all(t.status is TerminationStatus.MAX_ITER_EXCEEDED for t in traces)
 
