@@ -44,7 +44,6 @@ from .problems import (
     MaxAffineProblem,
     MaxQuadraticsProblem,
     Problem,
-    QuadraticPiece,
     ShiftedBallProblem,
     SipDistanceProblem,
     check_approximate_convexity,

@@ -122,7 +122,8 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="epscut", description=__doc__)
+    parser = _Parser(prog="epscut", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("solve", "run the solver and emit its trace"),
@@ -256,10 +257,14 @@ def cmd_compare(args) -> int:
     problem = _load_problem(args.problem)
     x0 = _resolve_x0(args, problem)
     record = supports_sublevel_distance(problem)
-    traces = {"main": solve(problem, x0, _build_options(args, record))}
-    # Each variant is the run of the flags with its own baseline, not --baseline.
-    for baseline in ("zero_eps", "single_cut"):
-        traces[baseline] = solve(problem, x0, _build_options(args, record, baseline))
+    # Each variant is the run of the flags with its own baseline, not
+    # --baseline. Runs are deterministic, so equal options share one trace.
+    runs, traces = {}, {}
+    for name in ("main", "zero_eps", "single_cut"):
+        opts = _build_options(args, record, None if name == "main" else name)
+        if opts not in runs:
+            runs[opts] = solve(problem, x0, opts)
+        traces[name] = runs[opts]
 
     report = {
         "problem": problem.name,

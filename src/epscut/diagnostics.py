@@ -124,19 +124,8 @@ class ContrastReport:
     verdict: str
 
     def to_dict(self) -> dict:
-        return {
-            "rate": {
-                "rho": self.rate.rho,
-                "r2": self.rate.r2,
-                "n_points": self.rate.n_points,
-            },
-            "dist": self.dist,
-            "eps_over_dist": self.eps_over_dist,
-            "l_hat": self.l_hat,
-            "terminated": self.terminated,
-            "termination_index": self.termination_index,
-            "verdict": self.verdict,
-        }
+        """The fields in order, with ``rate`` as a dict too."""
+        return {**vars(self), "rate": dict(vars(self.rate))}
 
 
 def claim_contrast(trace: SolveTrace) -> ContrastReport:

@@ -39,12 +39,14 @@ them, and ``_params()`` returns the params that rebuild the problem. One
 registry maps each kind to its class. ``KINDS`` lists the kinds in its
 order, and ``problem_from_dict`` and ``problem_to_dict`` dispatch through it.
 A count (``dim``, ``j_max``, ``pairs``) is checked by ``check_count`` and
-``activity_tol`` by ``as_float``, both from ``geometry``.
+every real scalar (``activity_tol``, a radius, an offset, a constant, a
+shift) by ``as_float``, both from ``geometry``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -155,15 +157,16 @@ class BallProblem(Problem):
     def __init__(self, center=(0.0, 0.0), radius: float = 1.0,
                  activity_tol: float | None = None, name: str | None = None):
         center = as_vector(center)
+        radius = as_float("radius", radius)
         if not 0.0 < radius < math.inf:
             raise ValueError("radius must be positive and finite")
         # f and the sublevel distance square the radius as a Python float,
         # which raises OverflowError where the square is not finite.
-        if float(radius) * float(radius) == math.inf:
+        if radius * radius == math.inf:
             raise ValueError("radius squared must be finite (radius below about 1.34e154)")
         super().__init__(center.size, activity_tol, name)
         self.center = center
-        self.radius = float(radius)
+        self.radius = radius
 
     @classmethod
     def _from_params(cls, params, dim, activity_tol, name):
@@ -215,6 +218,8 @@ class MaxAffineProblem(Problem):
         intercepts = np.atleast_1d(np.asarray(intercepts, dtype=float))
         if coefs.shape[0] != intercepts.size:
             raise ValueError("coefs and intercepts must have matching length")
+        if not intercepts.size:
+            raise ValueError("at least one piece is required")
         if not (np.isfinite(coefs).all() and np.isfinite(intercepts).all()):
             raise ValueError("coefs and intercepts must be finite")
         super().__init__(coefs.shape[1], activity_tol, name)
@@ -240,61 +245,44 @@ class MaxAffineProblem(Problem):
         return np.broadcast_to(self.coefs, X.shape[:-1] + self.coefs.shape)
 
 
-@dataclass(frozen=True)
-class QuadraticPiece:
-    """One piece x'Qx + <b, x> + c with Q stored symmetrized."""
-
-    quad: np.ndarray
-    lin: np.ndarray
-    const: float
-
-    def __post_init__(self):
-        q = np.atleast_2d(np.asarray(self.quad, dtype=float))
-        lin = as_vector(self.lin)
-        if q.shape != (lin.size, lin.size):
-            raise ValueError("quadratic matrix shape must match the linear term")
-        const = float(self.const)
-        # A non-finite entry leaves its symmetrized entry non-finite too.
-        with np.errstate(over="ignore", invalid="ignore"):
-            quad = 0.5 * (q + q.T)
-        if not (np.isfinite(quad).all() and math.isfinite(const)):
-            raise ValueError("symmetrized quadratic matrix and constant must be finite")
-        object.__setattr__(self, "quad", quad)
-        object.__setattr__(self, "lin", lin)
-        object.__setattr__(self, "const", const)
-
-
 class MaxQuadraticsProblem(Problem):
-    """f(x) = max over quadratic pieces; pieces may be nonconvex.
+    """f(x) = max over quadratic pieces x'Qx + <b, x> + c; pieces may be nonconvex.
 
-    The pieces are stacked into ``quads`` (k, n, n), ``lins`` (k, n) and
-    ``consts`` (k,).
+    ``pieces`` are ``(quad, lin, const)`` triples, stacked into ``quads``
+    (k, n, n), each stored symmetrized, ``lins`` (k, n) and ``consts`` (k,).
     """
 
     kind = "max_quadratics"
 
     def __init__(self, pieces, activity_tol: float | None = None,
                  name: str | None = None):
-        pieces = [
-            p if isinstance(p, QuadraticPiece) else QuadraticPiece(*p)
-            for p in pieces
-        ]
+        pieces = list(pieces)
         if not pieces:
             raise ValueError("at least one quadratic piece is required")
-        dim = pieces[0].lin.size
-        for p in pieces:
-            if p.lin.size != dim:
-                raise ValueError("all pieces must share one dimension")
+        quads, lins, consts = zip(*pieces, strict=True)
+        lins = [as_vector(b) for b in lins]
+        dim = lins[0].size
+        if any(b.size != dim for b in lins):
+            raise ValueError("all pieces must share one dimension")
+        quads = [np.atleast_2d(np.asarray(q, dtype=float)) for q in quads]
+        if any(q.shape != (dim, dim) for q in quads):
+            raise ValueError("quadratic matrix shape must match the linear term")
+        quads = np.array(quads)
+        consts = np.array([as_float("quadratic piece const", c) for c in consts])
+        # A non-finite entry leaves its symmetrized entry non-finite too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            quads = 0.5 * (quads + quads.swapaxes(-1, -2))
+        if not (np.isfinite(quads).all() and np.isfinite(consts).all()):
+            raise ValueError("symmetrized quadratic matrix and constant must be finite")
         super().__init__(dim, activity_tol, name)
-        self.quads = np.array([p.quad for p in pieces])
-        self.lins = np.array([p.lin for p in pieces])
-        self.consts = np.array([p.const for p in pieces])
+        self.quads = quads
+        self.lins = np.array(lins)
+        self.consts = consts
 
     @classmethod
     def _from_params(cls, params, dim, activity_tol, name):
         pieces = [
-            QuadraticPiece(p.get("quad", np.zeros((dim, dim))), p.get("lin", np.zeros(dim)),
-                           p.get("const", 0.0))
+            (p.get("quad", np.zeros((dim, dim))), p.get("lin", np.zeros(dim)), p.get("const", 0.0))
             for p in _nonempty(params, "pieces")
         ]
         return cls(pieces, activity_tol, name)
@@ -320,11 +308,12 @@ class BallBody:
     radius: float
 
     def __post_init__(self):
-        c = as_vector(self.center)
-        if not 0.0 < self.radius < math.inf:
+        center = as_vector(self.center)
+        radius = as_float("ball radius", self.radius)
+        if not 0.0 < radius < math.inf:
             raise ValueError("ball radius must be positive and finite")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
 
     @property
     def dim(self) -> int:
@@ -356,7 +345,7 @@ class HalfspaceBody:
         norm = float(np.linalg.norm(a))
         if not 0.0 < norm < math.inf:
             raise ValueError("halfspace normal must be nonzero with a finite length")
-        offset = float(self.offset)
+        offset = as_float("halfspace offset", self.offset)
         if not math.isfinite(offset):
             raise ValueError("halfspace offset must be finite")
         object.__setattr__(self, "normal", a)
@@ -522,11 +511,12 @@ def exact_sublevel_distance(problem: Problem, x, eps: float):
     a stack an array whose every entry has the bits its point gets alone.
     Ball instances reduce to a concentric-ball distance in closed form;
     max-affine instances to one polyhedral projection per point, onto cuts
-    built once. Raises ValueError for a negative or NaN eps or a non-finite
-    point, DimensionMismatchError for points of the wrong dimension,
-    NotAvailableError for other kinds and SublevelEmptyError when the
-    shifted set is empty.
+    built once. Raises ValueError for an eps that is not a nonnegative real
+    number (``as_float``) or a non-finite point, DimensionMismatchError for
+    points of the wrong dimension, NotAvailableError for other kinds and
+    SublevelEmptyError when the shifted set is empty.
     """
+    eps = as_float("eps", eps)
     if not eps >= 0.0:
         raise ValueError("eps must be nonnegative")
     X = as_points(x, problem.dim)
@@ -572,8 +562,8 @@ def nonconvex_default_problem(activity_tol: float | None = None) -> MaxQuadratic
     The feasible region {x2 <= x1^2, ||x|| <= 2} is nonconvex; f is a
     maximum of two smooth pieces.
     """
-    below_parabola = QuadraticPiece([[-1.0, 0.0], [0.0, 0.0]], [0.0, 1.0], 0.0)
-    inside_disk = QuadraticPiece(np.eye(2), [0.0, 0.0], -4.0)
+    below_parabola = ([[-1.0, 0.0], [0.0, 0.0]], [0.0, 1.0], 0.0)
+    inside_disk = (np.eye(2), [0.0, 0.0], -4.0)
     return MaxQuadraticsProblem(
         [below_parabola, inside_disk],
         activity_tol=activity_tol,
@@ -587,24 +577,34 @@ def nonconvex_default_boundary() -> np.ndarray:
     return np.array([math.sqrt(t), t])
 
 
-def _bool_fields(value, path: str):
-    """The paths of the JSON true and false values in ``value``, such as
-    ``params.pieces[0].intercept``."""
+# The one place where a spec's params hold a string: a SIP body's kind.
+_STRING_FIELD = re.compile(r"params\.bodies\[\d+\]\.type")
+
+
+def _non_numbers(value, path: str):
+    """The paths of the JSON true, false and string values in ``value``, such
+    as ``params.pieces[0].intercept``, each with "boolean" or "string",
+    except a SIP body's ``type``."""
     if isinstance(value, bool):
-        yield path
+        yield path, "boolean"
+    elif isinstance(value, str):
+        if not _STRING_FIELD.fullmatch(path):
+            yield path, "string"
     elif isinstance(value, dict):
         for key, item in value.items():
-            yield from _bool_fields(item, f"{path}.{key}")
+            yield from _non_numbers(item, f"{path}.{key}")
     elif isinstance(value, list):
         for k, item in enumerate(value):
-            yield from _bool_fields(item, f"{path}[{k}]")
+            yield from _non_numbers(item, f"{path}[{k}]")
 
 
 def problem_from_dict(spec: dict) -> Problem:
     """Build a problem from its JSON description.
 
     Schema: {"name": str?, "kind": str, "dim": int, "params": {...},
-    "activity_tol": float?}. Raises ValueError naming the offending field.
+    "activity_tol": float?}. Every entry of ``params`` is a number, or a
+    list or object of them, except a SIP body's ``type`` string. Raises
+    ValueError naming the offending field.
     """
     if not isinstance(spec, dict):
         raise ValueError("problem spec: expected a JSON object")
@@ -619,10 +619,10 @@ def problem_from_dict(spec: dict) -> Problem:
     name = spec.get("name")
     if name is not None and not isinstance(name, str):
         raise ValueError(f"problem spec field 'name': expected a string, got {name!r}")
-    # NumPy and float() read true as 1.0 and false as 0.0.
-    flag = next(_bool_fields(params, "params"), None)
-    if flag is not None:
-        raise ValueError(f"problem spec field {flag!r}: expected a number, got a boolean")
+    # NumPy and float() read true as 1.0, false as 0.0 and "1" as 1.0.
+    wrong = next(_non_numbers(params, "params"), None)
+    if wrong is not None:
+        raise ValueError("problem spec field {!r}: expected a number, got a {}".format(*wrong))
     # The problem's constructor checks the range of activity_tol.
     activity_tol = spec.get("activity_tol")
     if activity_tol is not None:

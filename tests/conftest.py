@@ -108,12 +108,7 @@ def radial_ball_reference(t0, eps0, max_iter=1000):
 MALFORMED_SPECS = {
     "pieces-of-numbers": {"kind": "max_affine", "dim": 2, "params": {"pieces": [1]}},
     "pieces-object": {"kind": "max_affine", "dim": 2, "params": {"pieces": {"a": 1}}},
-    "radius-string": {"kind": "ball", "dim": 2, "params": {"radius": "1"}},
     "bodies-of-numbers": {"kind": "sip_distance", "dim": 2, "params": {"bodies": [3]}},
-    "body-radius-string": {
-        "kind": "sip_distance", "dim": 2,
-        "params": {"bodies": [{"type": "ball", "center": [0.0, 0.0], "radius": "2"}]},
-    },
     "intercept-huge-int": {
         "kind": "max_affine", "dim": 1,
         "params": {"pieces": [{"coef": [1.0], "intercept": 10**400}]},
@@ -143,6 +138,36 @@ BOOLEAN_SPECS = {
         "kind": "sip_distance", "dim": 1,
         "params": {"bodies": [{"type": "ball", "center": [0.0], "radius": True}]},
     },
+}
+
+# A string where a spec wants a number, each with the params path that
+# problem_from_dict names. NumPy and float() read "1" as 1.0: the center,
+# coef, intercept, const and offset strings built a problem, and the two
+# radius strings raised TypeError.
+STRING_SPECS = {
+    "ball-center-string": (
+        {"kind": "ball", "dim": 2, "params": {"center": ["0", "0"]}}, "params.center[0]"),
+    "radius-string": ({"kind": "ball", "dim": 2, "params": {"radius": "1"}}, "params.radius"),
+    "max-affine-coef-string": (
+        {"kind": "max_affine", "dim": 2, "params": {"pieces": [{"coef": [1.0, "0"]}]}},
+        "params.pieces[0].coef[1]"),
+    "max-affine-intercept-string": (
+        {"kind": "max_affine", "dim": 1,
+         "params": {"pieces": [{"coef": [1.0]}, {"coef": [-1.0], "intercept": "0"}]}},
+        "params.pieces[1].intercept"),
+    "quadratic-const-string": (
+        {"kind": "max_quadratics", "dim": 1,
+         "params": {"pieces": [{"quad": [[1.0]], "lin": [0.0], "const": "-1"}]}},
+        "params.pieces[0].const"),
+    "body-radius-string": (
+        {"kind": "sip_distance", "dim": 2,
+         "params": {"bodies": [{"type": "ball", "center": [0.0, 0.0], "radius": "2"}]}},
+        "params.bodies[0].radius"),
+    "halfspace-offset-string": (
+        {"kind": "sip_distance", "dim": 2,
+         "params": {"bodies": [{"type": "ball", "center": [0.0, 0.0], "radius": 2.0},
+                               {"type": "halfspace", "normal": [1.0, 0.0], "offset": "1"}]}},
+        "params.bodies[1].offset"),
 }
 
 

@@ -37,7 +37,7 @@ from epscut.problems import (
     nonconvex_default_problem,
 )
 from epscut.traceio import CSV_COLUMNS, write_text_atomic
-from conftest import BOOLEAN_SPECS, MALFORMED_SPECS
+from conftest import BOOLEAN_SPECS, MALFORMED_SPECS, STRING_SPECS
 
 BALL = BallProblem([0.0, 0.0], 1.0)
 
@@ -236,6 +236,14 @@ def test_default_flags_build_default_options(command):
     assert _build_options(args) == SolveOptions()
 
 
+def test_help_prints_the_description_as_written():
+    # argparse's default formatter reflowed the exit-code table and the
+    # Baselines block into run-on paragraphs.
+    help_text = cli._PARSER.format_help()
+    assert cli.__doc__.strip() in help_text
+    assert "\n  2  iteration budget exhausted\n" in help_text
+
+
 def assert_config_error(code, capsys):
     """Exit 1 with a single ``error:`` line on stderr and nothing on stdout."""
     assert code == 1
@@ -342,6 +350,14 @@ class TestCmdSolve:
         path.write_text(json.dumps(spec))
         assert_config_error(main(["solve", "--problem", str(path), "--x0-random", "1:1"]),
                             capsys)
+
+    @pytest.mark.parametrize("spec, field", STRING_SPECS.values(), ids=STRING_SPECS)
+    def test_string_spec_field_exit_one(self, tmp_path, spec, field, capsys):
+        path = tmp_path / "string.json"
+        path.write_text(json.dumps(spec))
+        assert main(["solve", "--problem", str(path), "--x0-random", "1:1"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: problem spec field '{field}': expected a number, got a string\n")
 
     def test_random_start_of_huge_dim_exit_one(self, tmp_path, capsys):
         # NumPy rejects the shape before it allocates anything.
@@ -546,6 +562,28 @@ class TestCmdCompare:
                                   variants("--j-max", "1"))
         assert single["zero_eps"] == plain["zero_eps"] != one_cut["zero_eps"]
         assert single["main"] == single["single_cut"] == plain["single_cut"] != plain["main"]
+
+    @pytest.mark.parametrize("flags, solves", [
+        ([], 3),
+        (["--baseline", "zero_eps"], 2),
+        (["--baseline", "single_cut"], 2),
+        (["--j-max", "1"], 2),
+        (["--schedule", "const", "--eps0", "0"], 2),
+    ], ids=["plain", "zero-eps", "single-cut", "j-max-1", "const-0"])
+    def test_each_distinct_configuration_is_solved_once(self, ball_file, monkeypatch, capsys,
+                                                        flags, solves):
+        # Each of the four flag sets made 3 solve calls, one of them a
+        # repeat of another run's options.
+        calls = []
+
+        def counted(problem, x0, opts):
+            calls.append(opts)
+            return solve(problem, x0, opts)
+
+        monkeypatch.setattr(cli, "solve", counted)
+        main(["compare", "--problem", ball_file, "--x0", "2,0", *flags])
+        assert len(calls) == len(set(calls)) == solves
+        assert capsys.readouterr().out.count("\n") == 3
 
     def test_baseline_failure_recorded_not_fatal(self, tmp_path):
         path = write_problem(tmp_path, ShiftedBallProblem(2))

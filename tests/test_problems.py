@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import BOOLEAN_SPECS, MALFORMED_SPECS
+from conftest import BOOLEAN_SPECS, MALFORMED_SPECS, STRING_SPECS
 from epscut.problems import KINDS, Evaluation
 from epscut import (
     BallBody,
@@ -23,7 +23,6 @@ from epscut import (
     MaxQuadraticsProblem,
     NotAvailableError,
     Problem,
-    QuadraticPiece,
     ShiftedBallProblem,
     SipDistanceProblem,
     SublevelEmptyError,
@@ -342,7 +341,7 @@ class TestFiniteProblemData:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="symmetrized"):
-                QuadraticPiece([[0.0, 1.7e308], [1.7e308, 0.0]], [0.0, 0.0], 0.0)
+                MaxQuadraticsProblem([([[0.0, 1.7e308], [1.7e308, 0.0]], [0.0, 0.0], 0.0)])
 
     def test_spec_rejects_non_finite(self):
         spec = problem_to_dict(MaxAffineProblem([[1.0, 0.0]], [0.0]))
@@ -377,6 +376,45 @@ class TestArgumentTypes:
     def test_activity_tol_is_stored_as_a_float(self):
         for tol in (1, np.float64(0.5)):
             assert type(ShiftedBallProblem(2, activity_tol=tol).activity_tol) is float
+
+    @pytest.mark.parametrize("value", ["1", True, 10**400], ids=["string", "bool", "huge-int"])
+    @pytest.mark.parametrize("argument, build", [
+        ("radius", lambda v: BallProblem([0.0, 0.0], v)),
+        ("ball radius", lambda v: BallBody([0.0, 0.0], v)),
+        ("halfspace offset", lambda v: HalfspaceBody([1.0, 0.0], v)),
+        ("quadratic piece const", lambda v: MaxQuadraticsProblem([(np.eye(2), [0.0, 0.0], v)])),
+        ("eps", lambda v: exact_sublevel_distance(BallProblem(), [2.0, 0.0], v)),
+    ], ids=["ball", "ball-body", "halfspace-body", "quadratic-const", "sublevel-eps"])
+    def test_scalars_must_be_real_numbers(self, argument, build, value):
+        # The two radii and eps raised a bare TypeError for "1"; True built
+        # the unit ball, and the offset and const took "1" and True as 1.0.
+        with pytest.raises(ValueError, match=f"^{argument} "):
+            build(value)
+
+    def test_scalars_are_stored_as_floats(self):
+        assert type(BallProblem([0.0, 0.0], np.float64(2.0)).radius) is float
+        assert type(BallBody([0.0, 0.0], 2).radius) is float
+        assert type(HalfspaceBody([1.0, 0.0], np.int64(1)).offset) is float
+
+    @pytest.mark.parametrize("build", [
+        lambda: MaxAffineProblem(np.zeros((0, 2)), []),
+        lambda: MaxQuadraticsProblem([]),
+        lambda: SipDistanceProblem([]),
+    ], ids=["max-affine", "max-quadratics", "sip-distance"])
+    def test_a_maximum_needs_a_piece(self, build):
+        # A max-affine problem without pieces was built, and then evaluate,
+        # value and solve raised NumPy's bare "zero-size array" ValueError.
+        with pytest.raises(ValueError, match="^at least one "):
+            build()
+
+    @pytest.mark.parametrize("pieces", [
+        [(np.eye(2), [0.0, 0.0])],
+        [(np.eye(2), [0.0, 0.0], 0.0, 1.0)],
+        [(np.eye(2), [0.0, 0.0], 0.0), (np.eye(2), [0.0, 0.0], 0.0, 1.0)],
+    ], ids=["pair", "four", "mixed"])
+    def test_quadratic_pieces_are_triples(self, pieces):
+        with pytest.raises(ValueError):
+            MaxQuadraticsProblem(pieces)
 
 
 class TestSublevelDistance:
@@ -618,6 +656,22 @@ class TestSpecSerialization:
         # ball, and intercept false an intercept of 0.0.
         with pytest.raises(ValueError, match=re.escape(f"field '{field}'")):
             problem_from_dict(BOOLEAN_SPECS[key])
+
+    @pytest.mark.parametrize("spec, field", STRING_SPECS.values(), ids=STRING_SPECS)
+    def test_string_params_name_the_field(self, spec, field):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"field '{field}': expected a number, got a string")):
+            problem_from_dict(spec)
+
+    def test_a_sip_body_type_is_the_one_string(self):
+        spec = problem_to_dict(SipDistanceProblem([HalfspaceBody([1.0, 0.0], 0.0)]))
+        assert problem_from_dict(spec).kind == "sip_distance"
+        spec["params"]["bodies"][0]["normal"][0] = "1"
+        with pytest.raises(ValueError, match=re.escape("'params.bodies[0].normal[0]'")):
+            problem_from_dict(spec)
+        spec = {"kind": "ball", "dim": 1, "params": {"center": [0.0], "type": "ball"}}
+        with pytest.raises(ValueError, match=re.escape("'params.type'")):
+            problem_from_dict(spec)
 
     @pytest.mark.parametrize("name", [7, ["ball"]], ids=["int", "list"])
     def test_name_must_be_a_string(self, name):
