@@ -259,7 +259,10 @@ class MaxQuadraticsProblem(Problem):
         pieces = list(pieces)
         if not pieces:
             raise ValueError("at least one quadratic piece is required")
-        quads, lins, consts = zip(*pieces, strict=True)
+        try:
+            quads, lins, consts = zip(*pieces, strict=True)
+        except (TypeError, ValueError):
+            raise ValueError("each quadratic piece must be a (quad, lin, const) triple") from None
         lins = [as_vector(b) for b in lins]
         dim = lins[0].size
         if any(b.size != dim for b in lins):
@@ -582,14 +585,23 @@ _STRING_FIELD = re.compile(r"params\.bodies\[\d+\]\.type")
 
 
 def _non_numbers(value, path: str):
-    """The paths of the JSON true, false and string values in ``value``, such
-    as ``params.pieces[0].intercept``, each with "boolean" or "string",
-    except a SIP body's ``type``."""
+    """The paths of the values in ``value`` that stand where a number must,
+    such as ``params.pieces[0].intercept``, each with what it is instead: a
+    JSON true, false, string or null, or an integer too large for a float.
+    A SIP body's ``type`` is left to the body's own check."""
+    if _STRING_FIELD.fullmatch(path):
+        return
     if isinstance(value, bool):
-        yield path, "boolean"
+        yield path, "a boolean"
     elif isinstance(value, str):
-        if not _STRING_FIELD.fullmatch(path):
-            yield path, "string"
+        yield path, "a string"
+    elif value is None:
+        yield path, "null"
+    elif isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            yield path, "an integer too large for a float"
     elif isinstance(value, dict):
         for key, item in value.items():
             yield from _non_numbers(item, f"{path}.{key}")
@@ -602,9 +614,9 @@ def problem_from_dict(spec: dict) -> Problem:
     """Build a problem from its JSON description.
 
     Schema: {"name": str?, "kind": str, "dim": int, "params": {...},
-    "activity_tol": float?}. Every entry of ``params`` is a number, or a
-    list or object of them, except a SIP body's ``type`` string. Raises
-    ValueError naming the offending field.
+    "activity_tol": float?}. Every entry of ``params`` is a number that a
+    float can hold, or a list or object of them, except a SIP body's
+    ``type`` string. Raises ValueError naming the offending field.
     """
     if not isinstance(spec, dict):
         raise ValueError("problem spec: expected a JSON object")
@@ -619,10 +631,11 @@ def problem_from_dict(spec: dict) -> Problem:
     name = spec.get("name")
     if name is not None and not isinstance(name, str):
         raise ValueError(f"problem spec field 'name': expected a string, got {name!r}")
-    # NumPy and float() read true as 1.0, false as 0.0 and "1" as 1.0.
+    # NumPy and float() read true as 1.0, false as 0.0 and "1" as 1.0, and
+    # a null or a huge integer fails deep inside a constructor.
     wrong = next(_non_numbers(params, "params"), None)
     if wrong is not None:
-        raise ValueError("problem spec field {!r}: expected a number, got a {}".format(*wrong))
+        raise ValueError("problem spec field {!r}: expected a number, got {}".format(*wrong))
     # The problem's constructor checks the range of activity_tol.
     activity_tol = spec.get("activity_tol")
     if activity_tol is not None:

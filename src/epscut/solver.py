@@ -25,23 +25,24 @@ evaluates the oracle once for every start in the batch and makes all those
 moves at once, in closed form (``geometry.project_one_cut``). A start whose
 step is anything else (more cuts, a point inside its cut, a cut that cannot
 be built) leaves the batch, and the loop of ``solve`` continues its run
-from that iteration, stall fill included. Both give the same trace from a
+from that iteration, stall fill included. That loop makes a one-cut step
+with the same closed form on one point, so both give the same trace from a
 start, byte for byte, because the oracles round a batch exactly as its
 points.
 
 Inputs are checked where they enter. The public functions (``evaluate``,
 ``build_cuts``, ``project_polyhedron``, ``CutPolyhedron``, ...) check their
 arguments; ``solve`` checks x0 once, and ``SolveOptions`` checks itself when
-it is made. Each later iterate is a projection point, which the kernel
-returns finite, so the loop checks no iterate again. What the oracle
-returns is checked once per step, by ``build_cuts``: it builds its cuts
-through the ``CutPolyhedron`` constructor, whose checks of f(x_i), the cut
-offsets and the lengths of the cut normals are the step's only finiteness
-checks. A closed-form step of ``solve_multistart`` makes the same checks on
-its cut and hands a run that fails them to the loop of ``solve``, which
-reports it.
-The loops run with NumPy's overflow and invalid-operation warnings off,
-since the status already reports what they would.
+it is made. Each later iterate is a projection point, which the kernel and
+the closed form return finite, so the loop checks no iterate again. What
+the oracle returns is checked once per step. A closed form counts as
+settled only where ``CutPolyhedron`` would accept its cut; any other step
+goes through ``build_cuts``, which builds its cuts through the
+``CutPolyhedron`` constructor, whose checks of f(x_i), the cut offsets and
+the lengths of the cut normals are the step's only finiteness checks, and
+reports a cut that fails them.
+The loops run with NumPy's overflow, invalid-operation and division
+warnings off, since the status already reports what they would.
 """
 
 from __future__ import annotations
@@ -183,30 +184,38 @@ def _sublevel_distance(problem: Problem, x, eps: float) -> float | None:
 def _step(x, evaluation: Evaluation, eps: float, fallback: str):
     """One step from x: the cuts of its bundle, projected.
 
-    Returns ``(None, result)``, or ``(status, None)`` when the step cannot be
-    computed. When the cuts have an empty intersection, the fallback
-    ``first_cut_only`` projects onto the first cut alone. Each layer is
-    called through its name in this module.
+    Returns ``(None, point, active)``, where ``active`` counts the cuts
+    active at the point (0 when x lay inside its cuts and is handed back
+    unmoved), or ``(status, None, 0)`` when the step cannot be computed. A
+    one-cut bundle is projected in closed form (``project_one_cut``, the
+    lockstep round's step), with the offset ``build_cuts`` would give it.
+    Where that form is not settled, and for a bundle of any other size,
+    ``build_cuts`` and ``project_polyhedron`` make the step, and their
+    checks decide its status. When the cuts have an empty intersection, the
+    fallback ``first_cut_only`` steps again on the bundle's first row alone.
+    Each layer is called through its name in this module.
     """
+    G = evaluation.bundle
+    if len(G) == 1:
+        point, settled = project_one_cut(x, G[0], np.vecdot(G[0], x) - evaluation.value - eps)
+        if settled:
+            return None, point, 1
     try:
-        poly = build_cuts(x, evaluation, eps)
-        try:
-            return None, project_polyhedron(x, poly)
-        except InfeasiblePolyhedronError:
-            if fallback == "fail":
-                raise
-            first = CutPolyhedron(poly.normals[:1], poly.offsets[:1])
-            return None, project_polyhedron(x, first)
-    except ZeroSubgradientError:
-        return TerminationStatus.ZERO_SUBGRADIENT, None
+        result = project_polyhedron(x, build_cuts(x, evaluation, eps))
+        return None, result.point, len(result.active_set)
     except InfeasiblePolyhedronError:
-        return TerminationStatus.INFEASIBLE_CUTS, None
+        # One cut is never empty, so the fallback re-enters only once.
+        if fallback == "fail" or len(G) == 1:
+            return TerminationStatus.INFEASIBLE_CUTS, None, 0
+        return _step(x, evaluation._replace(bundle=G[:1]), eps, fallback)
+    except ZeroSubgradientError:
+        return TerminationStatus.ZERO_SUBGRADIENT, None, 0
     except ValueError:
         # build_cuts rejects non-finite cuts, and the empty bundle that only
         # a non-finite f leaves.
-        return TerminationStatus.NONFINITE_STEP, None
+        return TerminationStatus.NONFINITE_STEP, None, 0
     except ProjectionFailedError:
-        return TerminationStatus.PROJECTION_FAILED, None
+        return TerminationStatus.PROJECTION_FAILED, None, 0
 
 
 def _finish(rows, iterates, status, i, eps_i, f_xi, j_i, dist, x) -> SolveTrace:
@@ -257,9 +266,10 @@ def solve(problem: Problem, x0, opts: SolveOptions | None = None) -> SolveTrace:
     return _run(problem, x, 0, [], [x.copy()], opts)
 
 
-# Far from the origin the oracle and the cuts overflow. build_cuts and the
-# kernel turn that into a status, so NumPy need not warn about it.
-@np.errstate(over="ignore", invalid="ignore")
+# Far from the origin the oracle and the cuts overflow, and the closed-form
+# step divides by a zero-length cut before build_cuts rejects it. The status
+# reports all of these, so NumPy need not warn about them.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run(problem: Problem, x, i: int, rows: list[TraceRow], iterates: list[np.ndarray],
          opts: SolveOptions) -> SolveTrace:
     """The loop of ``solve``, from x at iteration i to the end of the run.
@@ -278,18 +288,18 @@ def _run(problem: Problem, x, i: int, rows: list[TraceRow], iterates: list[np.nd
         elif i == opts.max_iter:
             status = TerminationStatus.MAX_ITER_EXCEEDED
         else:
-            status, result = _step(x, evaluation, eps_i, opts.infeasible_cut_fallback)
+            status, point, active = _step(x, evaluation, eps_i, opts.infeasible_cut_fallback)
         if status is not None:
             break
-        step = result.point - x
+        step = point - x
         rows.append(
             TraceRow(i, eps_i, f_xi, len(evaluation.bundle), math.sqrt(step.dot(step)),
-                     dist, len(result.active_set))
+                     dist, active)
         )
-        x = result.point
+        x = point
         iterates.append(x.copy())
         i += 1
-        if result.feasible:
+        if not active:
             # x lay inside its own cuts and came back unmoved, so every later
             # step repeats this one while the shift keeps its bits.
             while i < opts.max_iter and _same_bits(eps_at(opts.schedule, i), eps_i):
@@ -313,13 +323,13 @@ def solve_multistart(
     The runs start in lockstep: one round makes iteration i of every run
     still in the batch. A round evaluates the oracle once on all their
     points and projects each onto its top piece's cut at once, in closed
-    form (``project_one_cut``). A run whose step is that one-cut move, as
-    the kernel would make it, stays in the batch. A run that stops leaves
-    it with its last row. Any other run (a bundle of two or more cuts, cut
-    data that are zero or not finite, a closed form the kernel would not
-    settle, or a point already inside its cut) leaves the batch for good:
-    the loop of ``solve`` continues it from that iteration, stall fill
-    included.
+    form (``project_one_cut``). A run whose step is that settled one-cut
+    move, the step ``solve`` makes from the same point, stays in the batch.
+    A run that stops leaves it with its last row. Any other run (a bundle
+    of two or more cuts, cut data that are zero or not finite, a closed
+    form that is not settled, or a point already inside its cut) leaves the
+    batch for good: the loop of ``solve`` continues it from that iteration,
+    stall fill included.
 
     Per-start failures are already captured inside each trace's status, so a
     bad start never aborts the batch. Every start is checked before the

@@ -102,17 +102,12 @@ def radial_ball_reference(t0, eps0, max_iter=1000):
     return None, t
 
 
-# Problem specs whose params have the wrong types, or an integer too large
-# for a float. Building from them raised TypeError, AttributeError or
-# OverflowError before problem_from_dict named the params.
+# Problem specs whose params have the wrong types. Building from them raised
+# TypeError or AttributeError before problem_from_dict named the params.
 MALFORMED_SPECS = {
     "pieces-of-numbers": {"kind": "max_affine", "dim": 2, "params": {"pieces": [1]}},
     "pieces-object": {"kind": "max_affine", "dim": 2, "params": {"pieces": {"a": 1}}},
     "bodies-of-numbers": {"kind": "sip_distance", "dim": 2, "params": {"bodies": [3]}},
-    "intercept-huge-int": {
-        "kind": "max_affine", "dim": 1,
-        "params": {"pieces": [{"coef": [1.0], "intercept": 10**400}]},
-    },
 }
 
 # JSON true or false where a spec wants a number: a Python bool, which is an
@@ -168,6 +163,40 @@ STRING_SPECS = {
          "params": {"bodies": [{"type": "ball", "center": [0.0, 0.0], "radius": 2.0},
                                {"type": "halfspace", "normal": [1.0, 0.0], "offset": "1"}]}},
         "params.bodies[1].offset"),
+}
+
+# A JSON null, or an integer too large for a float, where a spec wants a
+# number: (spec, the params path problem_from_dict names, what it got). The
+# constructors' messages named the argument but not the path ("radius must
+# be a real number, got None", "vector entries must be finite", "radius is
+# too large for a float"), or no field below params at all.
+NULL_OR_HUGE_SPECS = {
+    "radius-null": (
+        {"kind": "ball", "dim": 2, "params": {"radius": None}}, "params.radius", "null"),
+    "ball-center-null": (
+        {"kind": "ball", "dim": 2, "params": {"center": [0.0, None]}}, "params.center[1]",
+        "null"),
+    "max-affine-intercept-null": (
+        {"kind": "max_affine", "dim": 1,
+         "params": {"pieces": [{"coef": [1.0]}, {"coef": [-1.0], "intercept": None}]}},
+        "params.pieces[1].intercept", "null"),
+    "quadratic-const-null": (
+        {"kind": "max_quadratics", "dim": 1,
+         "params": {"pieces": [{"quad": [[1.0]], "lin": [0.0], "const": None}]}},
+        "params.pieces[0].const", "null"),
+    "pieces-null": ({"kind": "max_affine", "dim": 1, "params": {"pieces": None}},
+                    "params.pieces", "null"),
+    "radius-huge-int": (
+        {"kind": "ball", "dim": 2, "params": {"radius": 10**400}}, "params.radius",
+        "an integer too large for a float"),
+    "intercept-huge-int": (
+        {"kind": "max_affine", "dim": 1,
+         "params": {"pieces": [{"coef": [1.0], "intercept": 10**400}]}},
+        "params.pieces[0].intercept", "an integer too large for a float"),
+    "body-center-huge-int": (
+        {"kind": "sip_distance", "dim": 2,
+         "params": {"bodies": [{"type": "ball", "center": [0.0, -10**400], "radius": 1.0}]}},
+        "params.bodies[0].center[1]", "an integer too large for a float"),
 }
 
 

@@ -37,7 +37,7 @@ from epscut.problems import (
     nonconvex_default_problem,
 )
 from epscut.traceio import CSV_COLUMNS, write_text_atomic
-from conftest import BOOLEAN_SPECS, MALFORMED_SPECS, STRING_SPECS
+from conftest import BOOLEAN_SPECS, MALFORMED_SPECS, NULL_OR_HUGE_SPECS, STRING_SPECS
 
 BALL = BallProblem([0.0, 0.0], 1.0)
 
@@ -358,6 +358,15 @@ class TestCmdSolve:
         assert main(["solve", "--problem", str(path), "--x0-random", "1:1"]) == 1
         assert capsys.readouterr() == (
             "", f"error: problem spec field '{field}': expected a number, got a string\n")
+
+    @pytest.mark.parametrize("spec, field, got", NULL_OR_HUGE_SPECS.values(),
+                             ids=NULL_OR_HUGE_SPECS)
+    def test_null_or_huge_spec_field_exit_one(self, tmp_path, spec, field, got, capsys):
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps(spec))
+        assert main(["solve", "--problem", str(path), "--x0-random", "1:1"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: problem spec field '{field}': expected a number, got {got}\n")
 
     def test_random_start_of_huge_dim_exit_one(self, tmp_path, capsys):
         # NumPy rejects the shape before it allocates anything.

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import BOOLEAN_SPECS, MALFORMED_SPECS, STRING_SPECS
+from conftest import BOOLEAN_SPECS, MALFORMED_SPECS, NULL_OR_HUGE_SPECS, STRING_SPECS
 from epscut.problems import KINDS, Evaluation
 from epscut import (
     BallBody,
@@ -413,7 +413,7 @@ class TestArgumentTypes:
         [(np.eye(2), [0.0, 0.0], 0.0), (np.eye(2), [0.0, 0.0], 0.0, 1.0)],
     ], ids=["pair", "four", "mixed"])
     def test_quadratic_pieces_are_triples(self, pieces):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("a (quad, lin, const) triple")):
             MaxQuadraticsProblem(pieces)
 
 
@@ -663,6 +663,13 @@ class TestSpecSerialization:
                            match=re.escape(f"field '{field}': expected a number, got a string")):
             problem_from_dict(spec)
 
+    @pytest.mark.parametrize("spec, field, got", NULL_OR_HUGE_SPECS.values(),
+                             ids=NULL_OR_HUGE_SPECS)
+    def test_null_or_huge_params_name_the_field(self, spec, field, got):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"field '{field}': expected a number, got {got}")):
+            problem_from_dict(spec)
+
     def test_a_sip_body_type_is_the_one_string(self):
         spec = problem_to_dict(SipDistanceProblem([HalfspaceBody([1.0, 0.0], 0.0)]))
         assert problem_from_dict(spec).kind == "sip_distance"
@@ -672,6 +679,13 @@ class TestSpecSerialization:
         spec = {"kind": "ball", "dim": 1, "params": {"center": [0.0], "type": "ball"}}
         with pytest.raises(ValueError, match=re.escape("'params.type'")):
             problem_from_dict(spec)
+        # A body type that is not a string gets the type's own message.
+        for body_type in (None, True, 1.0):
+            spec = {"kind": "sip_distance", "dim": 1,
+                    "params": {"bodies": [{"type": body_type, "normal": [1.0], "offset": 0.0}]}}
+            with pytest.raises(ValueError, match=re.escape(
+                    f"'params.bodies[].type': expected 'ball' or 'halfspace', got {body_type!r}")):
+                problem_from_dict(spec)
 
     @pytest.mark.parametrize("name", [7, ["ball"]], ids=["int", "list"])
     def test_name_must_be_a_string(self, name):

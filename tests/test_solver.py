@@ -333,7 +333,8 @@ class TestCallPoints:
     call must go through them.
     """
 
-    NAMES = ("evaluate", "build_cuts", "project_polyhedron", "exact_sublevel_distance")
+    NAMES = ("evaluate", "build_cuts", "project_one_cut", "project_polyhedron",
+             "exact_sublevel_distance")
 
     def count_calls(self, monkeypatch) -> collections.Counter:
         counts = collections.Counter()
@@ -351,19 +352,25 @@ class TestCallPoints:
         rows, steps = len(trace.rows), len(trace.rows) - 1
         assert steps == 3
         assert all(row.dist_sublevel is not None for row in trace.rows)
+        # Each step has one cut, projected in closed form.
         assert counts == {"evaluate": rows, "exact_sublevel_distance": rows,
-                          "build_cuts": steps, "project_polyhedron": steps}
+                          "project_one_cut": steps}
 
     def test_fallback_projects_twice(self, monkeypatch):
+        # The two opposing cuts go to the kernel, which finds them empty;
+        # the step on the first cut alone is the closed form.
         counts = self.count_calls(monkeypatch)
         trace = one_step(OPPOSING, [0.0], 0.1)
         assert trace.rows[0].cut_count_active == 1
-        assert counts == {"evaluate": 2, "build_cuts": 1, "project_polyhedron": 2}
+        assert counts == {"evaluate": 2, "build_cuts": 1, "project_polyhedron": 1,
+                          "project_one_cut": 1}
 
     def test_stalled_run_is_filled(self, monkeypatch):
-        # The zero shift stalls from step 5 on: the kernel hands x back, so
-        # the 995 later steps are written without calling any layer, and
-        # the last row is evaluated once more to end the run.
+        # The zero shift stalls from step 5 on. Steps 0-4 are closed forms;
+        # at step 5 x lies inside its cut, so the closed form is not settled
+        # and the kernel hands x back. The 994 later steps are written
+        # without calling any layer, and the last row is evaluated once more
+        # to end the run.
         counts = self.count_calls(monkeypatch)
         opts = SolveOptions(schedule=ZERO_SHIFT, max_iter=1000,
                             record_sublevel_distance=True)
@@ -372,7 +379,7 @@ class TestCallPoints:
         assert len(trace.rows) == len(trace.iterates) == 1001
         assert [row.cut_count_active for row in trace.rows[4:7]] == [1, 0, 0]
         assert counts == {"evaluate": 7, "exact_sublevel_distance": 7,
-                          "build_cuts": 6, "project_polyhedron": 6}
+                          "project_one_cut": 6, "build_cuts": 1, "project_polyhedron": 1}
 
 
 def reference_build_cuts(x, evaluation, eps) -> CutPolyhedron:
@@ -556,7 +563,7 @@ def assert_lockstep_matches_solve(problem, starts, opts):
 # The loop of solve before it filled stalled runs: every iteration
 # evaluates, measures and steps. It calls the layers through the solver
 # module, so a patched name reaches both loops.
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _solve_reference(problem, x0, opts):
     x = as_vector(x0, problem.dim).copy()
     record_dist = opts.record_sublevel_distance and supports_sublevel_distance(problem)
@@ -573,15 +580,16 @@ def _solve_reference(problem, x0, opts):
         elif i == opts.max_iter:
             status = TerminationStatus.MAX_ITER_EXCEEDED
         else:
-            status, result = solver._step(x, evaluation, eps_i, opts.infeasible_cut_fallback)
+            status, point, active = solver._step(x, evaluation, eps_i,
+                                                 opts.infeasible_cut_fallback)
         if status is not None:
             break
-        step = result.point - x
+        step = point - x
         rows.append(
             solver.TraceRow(i, eps_i, f_xi, len(evaluation.bundle), math.sqrt(step.dot(step)),
-                            dist, len(result.active_set))
+                            dist, active)
         )
-        x = result.point
+        x = point
         iterates.append(x.copy())
     return solver._finish(rows, iterates, status, i, eps_i, f_xi, len(evaluation.bundle), dist, x)
 
@@ -755,6 +763,88 @@ class TestNonconvexLocal:
         traces = solve_multistart(problem, starts, harmonic_opts(max_iter=500))
         found = sum(t.status is TerminationStatus.FEASIBLE_FOUND for t in traces)
         assert found >= 19
+
+
+@st.composite
+def interior_ball_instances(draw):
+    """A convex problem, a ball B(z, rho) inside every {f <= -eps_i}, the
+    bound L on its subgradient norms along a run, starts, and a shift.
+
+    A ball has z at its center, and rho = sqrt(r^2 - eps_0). A max-affine
+    problem is built around z with f(z) <= -delta, so that f(y) <= -delta +
+    L ||y - z|| with L = max ||c_j||, and rho = (delta - eps_0) / L. In the
+    orthant case the pieces are s_j (y_j - z_j) - delta, and the first
+    start ties all of them, so that its first bundle has a cut per piece.
+    Both shifts, harmonic and positive constant, stay at or below eps_0 <=
+    delta / 10.
+    """
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["ball", "max_affine", "orthant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.uniform(-2.0, 2.0, n)
+    if kind == "ball":
+        r = rng.uniform(0.5, 3.0)
+        delta = r * r
+        problem = BallProblem(z, r)
+    else:
+        delta = 10.0 ** rng.uniform(-1.0, 1.0)
+        if kind == "orthant":
+            C = np.diag(10.0 ** rng.uniform(-1.0, 1.0, n))
+            margin = 0.0
+        else:
+            k = int(rng.integers(1, 8))
+            C = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-1.0, 1.0, (k, 1))
+            # Half the pieces stay below -delta at z by a random margin.
+            margin = rng.exponential(delta, k) * (rng.random(k) < 0.5)
+        problem = MaxAffineProblem(C, -C @ z - delta - margin)
+        L = float(np.linalg.norm(C, axis=1).max())
+    eps0 = delta * draw(st.floats(1e-3, 0.1))
+    rho = math.sqrt(r * r - eps0) if kind == "ball" else (delta - eps0) / L
+    direction = rng.standard_normal((4, n))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    starts = z + direction * rho * 10.0 ** rng.uniform(0.1, 3.0, (4, 1))
+    if kind == "orthant":
+        starts[0] = z + rho * 10.0 ** rng.uniform(0.1, 3.0) / np.diag(C)
+    if kind == "ball":
+        # ||x_i - z|| never grows, so 2 ||x_0 - z|| bounds each gradient.
+        L = 2.0 * float(np.linalg.norm(starts - z, axis=1).max())
+    schedule = draw(st.sampled_from([EpsilonSchedule.harmonic,
+                                     EpsilonSchedule.constant_for_testing]))
+    return problem, z, rho, L, starts, schedule(eps0)
+
+
+class TestFiniteTermination:
+    """Fukushima's argument, step by step. A cut that contains B(z, rho)
+    makes each projection step of length d_i bring x closer to z:
+    ||x_{i+1} - z||^2 <= ||x_i - z||^2 - d_i^2 - 2 rho d_i. The top piece's
+    cut is violated by at least eps_i / L, so d_i >= eps_i / L, and no run
+    can make N steps with sum_{i<N} eps_i > L ||x_0 - z||^2 / (2 rho).
+
+    Bundles of several cuts keep the default activity tolerance: a large
+    one gives cuts that are not linearizations of f.
+    """
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(instance=interior_ball_instances(), j_max=st.sampled_from([1, DEFAULT_J_MAX]),
+           batched=st.booleans())
+    def test_each_step_approaches_an_interior_ball(self, instance, j_max, batched):
+        problem, z, rho, L, starts, schedule = instance
+        opts = SolveOptions(schedule=schedule, j_max=j_max, max_iter=300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if batched:
+                traces = solve_multistart(problem, starts, opts)
+            else:
+                traces = [solve(problem, starts[0], opts)]
+        for trace in traces:
+            assert trace.status in (TerminationStatus.FEASIBLE_FOUND,
+                                    TerminationStatus.MAX_ITER_EXCEEDED)
+            gaps = [float(np.sum((x - z) ** 2)) for x in trace.iterates]
+            for row, now, after in zip(trace.rows, gaps, gaps[1:]):
+                d = row.step_norm
+                assert after <= now - d * d - 2.0 * rho * d + 1e-12 * now
+            steps = trace.rows[:-1]
+            assert math.fsum(row.eps_i for row in steps) <= L * gaps[0] / (2.0 * rho)
 
 
 # Run in a fresh process in which every import of SciPy fails.
