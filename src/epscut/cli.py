@@ -182,17 +182,18 @@ def _resolve_x0(args, problem: Problem) -> np.ndarray:
         ) from exc
 
 
-def _build_options(args, record_dist: bool | None = None,
+def _build_options(args, record_dist: bool = False,
                    baseline: str | None = None) -> SolveOptions:
     """The options of the flags, checked, then with those of the baseline
-    (by default --baseline's) replaced."""
+    (by default --baseline's) replaced. ``record_dist`` records distances
+    whatever --record-dist says."""
     try:
         opts = SolveOptions(
             j_max=args.j_max,
             max_iter=args.max_iter,
             schedule=parse_schedule(args.schedule, args.eps0),
             infeasible_cut_fallback=args.fallback,
-            record_sublevel_distance=args.record_dist if record_dist is None else record_dist,
+            record_sublevel_distance=args.record_dist or record_dist,
         )
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
@@ -227,13 +228,10 @@ def _decay_rho(trace: SolveTrace) -> float | None:
         return None
 
 
-def _variant_record(trace: SolveTrace) -> dict:
-    return {
-        "status": trace.status.value,
-        "iterations": trace.status_iteration,
-        "final_f": trace.final_f,
-        "decay_rho": _decay_rho(trace),
-    }
+def _outcome(trace: SolveTrace) -> dict:
+    """How a run ended, the keys every report shares."""
+    return {"status": trace.status.value, "iterations": trace.status_iteration,
+            "final_f": trace.final_f}
 
 
 def cmd_solve(args) -> int:
@@ -241,13 +239,8 @@ def cmd_solve(args) -> int:
     x0 = _resolve_x0(args, problem)
     opts = _build_options(args)
     trace = solve(problem, x0, opts)
-    report = {
-        "problem": problem.name,
-        "status": trace.status.value,
-        "iterations": trace.status_iteration,
-        "final_f": trace.final_f,
-        "strict_feasible": trace.strict_feasible,
-    }
+    report = {"problem": problem.name, **_outcome(trace),
+              "strict_feasible": trace.strict_feasible}
     _write_outputs(args, trace, report)
     print(_summary_line(trace))
     return EXIT_CODE_BY_STATUS[trace.status]
@@ -256,12 +249,12 @@ def cmd_solve(args) -> int:
 def cmd_compare(args) -> int:
     problem = _load_problem(args.problem)
     x0 = _resolve_x0(args, problem)
-    record = supports_sublevel_distance(problem)
     # Each variant is the run of the flags with its own baseline, not
     # --baseline. Runs are deterministic, so equal options share one trace.
+    # The solver records distances only where the kind has them.
     runs, traces = {}, {}
     for name in ("main", "zero_eps", "single_cut"):
-        opts = _build_options(args, record, None if name == "main" else name)
+        opts = _build_options(args, True, None if name == "main" else name)
         if opts not in runs:
             runs[opts] = solve(problem, x0, opts)
         traces[name] = runs[opts]
@@ -269,7 +262,8 @@ def cmd_compare(args) -> int:
     report = {
         "problem": problem.name,
         "x0": [float(v) for v in x0],
-        "variants": {name: _variant_record(t) for name, t in traces.items()},
+        "variants": {name: {**_outcome(t), "decay_rho": _decay_rho(t)}
+                     for name, t in traces.items()},
     }
     _write_outputs(args, traces["main"], report)
     for name, trace in traces.items():
@@ -302,14 +296,8 @@ def cmd_diagnose(args) -> int:
         # Unreachable for supported kinds; keep the report honest anyway.
         print(f"diagnose: kappa estimate failed: {exc}", file=sys.stderr)
         kappa_hat = None
-    report = {
-        "problem": problem.name,
-        "status": trace.status.value,
-        "iterations": trace.status_iteration,
-        "final_f": trace.final_f,
-        "kappa_hat": kappa_hat,
-        "contrast": contrast.to_dict(),
-    }
+    report = {"problem": problem.name, **_outcome(trace), "kappa_hat": kappa_hat,
+              "contrast": contrast.to_dict()}
     _write_outputs(args, trace, report)
     print(_summary_line(trace))
     print(contrast.verdict)

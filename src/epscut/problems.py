@@ -41,6 +41,14 @@ order, and ``problem_from_dict`` and ``problem_to_dict`` dispatch through it.
 A count (``dim``, ``j_max``, ``pairs``) is checked by ``check_count`` and
 every real scalar (``activity_tol``, a radius, an offset, a constant, a
 shift) by ``as_float``, both from ``geometry``.
+
+A kind also owns its two rules. ``activity_mask`` picks the pieces that
+enter a bundle; ``sip_distance`` overrides it to leave out zero-distance
+bodies while f > 0. ``_sublevel_distances`` gives the exact distance to
+{f <= -eps}; only the convex kinds (``ball``, ``max_affine``) define it,
+and it is None on the others. ``exact_sublevel_distance`` checks its
+arguments and then calls it, and ``supports_sublevel_distance`` asks
+whether it is there, so a subclass keeps its parent's rules.
 """
 
 from __future__ import annotations
@@ -87,10 +95,10 @@ class Problem(ABC):
     """
 
     kind: str = ""
-    # While f > 0, pieces with value <= 0 stay out of the bundle. Distance
-    # maxima set this: a body that contains x has distance 0 and only the
-    # zero vector as its gradient, which would make every cut empty.
-    nonpositive_pieces_inactive: bool = False
+    # The kind's exact distances to {f <= -eps}, a method taking an (..., n)
+    # stack of checked points and a checked eps >= 0 and returning the (...)
+    # distances; None where the kind has no formula for them.
+    _sublevel_distances = None
 
     def __init__(self, dim: int, activity_tol: float | None = None,
                  name: str | None = None):
@@ -119,16 +127,14 @@ class Problem(ABC):
         maxima ``f``, which broadcast against them; returns a (..., k) mask.
 
         A piece is active when its value is within the activity threshold of
-        the maximum, ``activity_tol`` or else ``1e-8 * (1 + |f|)``. While
-        f > 0, nonpositive pieces are inactive if the problem says so.
+        the maximum, ``activity_tol`` or else ``1e-8 * (1 + |f|)``. A kind
+        may narrow this rule by overriding the method, as
+        ``SipDistanceProblem`` does.
         """
         tol = self.activity_tol
         if tol is None:
             tol = 1e-8 * (1.0 + abs(f))
-        keep = values >= f - tol
-        if self.nonpositive_pieces_inactive:
-            keep &= (values > 0.0) | (f <= 0.0)
-        return keep
+        return values >= f - tol
 
 
 def evaluate(problem: Problem, x, j_max: int = DEFAULT_J_MAX) -> Evaluation:
@@ -182,6 +188,15 @@ class BallProblem(Problem):
 
     def piece_gradients(self, X):
         return (2.0 * (X - self.center))[..., None, :]
+
+    def _sublevel_distances(self, X, eps):
+        # {f <= -eps} is the concentric ball of radius sqrt(r^2 - eps).
+        rr = self.radius**2 - eps
+        if rr <= 0.0:
+            raise SublevelEmptyError(f"no point satisfies f <= -{eps} for this ball instance")
+        gap = X - self.center
+        d = np.sqrt(np.vecdot(gap, gap)) - math.sqrt(rr)
+        return np.where(d > 0.0, d, 0.0)
 
 
 class ShiftedBallProblem(Problem):
@@ -243,6 +258,17 @@ class MaxAffineProblem(Problem):
 
     def piece_gradients(self, X):
         return np.broadcast_to(self.coefs, X.shape[:-1] + self.coefs.shape)
+
+    def _sublevel_distances(self, X, eps):
+        # One polyhedral projection per point, onto cuts built once.
+        flat = np.vecdot(self.coefs, self.coefs) == 0.0
+        if np.any(self.intercepts[flat] > -eps):
+            raise SublevelEmptyError("a constant piece exceeds the shift everywhere")
+        if np.all(flat):
+            return np.zeros(X.shape[:-1])
+        cuts = CutPolyhedron(self.coefs[~flat], -eps - self.intercepts[~flat])
+        dists = [_polyhedral_distance(x, cuts) for x in X.reshape(-1, self.dim)]
+        return np.array(dists).reshape(X.shape[:-1])
 
 
 class MaxQuadraticsProblem(Problem):
@@ -383,7 +409,6 @@ class SipDistanceProblem(Problem):
     """
 
     kind = "sip_distance"
-    nonpositive_pieces_inactive = True
 
     def __init__(self, bodies, activity_tol: float | None = None,
                  name: str | None = None):
@@ -425,6 +450,13 @@ class SipDistanceProblem(Problem):
 
     def piece_gradients(self, X):
         return np.stack([body.distance_gradient(X) for body in self.bodies], axis=-2)
+
+    def activity_mask(self, values, f):
+        """The rule of ``Problem.activity_mask``, less the pieces with value
+        <= 0 while f > 0."""
+        # A body that contains x has distance 0 and only the zero vector as
+        # its gradient, which would make every cut empty.
+        return super().activity_mask(values, f) & ((values > 0.0) | (f <= 0.0))
 
 
 # The spec kinds and the class that reads and writes each one's params.
@@ -503,8 +535,9 @@ def ball_samples(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
 
 
 def supports_sublevel_distance(problem: Problem) -> bool:
-    """Whether exact_sublevel_distance has an analytic formula here."""
-    return isinstance(problem, (BallProblem, MaxAffineProblem))
+    """Whether exact_sublevel_distance has an analytic formula here: whether
+    the problem's kind defines one."""
+    return problem._sublevel_distances is not None
 
 
 def exact_sublevel_distance(problem: Problem, x, eps: float):
@@ -512,42 +545,21 @@ def exact_sublevel_distance(problem: Problem, x, eps: float):
 
     Broadcasts over points, (..., n) -> (...): a 1-D ``x`` gives a float,
     a stack an array whose every entry has the bits its point gets alone.
-    Ball instances reduce to a concentric-ball distance in closed form;
-    max-affine instances to one polyhedral projection per point, onto cuts
-    built once. Raises ValueError for an eps that is not a nonnegative real
-    number (``as_float``) or a non-finite point, DimensionMismatchError for
-    points of the wrong dimension, NotAvailableError for other kinds and
-    SublevelEmptyError when the shifted set is empty.
+    The formula is the kind's own ``_sublevel_distances``: ball instances
+    reduce to a concentric-ball distance in closed form, max-affine
+    instances to one polyhedral projection per point, onto cuts built once.
+    Raises ValueError for an eps that is not a nonnegative real number
+    (``as_float``) or a non-finite point, DimensionMismatchError for points
+    of the wrong dimension, NotAvailableError for a kind without a formula
+    and SublevelEmptyError when the shifted set is empty, in that order.
     """
     eps = as_float("eps", eps)
     if not eps >= 0.0:
         raise ValueError("eps must be nonnegative")
     X = as_points(x, problem.dim)
-    if isinstance(problem, BallProblem):
-        rr = problem.radius**2 - eps
-        if rr <= 0.0:
-            raise SublevelEmptyError(
-                f"no point satisfies f <= -{eps} for this ball instance"
-            )
-        gap = X - problem.center
-        d = np.sqrt(np.vecdot(gap, gap)) - math.sqrt(rr)
-        d = np.where(d > 0.0, d, 0.0)
-    elif isinstance(problem, MaxAffineProblem):
-        flat = np.vecdot(problem.coefs, problem.coefs) == 0.0
-        if np.any(problem.intercepts[flat] > -eps):
-            raise SublevelEmptyError(
-                "a constant piece exceeds the shift everywhere"
-            )
-        if np.all(flat):
-            d = np.zeros(X.shape[:-1])
-        else:
-            cuts = CutPolyhedron(problem.coefs[~flat], -eps - problem.intercepts[~flat])
-            dists = [_polyhedral_distance(x, cuts) for x in X.reshape(-1, problem.dim)]
-            d = np.array(dists).reshape(X.shape[:-1])
-    else:
-        raise NotAvailableError(
-            f"no analytic sublevel distance for kind {problem.kind!r}"
-        )
+    if problem._sublevel_distances is None:
+        raise NotAvailableError(f"no analytic sublevel distance for kind {problem.kind!r}")
+    d = problem._sublevel_distances(X, eps)
     return float(d) if X.ndim == 1 else d
 
 

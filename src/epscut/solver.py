@@ -32,9 +32,16 @@ points.
 
 Inputs are checked where they enter. The public functions (``evaluate``,
 ``build_cuts``, ``project_polyhedron``, ``CutPolyhedron``, ...) check their
-arguments; ``solve`` checks x0 once, and ``SolveOptions`` checks itself when
-it is made. Each later iterate is a projection point, which the kernel and
-the closed form return finite, so the loop checks no iterate again. What
+arguments; ``solve`` checks x0, ``solve_multistart`` every start before its
+first round, and ``SolveOptions`` checks itself when it is made. The loop
+of ``solve`` calls those public functions, so their checks run again at
+every step: ``evaluate`` checks ``j_max`` (``check_count``) and the iterate
+(``as_vector``), and a step through the kernel checks the iterate again in
+``project_polyhedron``. In both loops, each recorded distance checks its
+shift (``as_float``) and its point (``as_points``). A lockstep round calls
+the oracle methods and ``project_one_cut`` directly and checks no point.
+Each later iterate is a projection point, which the kernel and the closed
+form return finite, so the per-step checks of an iterate always pass. What
 the oracle returns is checked once per step. A closed form counts as
 settled only where ``CutPolyhedron`` would accept its cut; any other step
 goes through ``build_cuts``, which builds its cuts through the

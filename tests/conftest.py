@@ -110,6 +110,21 @@ MALFORMED_SPECS = {
     "bodies-of-numbers": {"kind": "sip_distance", "dim": 2, "params": {"bodies": [3]}},
 }
 
+# Specs that miss a required part or are not a JSON object, each with the
+# whole message problem_from_dict raises.
+INCOMPLETE_SPECS = {
+    "not-an-object": ([], "problem spec: expected a JSON object"),
+    "params-list": ({"kind": "ball", "dim": 2, "params": []},
+                    "problem spec field 'params': expected an object"),
+    "max-affine-piece-without-coef": (
+        {"kind": "max_affine", "dim": 1, "params": {"pieces": [{"intercept": 1.0}]}},
+        "problem spec params: missing field 'coef'"),
+    "sip-ball-without-radius": (
+        {"kind": "sip_distance", "dim": 2,
+         "params": {"bodies": [{"type": "ball", "center": [0.0, 0.0]}]}},
+        "problem spec params: missing field 'radius'"),
+}
+
 # JSON true or false where a spec wants a number: a Python bool, which is an
 # int too.
 BOOLEAN_SPECS = {

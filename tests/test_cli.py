@@ -32,12 +32,21 @@ from epscut import (
 from epscut import cli
 from epscut.cli import _build_options, _build_parser, main
 from epscut.problems import (
+    BallBody,
+    HalfspaceBody,
     MaxAffineProblem,
     ShiftedBallProblem,
+    SipDistanceProblem,
     nonconvex_default_problem,
 )
 from epscut.traceio import CSV_COLUMNS, write_text_atomic
-from conftest import BOOLEAN_SPECS, MALFORMED_SPECS, NULL_OR_HUGE_SPECS, STRING_SPECS
+from conftest import (
+    BOOLEAN_SPECS,
+    INCOMPLETE_SPECS,
+    MALFORMED_SPECS,
+    NULL_OR_HUGE_SPECS,
+    STRING_SPECS,
+)
 
 BALL = BallProblem([0.0, 0.0], 1.0)
 
@@ -368,6 +377,14 @@ class TestCmdSolve:
         assert capsys.readouterr() == (
             "", f"error: problem spec field '{field}': expected a number, got {got}\n")
 
+    @pytest.mark.parametrize("command", ["solve", "compare", "diagnose"])
+    @pytest.mark.parametrize("spec, message", INCOMPLETE_SPECS.values(), ids=INCOMPLETE_SPECS)
+    def test_incomplete_spec_exit_one(self, tmp_path, spec, message, command, capsys):
+        path = tmp_path / "incomplete.json"
+        path.write_text(json.dumps(spec))
+        assert main([command, "--problem", str(path), "--x0", "1,1"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_random_start_of_huge_dim_exit_one(self, tmp_path, capsys):
         # NumPy rejects the shape before it allocates anything.
         path = tmp_path / "huge.json"
@@ -622,10 +639,18 @@ class TestCmdDiagnose:
         assert report["kappa_hat"] > 0.0
         assert "terminated" in capsys.readouterr().out
 
-    def test_unsupported_kind_exit_four(self, tmp_path):
-        path = write_problem(tmp_path, nonconvex_default_problem())
-        code = main(["diagnose", "--problem", path, "--x0", "2.5,1.2"])
-        assert code == 4
+    def test_unsupported_kind_exit_four(self, tmp_path, capsys):
+        sip = SipDistanceProblem([BallBody([0.0, 0.0], 1.0), HalfspaceBody([1.0, 0.0], 0.0)])
+        outputs = [tmp_path / name for name in ("t.csv", "t.json", "r.json")]
+        for problem in (nonconvex_default_problem(), sip, ShiftedBallProblem(2)):
+            path = write_problem(tmp_path, problem)
+            code = main(["diagnose", "--problem", path, "--x0", "2.5,1.2",
+                         "--trace-csv", str(outputs[0]), "--trace-json", str(outputs[1]),
+                         "--report-json", str(outputs[2])])
+            assert code == 4
+            assert capsys.readouterr() == (
+                "", f"diagnose: problem kind {problem.kind!r} has no analytic sublevel distance\n")
+            assert not any(output.exists() for output in outputs)
 
     def test_short_trace_exit_five(self, ball_file):
         assert main(["diagnose", "--problem", ball_file, "--x0", "0.5,0"]) == 5

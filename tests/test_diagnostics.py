@@ -221,6 +221,10 @@ class TestKappaMatchesTheLoop:
         "non-finite-2-over-denominator-0": (
             BALL, [[0.5, 0.0], [2.0, 0.0], [math.inf, 0.0]], 0.0, (ValueError, "finite"), False),
         "ragged": (BALL, [[2.0, 0.0], [2.0, 0.0, 0.0]], 0.0, (ValueError, "inhomogeneous"), False),
+        # The loop took each (2, 2) entry as a point and raised for its shape.
+        "stack-of-stacks": (
+            BALL, np.full((2, 2, 2), 3.0), 0.0,
+            (ValueError, "expected an (m, n) stack of points, got shape (2, 2, 2)"), False),
     }
 
     @pytest.mark.parametrize("case", PRECEDENCE)

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import BOOLEAN_SPECS, MALFORMED_SPECS, NULL_OR_HUGE_SPECS, STRING_SPECS
+from conftest import (
+    BOOLEAN_SPECS,
+    INCOMPLETE_SPECS,
+    MALFORMED_SPECS,
+    NULL_OR_HUGE_SPECS,
+    STRING_SPECS,
+)
 from epscut.problems import KINDS, Evaluation
 from epscut import (
     BallBody,
@@ -407,6 +413,22 @@ class TestArgumentTypes:
         with pytest.raises(ValueError, match="^at least one "):
             build()
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: MaxAffineProblem([[1, 0], [0, 1]], [0]),
+         "coefs and intercepts must have matching length"),
+        (lambda: MaxQuadraticsProblem([(np.eye(2), [0.0, 0.0], 0.0),
+                                       (np.eye(3), [0.0, 0.0, 0.0], 0.0)]),
+         "all pieces must share one dimension"),
+        (lambda: MaxQuadraticsProblem([(np.eye(3), [0.0, 0.0], 0.0)]),
+         "quadratic matrix shape must match the linear term"),
+        (lambda: SipDistanceProblem([BallBody([0.0, 0.0], 1.0), BallBody([0.0, 0.0, 0.0], 1.0)]),
+         "all bodies must share one dimension"),
+    ], ids=["max-affine-lengths", "quadratic-dimensions", "quadratic-matrix-shape",
+            "sip-dimensions"])
+    def test_pieces_must_agree(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
     @pytest.mark.parametrize("pieces", [
         [(np.eye(2), [0.0, 0.0])],
         [(np.eye(2), [0.0, 0.0], 0.0, 1.0)],
@@ -447,10 +469,55 @@ class TestSublevelDistance:
         assert not supports_sublevel_distance(ShiftedBallProblem(2))
         with pytest.raises(NotAvailableError):
             exact_sublevel_distance(nonconvex_default_problem(), [1.0, 1.0], 0.1)
+        sip = SipDistanceProblem([BallBody([0.0, 0.0], 1.0)])
+        assert not supports_sublevel_distance(sip)
+        with pytest.raises(NotAvailableError, match="^no analytic sublevel distance for kind "
+                                                    "'sip_distance'$"):
+            exact_sublevel_distance(sip, [1.0, 1.0], 0.1)
 
     def test_supports(self):
         assert supports_sublevel_distance(BallProblem())
         assert supports_sublevel_distance(AXES_MAX)
+
+    def test_subclasses_keep_their_parents_distance(self, rng):
+        class Ball(BallProblem):
+            pass
+
+        class Wedge(MaxAffineProblem):
+            pass
+
+        pairs = [(BallProblem([0.5, -0.2], 1.3), Ball([0.5, -0.2], 1.3)),
+                 (AXES_MAX, Wedge(AXES_MAX.coefs, AXES_MAX.intercepts, activity_tol=0.0))]
+        X = 3.0 * rng.standard_normal((2, 3, 2))
+        for parent, child in pairs:
+            assert supports_sublevel_distance(child)
+            for eps in (0.0, 0.5):
+                got = exact_sublevel_distance(child, X, eps)
+                assert got.tobytes() == exact_sublevel_distance(parent, X, eps).tobytes()
+                d = exact_sublevel_distance(child, X[0, 0], eps)
+                assert type(d) is float
+                assert repr(d) == repr(exact_sublevel_distance(parent, X[0, 0], eps))
+
+    def test_arguments_are_checked_before_the_kind(self):
+        # A kind without a formula still gets its eps and points checked
+        # first, as ball and max-affine instances do.
+        class Paraboloid(Problem):
+            kind = "paraboloid"
+
+            def piece_values(self, X):
+                return (np.vecdot(X, X) - 1.0)[..., None]
+
+            def piece_gradients(self, X):
+                return (2.0 * X)[..., None, :]
+
+        problem = Paraboloid(2)
+        assert not supports_sublevel_distance(problem)
+        for x, eps, message in (([2.0, 0.0], -0.1, "eps must be nonnegative"),
+                                ([NAN, 0.0], 0.1, "vector entries must be finite")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                exact_sublevel_distance(problem, x, eps)
+        with pytest.raises(NotAvailableError, match="'paraboloid'$"):
+            exact_sublevel_distance(problem, [2.0, 0.0], 0.1)
 
 
 def distances_one_by_one(problem, X, eps):
@@ -692,6 +759,11 @@ class TestSpecSerialization:
         # A name of 7 reached every report as "problem": 7.
         with pytest.raises(ValueError, match="'name'"):
             problem_from_dict({"name": name, "kind": "ball", "dim": 2})
+
+    @pytest.mark.parametrize("spec, message", INCOMPLETE_SPECS.values(), ids=INCOMPLETE_SPECS)
+    def test_incomplete_specs_say_what_is_missing(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            problem_from_dict(spec)
 
     @pytest.mark.parametrize("spec", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS)
     def test_malformed_params_name_params(self, spec):
