@@ -25,7 +25,6 @@ from .errors import (
     ProjectionFailedError,
     SublevelEmptyError,
     ZeroNormalError,
-    ZeroSubgradientError,
 )
 from .geometry import (
     CutPolyhedron,

@@ -273,6 +273,9 @@ def cmd_compare(args) -> int:
 
 def cmd_diagnose(args) -> int:
     problem = _load_problem(args.problem)
+    # Bad flags are a configuration error (exit 1) whatever the kind.
+    x0 = _resolve_x0(args, problem)
+    opts = _build_options(args, record_dist=True)
     if not supports_sublevel_distance(problem):
         print(
             f"diagnose: problem kind {problem.kind!r} has no analytic "
@@ -280,8 +283,6 @@ def cmd_diagnose(args) -> int:
             file=sys.stderr,
         )
         return 4
-    x0 = _resolve_x0(args, problem)
-    opts = _build_options(args, record_dist=True)
     trace = solve(problem, x0, opts)
     try:
         contrast = diagnostics.claim_contrast(trace)

@@ -10,7 +10,11 @@ class DimensionMismatchError(EpscutError):
 
 
 class ZeroNormalError(EpscutError):
-    """A halfspace was constructed with a zero normal vector."""
+    """A cut polyhedron was constructed with a zero normal vector.
+
+    ``build_cuts`` raises it for a zero bundle row, which ends a run
+    ``ZeroSubgradient``.
+    """
 
 
 class InfeasiblePolyhedronError(EpscutError):
@@ -31,14 +35,6 @@ class NotAvailableError(EpscutError):
 
 class SublevelEmptyError(EpscutError):
     """The shifted sublevel set {f <= -eps} is empty."""
-
-
-class ZeroSubgradientError(EpscutError):
-    """A bundle member has zero norm, so the cut projection is undefined."""
-
-    def __init__(self, point):
-        self.point = point
-        super().__init__("zero subgradient in bundle")
 
 
 class InsufficientDataError(EpscutError):

@@ -353,22 +353,24 @@ def project_one_cut(x, a, b):
     Broadcasts over leading axes: ``x`` and ``a`` are (..., n) and ``b`` is
     (...). Returns ``(point, settled)``. The point is the kernel's first
     add, ``x - t a`` with ``t = (<a, x> - b) / <a, a>``. ``settled`` is true
-    only where ``CutPolyhedron`` would accept the cut (the length ``norm``
-    of ``a``, computed as its ``normal_norms`` are, is nonzero and finite,
-    and ``b`` is finite) and the kernel would return exactly that moved
-    point: x fails the kernel's entry test (its scaled violation
-    ``(<a, x> - b) / norm`` exceeds ``FEASIBILITY_TOL``), the step is
+    only where the kernel would return exactly that moved point: x fails
+    the kernel's entry test (its scaled violation ``(<a, x> - b) / norm``,
+    with ``norm`` the length of ``a`` computed as ``CutPolyhedron``'s
+    ``normal_norms`` are, exceeds ``FEASIBILITY_TOL``), the point is
     finite, and the kernel's stop test holds there. A point inside its cut,
-    which the kernel hands back unmoved, is not settled. Every settled point
-    equals ``project_polyhedron``'s bit for bit. Unsettled rows may warn of
+    which the kernel hands back unmoved, is not settled. Nor is a cut that
+    ``CutPolyhedron`` would reject, with no test of its own: a zero length
+    (or squares that underflow) or an offset of -inf makes t infinite and
+    the point not finite, and a length that is infinite or NaN, or an
+    offset of +inf or NaN, fails the entry test. Every settled point equals
+    ``project_polyhedron``'s bit for bit. Unsettled rows may warn of
     division by zero, overflow or invalid values.
     """
     norm = np.linalg.norm(a, axis=-1)
     point = _one_cut_step(x, a, b)[0]
     scaled = (np.vecdot(a, point) - b) / norm
     outside = (np.vecdot(a, x) - b) / norm > FEASIBILITY_TOL
-    accepted = (norm > 0.0) & (norm < math.inf) & np.isfinite(b)
-    settled = accepted & outside & np.isfinite(point).all(axis=-1) & (
+    settled = outside & np.isfinite(point).all(axis=-1) & (
         (scaled <= FEASIBILITY_TOL)
         | (scaled < math.inf) & (scaled <= _roundoff(a, point, b, norm))
     )

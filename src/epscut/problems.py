@@ -176,8 +176,8 @@ class BallProblem(Problem):
 
     @classmethod
     def _from_params(cls, params, dim, activity_tol, name):
-        return cls(params.get("center", [0.0] * dim), params.get("radius", 1.0),
-                   activity_tol, name)
+        center = params["center"] if "center" in params else [0.0] * dim
+        return cls(center, params.get("radius", 1.0), activity_tol, name)
 
     def _params(self):
         return {"center": self.center.tolist(), "radius": self.radius}
@@ -311,7 +311,8 @@ class MaxQuadraticsProblem(Problem):
     @classmethod
     def _from_params(cls, params, dim, activity_tol, name):
         pieces = [
-            (p.get("quad", np.zeros((dim, dim))), p.get("lin", np.zeros(dim)), p.get("const", 0.0))
+            (p["quad"] if "quad" in p else np.zeros((dim, dim)),
+             p["lin"] if "lin" in p else np.zeros(dim), p.get("const", 0.0))
             for p in _nonempty(params, "pieces")
         ]
         return cls(pieces, activity_tol, name)
@@ -659,6 +660,9 @@ def problem_from_dict(spec: dict) -> Problem:
         raise ValueError(f"problem spec params: missing field {exc.args[0]!r}") from exc
     except (TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"problem spec field 'params': malformed value ({exc})") from exc
+    except MemoryError as exc:
+        # A default sized from dim, such as a zero center, cannot be built.
+        raise ValueError(f"problem spec field 'dim': no memory for dimension {dim}") from exc
 
     if problem.dim != dim:
         raise ValueError(

@@ -42,12 +42,14 @@ shift (``as_float``) and its point (``as_points``). A lockstep round calls
 the oracle methods and ``project_one_cut`` directly and checks no point.
 Each later iterate is a projection point, which the kernel and the closed
 form return finite, so the per-step checks of an iterate always pass. What
-the oracle returns is checked once per step. A closed form counts as
-settled only where ``CutPolyhedron`` would accept its cut; any other step
-goes through ``build_cuts``, which builds its cuts through the
-``CutPolyhedron`` constructor, whose checks of f(x_i), the cut offsets and
-the lengths of the cut normals are the step's only finiteness checks, and
-reports a cut that fails them.
+the oracle returns is checked once per step. A closed form is settled
+only where it moves x to a finite point that the kernel would return,
+which the step's own arithmetic rules out for a cut that ``CutPolyhedron``
+would reject (``project_one_cut``). Any other step goes through
+``build_cuts``, which builds its cuts through the ``CutPolyhedron``
+constructor, whose checks of f(x_i), the cut offsets and the lengths of
+the cut normals are the step's only finiteness checks, and reports a cut
+that fails them.
 The loops run with NumPy's overflow, invalid-operation and division
 warnings off, since the status already reports what they would.
 """
@@ -67,7 +69,6 @@ from .errors import (
     ProjectionFailedError,
     SublevelEmptyError,
     ZeroNormalError,
-    ZeroSubgradientError,
 )
 from .geometry import (
     CutPolyhedron,
@@ -156,8 +157,9 @@ class SolveTrace:
 def build_cuts(x, evaluation: Evaluation, eps: float) -> CutPolyhedron:
     """Cut polyhedron at x from a bundle G: G y <= G x - f - eps.
 
-    This is the step's one finiteness check. A zero row of G raises
-    ZeroSubgradientError; then an empty bundle (which only a non-finite f
+    This is the step's one finiteness check, and the ``CutPolyhedron``
+    constructor makes it: a zero row of G, checked ahead of finiteness,
+    raises ZeroNormalError; an empty bundle (which only a non-finite f
     leaves), a non-finite offset or a row length that is not finite raises
     ValueError. A non-finite x makes every offset non-finite, so x needs
     only its shape checked: a point that is not 1-D raises ValueError, one
@@ -169,10 +171,7 @@ def build_cuts(x, evaluation: Evaluation, eps: float) -> CutPolyhedron:
         raise ValueError(f"expected a 1-D point, got shape {x.shape}")
     if G.ndim == 2 and x.size != G.shape[1]:
         raise DimensionMismatchError(f"expected dimension {G.shape[1]}, got {x.size}")
-    try:
-        return CutPolyhedron(G, np.vecdot(G, x) - evaluation.value - eps)
-    except ZeroNormalError:
-        raise ZeroSubgradientError(x) from None
+    return CutPolyhedron(G, np.vecdot(G, x) - evaluation.value - eps)
 
 
 def _same_bits(a: float, b: float) -> bool:
@@ -198,7 +197,8 @@ def _step(x, evaluation: Evaluation, eps: float, fallback: str):
     lockstep round's step), with the offset ``build_cuts`` would give it.
     Where that form is not settled, and for a bundle of any other size,
     ``build_cuts`` and ``project_polyhedron`` make the step, and their
-    checks decide its status. When the cuts have an empty intersection, the
+    errors decide its status: a zero bundle row (ZeroNormalError) is
+    ZERO_SUBGRADIENT. When the cuts have an empty intersection, the
     fallback ``first_cut_only`` steps again on the bundle's first row alone.
     Each layer is called through its name in this module.
     """
@@ -215,7 +215,7 @@ def _step(x, evaluation: Evaluation, eps: float, fallback: str):
         if fallback == "fail" or len(G) == 1:
             return TerminationStatus.INFEASIBLE_CUTS, None, 0
         return _step(x, evaluation._replace(bundle=G[:1]), eps, fallback)
-    except ZeroSubgradientError:
+    except ZeroNormalError:
         return TerminationStatus.ZERO_SUBGRADIENT, None, 0
     except ValueError:
         # build_cuts rejects non-finite cuts, and the empty bundle that only
@@ -361,8 +361,8 @@ def solve_multistart(
         # The cut of a one-cut bundle is the top piece's.
         g = problem.piece_gradients(X)[np.arange(len(X)), values.argmax(axis=-1)]
         point, settled = project_one_cut(X, g, np.vecdot(g, X) - f - eps_i)
-        # A cut that build_cuts would reject is not settled: it leaves the
-        # batch, and _run reports it.
+        # Only a one-cut bundle's step is settled. A cut that build_cuts
+        # would reject never is: it leaves the batch, and _run reports it.
         settled &= sizes == 1
         step = point - X
         step_norms = np.sqrt(np.vecdot(step, step)).tolist()

@@ -214,6 +214,23 @@ NULL_OR_HUGE_SPECS = {
         "params.bodies[0].center[1]", "an integer too large for a float"),
 }
 
+# A dim far larger than its params imply: (spec, what problem_from_dict's
+# message says). A default sized from dim (a zero center, quad or lin) was
+# built even where the field was given, and raised MemoryError before dim
+# was compared with the params. These allocations fail at once.
+HUGE_DIM_SPECS = {
+    "quadratic-fields-given": (
+        {"kind": "max_quadratics", "dim": 10**6,
+         "params": {"pieces": [{"quad": [[1.0]], "lin": [0.0], "const": -1.0}]}},
+        "params imply dimension 1"),
+    "ball-center-given": (
+        {"kind": "ball", "dim": 2**40, "params": {"center": [0.0]}},
+        "params imply dimension 1"),
+    "quadratic-default-quad": (
+        {"kind": "max_quadratics", "dim": 10**6, "params": {"pieces": [{"const": -1.0}]}},
+        "field 'dim': no memory for dimension 1000000"),
+}
+
 
 @pytest.fixture
 def rng():

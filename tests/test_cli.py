@@ -42,6 +42,7 @@ from epscut.problems import (
 from epscut.traceio import CSV_COLUMNS, write_text_atomic
 from conftest import (
     BOOLEAN_SPECS,
+    HUGE_DIM_SPECS,
     INCOMPLETE_SPECS,
     MALFORMED_SPECS,
     NULL_OR_HUGE_SPECS,
@@ -385,6 +386,13 @@ class TestCmdSolve:
         assert main([command, "--problem", str(path), "--x0", "1,1"]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("spec", [spec for spec, _ in HUGE_DIM_SPECS.values()],
+                             ids=HUGE_DIM_SPECS)
+    def test_spec_of_huge_dim_exit_one(self, tmp_path, spec, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(spec))
+        assert_config_error(main(["solve", "--problem", str(path), "--x0", "1"]), capsys)
+
     def test_random_start_of_huge_dim_exit_one(self, tmp_path, capsys):
         # NumPy rejects the shape before it allocates anything.
         path = tmp_path / "huge.json"
@@ -651,6 +659,18 @@ class TestCmdDiagnose:
             assert capsys.readouterr() == (
                 "", f"diagnose: problem kind {problem.kind!r} has no analytic sublevel distance\n")
             assert not any(output.exists() for output in outputs)
+
+    @pytest.mark.parametrize("flags", [
+        ["--x0", "1,2,3"],
+        ["--x0", "2.5,1.2", "--schedule", "bogus"],
+    ], ids=["x0-wrong-dim", "schedule-unknown"])
+    def test_bad_flags_exit_one_for_every_kind(self, tmp_path, flags, capsys):
+        # Flags are checked before the kind is asked for its distance, as
+        # solve checks them.
+        sip = SipDistanceProblem([BallBody([0.0, 0.0], 1.0), HalfspaceBody([1.0, 0.0], 0.0)])
+        for problem in (nonconvex_default_problem(), sip, ShiftedBallProblem(2)):
+            path = write_problem(tmp_path, problem)
+            assert_config_error(main(["diagnose", "--problem", path, *flags]), capsys)
 
     def test_short_trace_exit_five(self, ball_file):
         assert main(["diagnose", "--problem", ball_file, "--x0", "0.5,0"]) == 5

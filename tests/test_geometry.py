@@ -21,6 +21,32 @@ from epscut import geometry
 from conftest import brute_force_projection, random_projection_instance
 
 
+# Cut entries at every edge of a row length (signed zeros, a subnormal,
+# entries whose squares underflow or overflow, and non-finite values) and
+# normal-sized entries scaled across 340 decades.
+EXTREME_ENTRY = st.sampled_from([0.0, -0.0, 5e-324, 2.3e-162, 1e-170, 1e154, 1e200, -1e200,
+                                 np.inf, -np.inf, np.nan])
+DECADE = st.integers(-170, 170)
+
+
+def cut_rows(n):
+    """Rows of n entries: each entry extreme or scaled on its own, or the
+    whole row scaled by one power of ten."""
+    entry = st.one_of(EXTREME_ENTRY, st.builds(lambda z, e: z * 10.0**e, st.floats(-3.0, 3.0),
+                                               DECADE))
+    return st.one_of(
+        st.lists(entry, min_size=n, max_size=n),
+        st.builds(lambda zs, e: [z * 10.0**e for z in zs],
+                  st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n), DECADE),
+    )
+
+
+# A finite draw is the depth of x past its cut, in lengths of the normal; a
+# non-finite one is the offset itself.
+CUT_OFFSET = st.one_of(st.floats(-1.0, 2.0), st.sampled_from([np.inf, -np.inf, np.nan]))
+CUT_POINT_ENTRY = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e200, 1e200))
+
+
 def halfspace(normal, offset) -> CutPolyhedron:
     """The halfspace {x : <normal, x> <= offset} as a one-row polyhedron."""
     return CutPolyhedron([normal], [offset])
@@ -155,6 +181,31 @@ class TestPolyhedronProjection:
                 CutPolyhedron(A[-2:-1], b[-2:-1])
             with np.errstate(over="ignore"), pytest.raises(ProjectionFailedError):
                 project_polyhedron(X[-1], CutPolyhedron(A[-1:], b[-1:]))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.tuples(cut_rows(n), CUT_OFFSET,
+                  st.lists(CUT_POINT_ENTRY, min_size=n, max_size=n)),
+        min_size=1, max_size=8)))
+    def test_one_cut_settles_only_cuts_the_constructor_accepts(self, cuts):
+        # project_one_cut has no test of a cut's length or offset: a cut that
+        # CutPolyhedron rejects must fail its step's own arithmetic.
+        A = np.array([a for a, _, _ in cuts])
+        X = np.array([x for _, _, x in cuts])
+        D = np.array([d for _, d, _ in cuts])
+        with np.errstate(all="ignore"):
+            b = np.where(np.isfinite(D), np.vecdot(A, X) - D * np.linalg.norm(A, axis=1), D)
+            point, settled = geometry.project_one_cut(X, A, b)
+        for a, b_row, x, p, s in zip(A, b, X, point, settled):
+            try:
+                with np.errstate(all="ignore"):
+                    cut = CutPolyhedron([a], [b_row])
+            except (ValueError, ZeroNormalError):
+                assert not s
+                continue
+            if s:
+                with np.errstate(all="ignore"):
+                    assert p.tobytes() == project_polyhedron(x, cut).point.tobytes()
 
     def test_feasible_point_returned_unchanged(self):
         P = CutPolyhedron([[1.0, 0.0]], [0.0])

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from conftest import (
     BOOLEAN_SPECS,
+    HUGE_DIM_SPECS,
     INCOMPLETE_SPECS,
     MALFORMED_SPECS,
     NULL_OR_HUGE_SPECS,
@@ -768,6 +769,11 @@ class TestSpecSerialization:
     @pytest.mark.parametrize("spec", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS)
     def test_malformed_params_name_params(self, spec):
         with pytest.raises(ValueError, match="'params'"):
+            problem_from_dict(spec)
+
+    @pytest.mark.parametrize("spec, message", HUGE_DIM_SPECS.values(), ids=HUGE_DIM_SPECS)
+    def test_huge_dim_is_a_value_error(self, spec, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             problem_from_dict(spec)
 
     def test_default_nonconvex_boundary_is_on_both_pieces(self):

@@ -24,7 +24,7 @@ from epscut import (
     ShiftedBallProblem,
     SolveOptions,
     TerminationStatus,
-    ZeroSubgradientError,
+    ZeroNormalError,
     build_cuts,
     evaluate,
     exact_sublevel_distance,
@@ -386,7 +386,7 @@ def reference_build_cuts(x, evaluation, eps) -> CutPolyhedron:
     """build_cuts through the validating constructor, after the zero-row check."""
     G = evaluation.bundle
     if (np.vecdot(G, G) == 0.0).any():
-        raise ZeroSubgradientError(x)
+        raise ZeroNormalError("cut normals must be nonzero")
     return CutPolyhedron(G, np.vecdot(G, x) - evaluation.value - eps)
 
 
@@ -395,7 +395,7 @@ def cut_outcome(build, x, evaluation, eps):
     try:
         with np.errstate(all="ignore"):
             poly = build(x, evaluation, eps)
-    except (ValueError, ZeroSubgradientError) as exc:
+    except (ValueError, ZeroNormalError) as exc:
         return type(exc)
     return tuple((a.shape, a.tobytes())
                  for a in (poly.normals, poly.offsets, poly.normal_norms))
@@ -432,12 +432,12 @@ class TestBuildCuts:
         with np.errstate(all="ignore"):
             has_zero_row = (np.vecdot(G, G) == 0.0).any()
         if has_zero_row:
-            assert expected is ZeroSubgradientError
+            assert expected is ZeroNormalError
 
     def test_zero_row_reported_before_nonfinite_rows(self):
         G = np.array([[np.nan, 1.0], [0.0, 0.0], [np.inf, 0.0]])
         ev = Evaluation(value=np.inf, bundle=G, active=[0, 1, 2])
-        with np.errstate(invalid="ignore"), pytest.raises(ZeroSubgradientError):
+        with np.errstate(invalid="ignore"), pytest.raises(ZeroNormalError):
             build_cuts(np.zeros(2), ev, 0.1)
 
     @pytest.mark.parametrize("f, bundle", [
