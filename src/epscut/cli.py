@@ -200,16 +200,32 @@ def _build_options(args, record_dist: bool = False,
     return replace(opts, **BASELINES[baseline or args.baseline])
 
 
+def _indented_json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for a report: dicts with string keys,
+    scalars and lists of numbers. json.dumps with an indent takes json's
+    pure-Python encoder, so here json's C encoder writes each list in one
+    call instead, split on the ``", "`` that no number holds. ``indent`` is
+    the indent of the line that ``value`` starts on."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{inner}{json.dumps(key)}: {_indented_json(item, inner)}"
+                 for key, item in value.items()]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if isinstance(value, list) and value:
+        cells = json.dumps(value)[1:-1].split(", ")
+        return f"[\n{inner}" + f",\n{inner}".join(cells) + f"\n{indent}]"
+    return json.dumps(value)
+
+
 def _write_outputs(args, trace: SolveTrace, report: dict | None = None) -> None:
     try:
+        csv_text = trace_to_csv(trace) if args.trace_csv or args.trace_json else None
         if args.trace_csv:
-            write_text_atomic(args.trace_csv, trace_to_csv(trace))
+            write_text_atomic(args.trace_csv, csv_text)
         if args.trace_json:
-            write_text_atomic(args.trace_json, trace_to_json(trace))
+            write_text_atomic(args.trace_json, trace_to_json(trace, csv_text))
         if args.report_json and report is not None:
-            write_text_atomic(
-                args.report_json, json.dumps(report, indent=2) + "\n"
-            )
+            write_text_atomic(args.report_json, _indented_json(report) + "\n")
     except OSError as exc:
         raise _ConfigError(f"cannot write output file: {exc}") from exc
 

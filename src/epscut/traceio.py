@@ -6,8 +6,12 @@ ints, floats and None (a missing sublevel distance), and ``csv`` writes the
 rows as they are: a float by its shortest round-trip decimal (``repr``), so
 parsing reproduces every numeric field bit-exactly, an int by ``str`` and
 None as an empty field. The JSON form carries the same rows plus the
-termination record; json's encoder writes its cells. File writes are
-whole-file atomic (temp file then rename).
+termination record. Its cells are the CSV's with csv's three non-numeric
+tokens in json's spelling: ``inf`` is ``Infinity``, ``nan`` is ``NaN`` and
+an empty distance is ``null``, and ``trace_to_json`` takes them from the
+CSV text. So a caller that writes both forms formats each cell once, by
+handing that text to ``trace_to_json``. File writes are whole-file atomic
+(temp file then rename).
 """
 
 from __future__ import annotations
@@ -87,18 +91,24 @@ def trace_to_dict(trace: SolveTrace) -> dict:
     return _document(trace, [dict(zip(CSV_COLUMNS, r)) for r in trace.rows])
 
 
-def trace_to_json(trace: SolveTrace) -> str:
+def trace_to_json(trace: SolveTrace, csv_text: str | None = None) -> str:
     """``json.dumps(trace_to_dict(trace), indent=2)`` plus a newline.
     ``indent`` selects json's pure-Python encoder, which would spend most
-    of the time on the rows, so json's C encoder writes the cells of all
-    rows in one compact call, and each row's cells fill its indented
-    template."""
+    of the time on the rows, so each row's cells, taken from the CSV text,
+    fill its indented template. ``csv_text``, when given, must be
+    ``trace_to_csv(trace)``; a caller that writes the CSV too passes it, so
+    no cell is formatted twice. Otherwise the text is made here."""
     head = json.dumps(_document(trace, []), indent=2)
     if not trace.rows:
         return head + "\n"
-    # '[[c,c,...],[c,...]]': no cell holds a comma or a bracket.
-    compact = json.dumps(trace.rows, separators=(",", ":"))[2:-2].split("],[")
-    rows = ",\n".join([_JSON_ROW % tuple(row.split(",")) for row in compact])
+    if csv_text is None:
+        csv_text = trace_to_csv(trace)
+    # Only the distance can be empty, and it is never the first or the last
+    # field, so an empty field is always ',,'. No number's text holds 'inf'
+    # or 'nan', and '-inf' becomes '-Infinity'.
+    body = csv_text.partition("\n")[2].replace(",,", ",null,")
+    lines = body.replace("inf", "Infinity").replace("nan", "NaN").splitlines()
+    rows = ",\n".join([_JSON_ROW % tuple(line.split(",")) for line in lines])
     # The head ends with the empty rows array, '[]', and the closing brace.
     return f"{head[:-4]}[\n{rows}\n  ]\n}}\n"
 

@@ -164,10 +164,32 @@ TRACES = st.builds(
     TerminationStatus.MAX_ITER_EXCEEDED, 1, np.array([-0.0, 1e308]), math.inf, None, [],
 ))
 def test_json_writer_matches_json_dumps(trace):
-    # json's compact encoder writes the rows' cells; the document must be the
-    # one json.dumps writes, byte for byte, whatever the cells hold: NaN, the
-    # infinities, -0.0, a missing distance, an integer shift, large ints.
-    assert trace_to_json(trace) == json.dumps(trace_to_dict(trace), indent=2) + "\n"
+    # The rows' cells come from the CSV text, made here or passed in; the
+    # document must be the one json.dumps writes, byte for byte, whatever the
+    # cells hold: NaN, the infinities, -0.0, a missing distance, an integer
+    # shift, large ints.
+    expected = json.dumps(trace_to_dict(trace), indent=2) + "\n"
+    assert trace_to_json(trace) == expected
+    assert trace_to_json(trace, trace_to_csv(trace)) == expected
+
+
+REPORT_NUMBERS = FLOATS | INTS | st.sampled_from([5e-324, 1e308])
+REPORT_TEXT = st.text(st.sampled_from('a ,"\\\n\u00e9\u221e'), max_size=6)
+REPORTS = st.recursive(
+    st.none() | st.booleans() | REPORT_NUMBERS | REPORT_TEXT | st.lists(REPORT_NUMBERS, max_size=5),
+    lambda children: st.dictionaries(REPORT_TEXT, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(REPORTS)
+@example({"x0": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308], "empty": [],
+          "variants": {"main": {"decay_rho": None, "final_f": -0.0}, "none": {}},
+          "terminated": True, "verdict": 'rho=0.5, "l_hat" \u221e'})
+def test_report_writer_matches_json_dumps(report):
+    # The report shapes: dicts with string keys, scalars and lists of numbers.
+    assert cli._indented_json(report) == json.dumps(report, indent=2)
 
 
 def reference_csv(trace) -> str:
@@ -671,6 +693,31 @@ class TestCmdDiagnose:
         for problem in (nonconvex_default_problem(), sip, ShiftedBallProblem(2)):
             path = write_problem(tmp_path, problem)
             assert_config_error(main(["diagnose", "--problem", path, *flags]), capsys)
+
+    def test_stalled_run_writes_all_three_files(self, ball_file, tmp_path, capsys):
+        # The zero shift stalls just outside the ball: all 1,001 rows are
+        # written, and eps_over_dist reads Infinity once the distance is 0.
+        paths = {name: tmp_path / name for name in ("t.csv", "t.json", "r.json")}
+        code = main(["diagnose", "--problem", ball_file, "--baseline", "zero_eps",
+                     "--x0", "2.5,-1.5", "--trace-csv", str(paths["t.csv"]),
+                     "--trace-json", str(paths["t.json"]), "--report-json", str(paths["r.json"])])
+        assert code == 2
+        docs = {}
+        for name in ("t.json", "r.json"):
+            text = paths[name].read_text()
+            docs[name] = json.loads(text)
+            assert text == json.dumps(docs[name], indent=2) + "\n"
+        rows = docs["t.json"]["rows"]
+        assert len(rows) == 1001
+        assert [tuple(row.values()) for row in rows] == parse_trace_csv(paths["t.csv"].read_text())
+        assert math.inf in docs["r.json"]["contrast"]["eps_over_dist"]
+        # The solve and compare reports keep the layout too.
+        for command in ("solve", "compare"):
+            main([command, "--problem", ball_file, "--x0", "2,0",
+                  "--report-json", str(paths["r.json"])])
+            text = paths["r.json"].read_text()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        capsys.readouterr()
 
     def test_short_trace_exit_five(self, ball_file):
         assert main(["diagnose", "--problem", ball_file, "--x0", "0.5,0"]) == 5
