@@ -306,7 +306,12 @@ def cmd_diagnose(args) -> int:
         _write_outputs(args, trace)
         print(f"diagnose: {exc}", file=sys.stderr)
         return 5
-    points = [trace.iterates[r.i] for r in trace.rows if r.f_xi > 0.0]
+    # Only the points that a step moved to: after a row with no active cut,
+    # x_i is x_{i-1}'s own bits (SolveTrace.iterates), and the largest ratio
+    # over repeated points is the largest over the distinct ones.
+    moved = [True, *(r.cut_count_active != 0 for r in trace.rows[:-1])]
+    points = [x for r, x, new in zip(trace.rows, trace.iterates, moved)
+              if new and r.f_xi > 0.0]
     try:
         kappa_hat = diagnostics.estimate_kappa(problem, points, eps=0.0)
     except (NotAvailableError, ValueError) as exc:

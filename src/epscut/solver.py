@@ -59,6 +59,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -139,7 +140,10 @@ class SolveTrace:
     """Full record of one run.
 
     ``iterates`` keeps every visited point (x_0 first); it is not part of
-    the serialized formats but feeds diagnostics. ``status_iteration`` is
+    the serialized formats but feeds diagnostics. Where a row other than
+    the last has ``cut_count_active == 0``, its step handed x back as it
+    was: ``iterates[i + 1]`` has the bits of ``iterates[i]``. ``diagnose``
+    relies on this to skip repeated points. ``status_iteration`` is
     the index at which the run stopped; for error statuses it is the
     iteration that failed. ``strict_feasible`` is meaningful only for
     FEASIBLE_FOUND and records whether f was strictly negative.
@@ -283,6 +287,12 @@ def _run(problem: Problem, x, i: int, rows: list[TraceRow], iterates: list[np.nd
 
     ``rows`` holds the rows of iterations 0 to i - 1 and ``iterates`` the
     points x_0 to x_i; both are extended in place and go into the trace.
+    A step with no active cut leaves x's bits as they were (x lay inside
+    its cuts, and the kernel hands it back), so its next iterate repeats
+    x. The stall fill first finds the iteration where the shift changes,
+    then appends its rows and iterates in one call each. The fill rows
+    share one set of cell objects after i, so ``traceio`` writes each of
+    them but the first from the text of the row before it.
     """
     record_dist = opts.record_sublevel_distance and supports_sublevel_distance(problem)
     while True:
@@ -308,11 +318,20 @@ def _run(problem: Problem, x, i: int, rows: list[TraceRow], iterates: list[np.nd
         i += 1
         if not active:
             # x lay inside its own cuts and came back unmoved, so every later
-            # step repeats this one while the shift keeps its bits.
-            while i < opts.max_iter and _same_bits(eps_at(opts.schedule, i), eps_i):
-                rows.append(TraceRow(i, eps_i, f_xi, len(evaluation.bundle), 0.0, dist, 0))
-                iterates.append(x.copy())
-                i += 1
+            # step repeats this one while the shift keeps its bits. A constant
+            # schedule returns its own shift object at every step.
+            end = i
+            while end < opts.max_iter and (
+                (eps := eps_at(opts.schedule, end)) is eps_i or _same_bits(eps, eps_i)
+            ):
+                end += 1
+            # The rows are built as TraceRow's own __new__ builds a row, and
+            # the iterates are the rows of one new block of copies of x.
+            cells = (eps_i, f_xi, len(evaluation.bundle), 0.0, dist, 0)
+            rows.extend(map(tuple.__new__, repeat(TraceRow),
+                            zip(range(i, end), *map(repeat, cells))))
+            iterates.extend(np.tile(x, (end - i, 1)))
+            i = end
 
     # The loop always stops by ``break``: at the latest when i == max_iter.
     return _finish(rows, iterates, status, i, eps_i, f_xi, len(evaluation.bundle), dist, x)

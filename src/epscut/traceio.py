@@ -10,8 +10,11 @@ termination record. Its cells are the CSV's with csv's three non-numeric
 tokens in json's spelling: ``inf`` is ``Infinity``, ``nan`` is ``NaN`` and
 an empty distance is ``null``, and ``trace_to_json`` takes them from the
 CSV text. So a caller that writes both forms formats each cell once, by
-handing that text to ``trace_to_json``. File writes are whole-file atomic
-(temp file then rename).
+handing that text to ``trace_to_json``. A row whose cells after ``i`` are
+the previous row's own objects, as the rows that ``solve`` writes for a
+stalled run are, is not formatted again: its text is the previous row's
+with its own ``i``. File writes are whole-file atomic (temp file then
+rename).
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import os
 import stat
 import tempfile
+from itertools import compress, count
 
 from .solver import SolveTrace, TraceRow
 
@@ -43,18 +48,61 @@ _SCHEMA = (
     ("cut_count_active", int),
 )
 CSV_COLUMNS = tuple(column for column, _ in _SCHEMA)
-# One row as json.dumps(indent=2) lays it out in the document's rows array.
-_JSON_ROW = "    {\n" + ",\n".join(
-    f"      {json.dumps(column)}: %s" for column in CSV_COLUMNS
-) + "\n    }"
+# The text that json.dumps(indent=2) writes before each cell of a row in the
+# document's rows array, the text between one row's last cell and the next
+# row's first, and the text after the last row's last cell.
+_JSON_BEFORE = [f"{',' if k else '    {'}\n      {json.dumps(column)}: "
+                for k, column in enumerate(CSV_COLUMNS)]
+_JSON_CLOSE = "\n    }"
+_JSON_NEXT_ROW = f"{_JSON_CLOSE},\n{_JSON_BEFORE[0]}"
+
+
+def _repeat_spans(rows: list[TraceRow]) -> list[list[int]]:
+    """The ``[start, stop]`` index ranges of the maximal runs of rows whose
+    every cell after ``i`` is the previous row's own object, as the rows
+    that ``solve`` writes for a stall are. Such a row's text is the previous
+    row's with its own ``i``. Identity, not equality: equal cells can differ
+    in text (0.0 and -0.0, 0 and 0.0). Only a row whose ``f_xi`` is the
+    previous row's is looked at further, so a trace without repeats costs
+    one pass over its rows."""
+    f = list(map(operator.itemgetter(2), rows))
+    spans: list[list[int]] = []
+    for k, row, prev in compress(zip(count(1), rows[1:], rows), map(operator.is_, f[1:], f)):
+        # The cells but i (0) and f_xi (2), which passed the prefilter.
+        if (row[1] is prev[1] and row[3] is prev[3] and row[4] is prev[4]
+                and row[5] is prev[5] and row[6] is prev[6]):
+            if spans and spans[-1][1] == k:
+                spans[-1][1] = k + 1
+            else:
+                spans.append([k, k + 1])
+    return spans
 
 
 def trace_to_csv(trace: SolveTrace) -> str:
+    """The CSV text of a trace. ``csv`` writes the rows outside the repeat
+    spans in one call. A row in a span is written as the row before the span
+    with its own ``i``: that row's text from its first comma on, after the
+    text of ``i``."""
+    rows = trace.rows
+    spans = _repeat_spans(rows)
+    outside, start = [], 0
+    for first, stop in spans:
+        outside += rows[start:first]
+        start = stop
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(trace.rows)
-    return buf.getvalue()
+    writer.writerows(outside + rows[start:])
+    text = buf.getvalue()
+    if not spans:
+        return text
+    lines = text.split("\n")
+    # lines[0] is the header. Once the spans before it are in place, a span
+    # goes after the line of row first - 1, which is lines[first].
+    for first, stop in spans:
+        tail = lines[first][lines[first].index(","):]
+        lines[first + 1:first + 1] = [f"{row.i}{tail}" for row in rows[first:stop]]
+    return "\n".join(lines)
 
 
 def parse_trace_csv(text: str) -> list[TraceRow]:
@@ -94,10 +142,11 @@ def trace_to_dict(trace: SolveTrace) -> dict:
 def trace_to_json(trace: SolveTrace, csv_text: str | None = None) -> str:
     """``json.dumps(trace_to_dict(trace), indent=2)`` plus a newline.
     ``indent`` selects json's pure-Python encoder, which would spend most
-    of the time on the rows, so each row's cells, taken from the CSV text,
-    fill its indented template. ``csv_text``, when given, must be
-    ``trace_to_csv(trace)``; a caller that writes the CSV too passes it, so
-    no cell is formatted twice. Otherwise the text is made here."""
+    of the time on the rows, so the rows array is joined in one pass from
+    the cells of the CSV text and the text that json writes around them. A
+    repeated row costs no more than any other. ``csv_text``, when given,
+    must be ``trace_to_csv(trace)``; a caller that writes the CSV too passes
+    it, so no cell is formatted twice. Otherwise the text is made here."""
     head = json.dumps(_document(trace, []), indent=2)
     if not trace.rows:
         return head + "\n"
@@ -105,12 +154,19 @@ def trace_to_json(trace: SolveTrace, csv_text: str | None = None) -> str:
         csv_text = trace_to_csv(trace)
     # Only the distance can be empty, and it is never the first or the last
     # field, so an empty field is always ',,'. No number's text holds 'inf'
-    # or 'nan', and '-inf' becomes '-Infinity'.
-    body = csv_text.partition("\n")[2].replace(",,", ",null,")
-    lines = body.replace("inf", "Infinity").replace("nan", "NaN").splitlines()
-    rows = ",\n".join([_JSON_ROW % tuple(line.split(",")) for line in lines])
+    # or 'nan', and '-inf' becomes '-Infinity'. No cell holds a comma, so
+    # with each row's newline made a comma too, the text splits into the
+    # cells of all rows in order.
+    body = csv_text.partition("\n")[2][:-1].replace(",,", ",null,")
+    body = body.replace("inf", "Infinity").replace("nan", "NaN").replace("\n", ",")
+    cells = body.split(",")
+    before = [_JSON_NEXT_ROW, *_JSON_BEFORE[1:]] * len(trace.rows)
+    before[0] = _JSON_BEFORE[0]
+    parts = [""] * (2 * len(cells))
+    parts[0::2] = before
+    parts[1::2] = cells
     # The head ends with the empty rows array, '[]', and the closing brace.
-    return f"{head[:-4]}[\n{rows}\n  ]\n}}\n"
+    return f"{head[:-4]}[\n{''.join(parts)}{_JSON_CLOSE}\n  ]\n}}\n"
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -22,6 +22,7 @@ from epscut import (
     TerminationStatus,
     TraceRow,
     eps_at,
+    estimate_kappa,
     parse_trace_csv,
     problem_to_dict,
     solve,
@@ -222,6 +223,72 @@ def test_csv_writer_matches_cell_by_cell_reference(rows):
     trace = SolveTrace(rows, TerminationStatus.MAX_ITER_EXCEEDED, 0, np.zeros(1), 0.0,
                        None, [])
     assert trace_to_csv(trace) == reference_csv(trace)
+
+
+# Cells drawn as new objects, so that equal cells of two rows are not one
+# object, and from a fixed list, so that they may be. An int column may
+# hold a float as well: 0 and 0.0 are equal but written apart.
+SHARED_FLOATS = (st.builds(float, st.sampled_from(["0.0", "-0.0", "nan", "inf", "0.5"]))
+                 | st.sampled_from([0.0, -0.0, math.nan, 0.5]))
+SHARED_INTS = st.sampled_from([0, 1, 0.0, 1.0]) | INTS
+SHARED_ROWS = st.builds(TraceRow, INTS, SHARED_FLOATS, SHARED_FLOATS, SHARED_INTS,
+                        SHARED_FLOATS, st.none() | SHARED_FLOATS, SHARED_INTS)
+
+
+def equal_twins(cell) -> list:
+    """Cells equal to ``cell`` (NaN for NaN) that are not ``cell`` itself:
+    an int as a float, a float as a new object and, for a zero, with the
+    other sign. None has no twin."""
+    if cell is None:
+        return [None]
+    if isinstance(cell, int):
+        return [float(cell)]
+    return [float(repr(cell)), -cell] if cell == 0.0 else [float(repr(cell))]
+
+
+@st.composite
+def traces_with_repeats(draw):
+    """Traces whose rows run on from the last one: a run of rows that reuse
+    its cell objects after ``i``, as a stall's rows do, a row with one cell
+    swapped for an equal twin, or a new row."""
+    rows = [draw(SHARED_ROWS)]
+    for _ in range(draw(st.integers(0, 8))):
+        prev = rows[-1]
+        step = draw(st.sampled_from(["repeat", "twin", "new"]))
+        if step == "repeat":
+            rows += [prev._replace(i=draw(INTS)) for _ in range(draw(st.integers(1, 4)))]
+        elif step == "twin":
+            cells = list(prev._replace(i=draw(INTS)))
+            column = draw(st.integers(1, len(cells) - 1))
+            cells[column] = draw(st.sampled_from(equal_twins(cells[column])))
+            rows.append(TraceRow(*cells))
+        else:
+            rows.append(draw(SHARED_ROWS))
+    return SolveTrace(rows, TerminationStatus.MAX_ITER_EXCEEDED, 0, np.zeros(1), 0.0, None, [])
+
+
+_ZERO = TraceRow(0, 0.1, 0.0, 1, 0.0, None, 0)
+_NEGATIVE_ZERO = _ZERO._replace(i=2, f_xi=-0.0)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(traces_with_repeats())
+@example(SolveTrace(
+    # A repeat, then rows equal to the one before them: -0.0 for 0.0 (then
+    # a repeat of that row), 1.0 for 1 and 0.0 for -0.0.
+    [_ZERO, _ZERO._replace(i=1), _NEGATIVE_ZERO, _NEGATIVE_ZERO._replace(i=3),
+     _NEGATIVE_ZERO._replace(i=4, j_i=1.0), _ZERO._replace(i=5, j_i=1.0)],
+    TerminationStatus.MAX_ITER_EXCEEDED, 0, np.zeros(1), 0.0, None, [],
+))
+def test_writers_reuse_only_rows_of_the_same_cell_objects(trace):
+    # A row whose cells after i are the previous row's own objects reuses
+    # that row's text. A row of equal cells that are other objects, such as
+    # -0.0 for 0.0 or 0.0 for 0, is written for itself.
+    csv_text = trace_to_csv(trace)
+    assert csv_text == reference_csv(trace)
+    expected = json.dumps(trace_to_dict(trace), indent=2) + "\n"
+    assert trace_to_json(trace) == expected
+    assert trace_to_json(trace, csv_text) == expected
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
@@ -718,6 +785,26 @@ class TestCmdDiagnose:
             text = paths["r.json"].read_text()
             assert text == json.dumps(json.loads(text), indent=2) + "\n"
         capsys.readouterr()
+
+    @pytest.mark.parametrize("problem, flags", [
+        (BALL, ["--x0", "2.5,-1.5", "--baseline", "zero_eps"]),
+        (BALL, ["--x0", "2,0"]),
+        (MaxAffineProblem([[-0.2, 1.0], [-0.2, -1.0]], [0.0, 0.0]), ["--x0", "-2,0.5"]),
+    ], ids=["stalled-ball", "harmonic-ball", "max-affine-wedge"])
+    def test_kappa_is_the_estimate_over_every_iterate(self, tmp_path, problem, flags, capsys):
+        # diagnose hands estimate_kappa only the points that a step moved
+        # to; its kappa_hat is still the estimate over every iterate with
+        # f > 0, bit for bit.
+        path, report = write_problem(tmp_path, problem), tmp_path / "r.json"
+        argv = ["diagnose", "--problem", path, *flags]
+        main([*argv, "--report-json", str(report)])
+        capsys.readouterr()
+        args = cli._PARSER.parse_args(argv)
+        trace = solve(problem, cli._resolve_x0(args, problem),
+                      _build_options(args, record_dist=True))
+        points = [x for row, x in zip(trace.rows, trace.iterates) if row.f_xi > 0.0]
+        expected = estimate_kappa(problem, points, eps=0.0)
+        assert json.loads(report.read_text())["kappa_hat"].hex() == expected.hex()
 
     def test_short_trace_exit_five(self, ball_file):
         assert main(["diagnose", "--problem", ball_file, "--x0", "0.5,0"]) == 5

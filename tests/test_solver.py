@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -607,25 +607,54 @@ class TestStalledRunFill:
     bits; solve writes those rows without stepping, and its trace must be
     the step-by-step loop's."""
 
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(kind=st.sampled_from(KINDS), n=st.sampled_from([1, 2, 3, 6]),
-           schedule=st.sampled_from(sorted(SCHEDULES)), eps0=st.sampled_from([0.1, 1e-20]),
-           max_iter=st.sampled_from([1, 2, 50, 300]), seed=st.integers(0, 2**32 - 1),
-           j_max=st.sampled_from([DEFAULT_J_MAX, 1]),
-           infeasible_cut_fallback=st.sampled_from(solver.FALLBACK_MODES),
-           record_sublevel_distance=st.booleans())
-    def test_matches_reference(self, kind, n, schedule, eps0, max_iter, seed, **options):
-        # A shift of 1e-20 is below the round-off of most of these cuts, so
-        # the const schedule can stall as the zero shift does, and the
-        # harmonic and log ones can stall with a new shift at every step.
+    # A shift of 1e-20 is below the round-off of most of these cuts, so the
+    # const schedule can stall as the zero shift does, and the harmonic and
+    # log ones can stall with a new shift at every step.
+    CASES = dict(kind=st.sampled_from(KINDS), n=st.sampled_from([1, 2, 3, 6]),
+                 schedule=st.sampled_from(sorted(SCHEDULES)),
+                 eps0=st.sampled_from([0.1, 1e-20]), max_iter=st.sampled_from([1, 2, 50, 300]),
+                 seed=st.integers(0, 2**32 - 1), j_max=st.sampled_from([DEFAULT_J_MAX, 1]),
+                 infeasible_cut_fallback=st.sampled_from(solver.FALLBACK_MODES),
+                 record_sublevel_distance=st.booleans())
+
+    @staticmethod
+    def case(kind, n, schedule, eps0, max_iter, seed, **options):
+        """The problem, a start, the options and the generator they came from."""
         rng = np.random.default_rng(seed)
         problem = random_problem(rng, kind, n)
         x0 = rng.standard_normal(n) * 10.0 ** rng.uniform(-1.0, 6.0)
         opts = SolveOptions(schedule=SCHEDULES[schedule](eps0), max_iter=max_iter, **options)
+        return problem, x0, opts, rng
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(**CASES)
+    def test_matches_reference(self, **case):
+        problem, x0, opts, _ = self.case(**case)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             trace = solve(problem, x0, opts)
         assert trace_bytes(trace) == trace_bytes(_solve_reference(problem, x0, opts))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(**CASES)
+    # Two zero-shift runs that stall, 34 and 49 unmoved steps of 50.
+    @example(kind="ball", n=2, schedule="zero", eps0=0.1, max_iter=50, seed=1, j_max=8,
+             infeasible_cut_fallback="first_cut_only", record_sublevel_distance=True)
+    @example(kind="max_affine", n=2, schedule="zero", eps0=0.1, max_iter=50, seed=1, j_max=8,
+             infeasible_cut_fallback="fail", record_sublevel_distance=False)
+    def test_unmoved_step_keeps_the_bits(self, **case):
+        # A step with no active cut hands x back as it was: x_{i+1} has
+        # x_i's bits, in both loops. diagnose relies on it to skip repeated
+        # points (cli.cmd_diagnose).
+        problem, x0, opts, rng = self.case(**case)
+        starts = [x0, rng.standard_normal(problem.dim) * 10.0 ** rng.uniform(-1.0, 2.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traces = [solve(problem, x0, opts), *solve_multistart(problem, starts, opts)]
+        for trace in traces:
+            for i, row in enumerate(trace.rows[:-1]):
+                if row.cut_count_active == 0:
+                    assert trace.iterates[i + 1].tobytes() == trace.iterates[i].tobytes()
 
     def test_fill_stops_where_the_shift_changes(self, monkeypatch):
         # Shift segments: a switch of sign of zero and one of type (0 and
