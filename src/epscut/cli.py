@@ -33,7 +33,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import diagnostics
-from .errors import DimensionMismatchError, InsufficientDataError, NotAvailableError
+from .errors import DimensionMismatchError, InsufficientDataError
 from .geometry import as_vector
 from .problems import (
     DEFAULT_J_MAX,
@@ -306,18 +306,12 @@ def cmd_diagnose(args) -> int:
         _write_outputs(args, trace)
         print(f"diagnose: {exc}", file=sys.stderr)
         return 5
-    # Only the points that a step moved to: after a row with no active cut,
-    # x_i is x_{i-1}'s own bits (SolveTrace.iterates), and the largest ratio
-    # over repeated points is the largest over the distinct ones.
-    moved = [True, *(r.cut_count_active != 0 for r in trace.rows[:-1])]
-    points = [x for r, x, new in zip(trace.rows, trace.iterates, moved)
-              if new and r.f_xi > 0.0]
-    try:
-        kappa_hat = diagnostics.estimate_kappa(problem, points, eps=0.0)
-    except (NotAvailableError, ValueError) as exc:
-        # Unreachable for supported kinds; keep the report honest anyway.
-        print(f"diagnose: kappa estimate failed: {exc}", file=sys.stderr)
-        kappa_hat = None
+    # The error-bound ratio d(x_i, S_eps_i) / (f(x_i) + eps_i) at the shift
+    # each step used, over the rows claim_contrast fits. As in
+    # estimate_kappa, only a ratio above 0.0 counts: a NaN (inf / inf) never is.
+    ratios = (r.dist_sublevel / (r.f_xi + r.eps_i) for r in trace.rows
+              if r.f_xi > 0.0 and r.dist_sublevel is not None)
+    kappa_hat = max((q for q in ratios if q > 0.0), default=0.0)
     report = {"problem": problem.name, **_outcome(trace), "kappa_hat": kappa_hat,
               "contrast": contrast.to_dict()}
     _write_outputs(args, trace, report)

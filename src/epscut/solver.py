@@ -137,16 +137,14 @@ class TraceRow(NamedTuple):
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """Full record of one run.
+    """Full record of one run: its rows and where it ended.
 
-    ``iterates`` keeps every visited point (x_0 first); it is not part of
-    the serialized formats but feeds diagnostics. Where a row other than
-    the last has ``cut_count_active == 0``, its step handed x back as it
-    was: ``iterates[i + 1]`` has the bits of ``iterates[i]``. ``diagnose``
-    relies on this to skip repeated points. ``status_iteration`` is
-    the index at which the run stopped; for error statuses it is the
-    iteration that failed. ``strict_feasible`` is meaningful only for
-    FEASIBLE_FOUND and records whether f was strictly negative.
+    No visited point is kept but the last, ``final_x``; a run of k steps
+    (``solve(..., max_iter=k)`` that does not stop sooner) ends at x_k.
+    ``status_iteration`` is the index at which the run stopped; for error
+    statuses it is the iteration that failed. ``strict_feasible`` is
+    meaningful only for FEASIBLE_FOUND and records whether f was strictly
+    negative.
     """
 
     rows: list[TraceRow]
@@ -155,7 +153,6 @@ class SolveTrace:
     final_x: np.ndarray
     final_f: float
     strict_feasible: bool | None
-    iterates: list[np.ndarray]
 
 
 def build_cuts(x, evaluation: Evaluation, eps: float) -> CutPolyhedron:
@@ -229,13 +226,13 @@ def _step(x, evaluation: Evaluation, eps: float, fallback: str):
         return TerminationStatus.PROJECTION_FAILED, None, 0
 
 
-def _finish(rows, iterates, status, i, eps_i, f_xi, j_i, dist, x) -> SolveTrace:
+def _finish(rows, status, i, eps_i, f_xi, j_i, dist, x) -> SolveTrace:
     """The trace of a run that stopped at iteration i, from x."""
     rows.append(TraceRow(i, eps_i, f_xi, j_i, 0.0, dist, 0))
     strict_feasible = (
         f_xi < 0.0 if status is TerminationStatus.FEASIBLE_FOUND else None
     )
-    return SolveTrace(rows, status, i, x, f_xi, strict_feasible, iterates)
+    return SolveTrace(rows, status, i, x, f_xi, strict_feasible)
 
 
 def _start_points(starts: list, dim: int) -> np.ndarray:
@@ -265,8 +262,8 @@ def solve(problem: Problem, x0, opts: SolveOptions | None = None) -> SolveTrace:
     every later step for as long as the shift keeps its bits: the oracle
     and the kernel give the same bits from the same point, so the next
     evaluation, cuts, projection and distance are this step's again. The
-    loop writes those rows and iterates straight away, without evaluating
-    anything, and steps again from x at the first iteration whose shift
+    loop writes those rows straight away, without evaluating anything,
+    and steps again from x at the first iteration whose shift
     differs in type, value or sign of zero. The trace is the one the
     step-by-step loop gives, byte for byte. The harmonic and logarithmic
     schedules change the shift at every step, so in practice only
@@ -274,25 +271,24 @@ def solve(problem: Problem, x0, opts: SolveOptions | None = None) -> SolveTrace:
     """
     opts = opts or SolveOptions()
     x = as_vector(x0, problem.dim).copy()
-    return _run(problem, x, 0, [], [x.copy()], opts)
+    return _run(problem, x, 0, [], opts)
 
 
 # Far from the origin the oracle and the cuts overflow, and the closed-form
 # step divides by a zero-length cut before build_cuts rejects it. The status
 # reports all of these, so NumPy need not warn about them.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _run(problem: Problem, x, i: int, rows: list[TraceRow], iterates: list[np.ndarray],
-         opts: SolveOptions) -> SolveTrace:
+def _run(problem: Problem, x, i: int, rows: list[TraceRow], opts: SolveOptions) -> SolveTrace:
     """The loop of ``solve``, from x at iteration i to the end of the run.
 
-    ``rows`` holds the rows of iterations 0 to i - 1 and ``iterates`` the
-    points x_0 to x_i; both are extended in place and go into the trace.
-    A step with no active cut leaves x's bits as they were (x lay inside
-    its cuts, and the kernel hands it back), so its next iterate repeats
-    x. The stall fill first finds the iteration where the shift changes,
-    then appends its rows and iterates in one call each. The fill rows
-    share one set of cell objects after i, so ``traceio`` writes each of
-    them but the first from the text of the row before it.
+    ``rows`` holds the rows of iterations 0 to i - 1; it is extended in
+    place and goes into the trace, which keeps x only as the run's last
+    point. A step with no active cut leaves x's bits as they were (x lay
+    inside its cuts, and the kernel hands it back), so its next iterate
+    repeats x. The stall fill first finds the iteration where the shift
+    changes, then appends its rows in one call. The fill rows share one set
+    of cell objects after i, so ``traceio`` writes each of them but the
+    first from the text of the row before it.
     """
     record_dist = opts.record_sublevel_distance and supports_sublevel_distance(problem)
     while True:
@@ -314,7 +310,6 @@ def _run(problem: Problem, x, i: int, rows: list[TraceRow], iterates: list[np.nd
                      dist, active)
         )
         x = point
-        iterates.append(x.copy())
         i += 1
         if not active:
             # x lay inside its own cuts and came back unmoved, so every later
@@ -325,16 +320,15 @@ def _run(problem: Problem, x, i: int, rows: list[TraceRow], iterates: list[np.nd
                 (eps := eps_at(opts.schedule, end)) is eps_i or _same_bits(eps, eps_i)
             ):
                 end += 1
-            # The rows are built as TraceRow's own __new__ builds a row, and
-            # the iterates are the rows of one new block of copies of x.
+            # The rows are built as TraceRow's own __new__ builds a row; x
+            # stays as it is for all of them.
             cells = (eps_i, f_xi, len(evaluation.bundle), 0.0, dist, 0)
             rows.extend(map(tuple.__new__, repeat(TraceRow),
                             zip(range(i, end), *map(repeat, cells))))
-            iterates.extend(np.tile(x, (end - i, 1)))
             i = end
 
     # The loop always stops by ``break``: at the latest when i == max_iter.
-    return _finish(rows, iterates, status, i, eps_i, f_xi, len(evaluation.bundle), dist, x)
+    return _finish(rows, status, i, eps_i, f_xi, len(evaluation.bundle), dist, x)
 
 
 # A round also makes the closed-form step of rows whose cut has zero length;
@@ -369,7 +363,6 @@ def solve_multistart(
     record_dist = opts.record_sublevel_distance and supports_sublevel_distance(problem)
 
     rows: list[list[TraceRow]] = [[] for _ in starts]
-    iterates = [[x.copy()] for x in X]
     traces: list[SolveTrace | None] = [None] * len(starts)
     owner = list(range(len(starts)))  # the start of each live row
     for i in range(opts.max_iter + 1):
@@ -395,17 +388,15 @@ def solve_multistart(
             elif i == opts.max_iter:
                 status = TerminationStatus.MAX_ITER_EXCEEDED
             elif not stays:
-                traces[start] = _run(problem, X[r].copy(), i, rows[start], iterates[start],
-                                     opts)
+                traces[start] = _run(problem, X[r].copy(), i, rows[start], opts)
                 continue
             dist = _sublevel_distance(problem, X[r], eps_i) if record_dist else None
             if status is None:
                 rows[start].append(TraceRow(i, eps_i, f_xi, 1, step_norms[r], dist, 1))
-                iterates[start].append(point[r].copy())
                 live.append(r)
             else:
-                traces[start] = _finish(rows[start], iterates[start], status, i, eps_i,
-                                        f_xi, size, dist, X[r].copy())
+                traces[start] = _finish(rows[start], status, i, eps_i, f_xi, size, dist,
+                                        X[r].copy())
         if not live:
             return traces
         X = point[live]

@@ -41,6 +41,8 @@ from epscut.problems import (
     nonconvex_default_problem,
 )
 from epscut.traceio import CSV_COLUMNS, write_text_atomic
+from test_problems import random_problem
+from test_solver import reference_points
 from conftest import (
     BOOLEAN_SPECS,
     HUGE_DIM_SPECS,
@@ -51,6 +53,8 @@ from conftest import (
 )
 
 BALL = BallProblem([0.0, 0.0], 1.0)
+# |x2| <= 0.2 x1: a max-affine wedge with a polyhedral sublevel distance.
+WEDGE = MaxAffineProblem([[-0.2, 1.0], [-0.2, -1.0]], [0.0, 0.0])
 
 
 @pytest.fixture
@@ -153,7 +157,6 @@ ROWS = st.builds(
 TRACES = st.builds(
     SolveTrace, st.lists(ROWS, max_size=5), st.sampled_from(TerminationStatus), INTS,
     st.lists(FLOATS, max_size=3).map(np.array), FLOATS, st.sampled_from([None, True, False]),
-    st.just([]),
 )
 
 
@@ -162,7 +165,7 @@ TRACES = st.builds(
 @example(SolveTrace(
     [TraceRow(0, 0.1, math.nan, 1, math.inf, None, 2**65),
      TraceRow(1, 1, -math.inf, 0, -0.0, math.nan, 0)],
-    TerminationStatus.MAX_ITER_EXCEEDED, 1, np.array([-0.0, 1e308]), math.inf, None, [],
+    TerminationStatus.MAX_ITER_EXCEEDED, 1, np.array([-0.0, 1e308]), math.inf, None,
 ))
 def test_json_writer_matches_json_dumps(trace):
     # The rows' cells come from the CSV text, made here or passed in; the
@@ -220,8 +223,7 @@ CSV_ROWS = st.builds(
 def test_csv_writer_matches_cell_by_cell_reference(rows):
     # csv writes a float by its repr and an int by str, as the reference
     # does, for rows of Python floats and ints.
-    trace = SolveTrace(rows, TerminationStatus.MAX_ITER_EXCEEDED, 0, np.zeros(1), 0.0,
-                       None, [])
+    trace = SolveTrace(rows, TerminationStatus.MAX_ITER_EXCEEDED, 0, np.zeros(1), 0.0, None)
     assert trace_to_csv(trace) == reference_csv(trace)
 
 
@@ -264,7 +266,7 @@ def traces_with_repeats(draw):
             rows.append(TraceRow(*cells))
         else:
             rows.append(draw(SHARED_ROWS))
-    return SolveTrace(rows, TerminationStatus.MAX_ITER_EXCEEDED, 0, np.zeros(1), 0.0, None, [])
+    return SolveTrace(rows, TerminationStatus.MAX_ITER_EXCEEDED, 0, np.zeros(1), 0.0, None)
 
 
 _ZERO = TraceRow(0, 0.1, 0.0, 1, 0.0, None, 0)
@@ -278,7 +280,7 @@ _NEGATIVE_ZERO = _ZERO._replace(i=2, f_xi=-0.0)
     # a repeat of that row), 1.0 for 1 and 0.0 for -0.0.
     [_ZERO, _ZERO._replace(i=1), _NEGATIVE_ZERO, _NEGATIVE_ZERO._replace(i=3),
      _NEGATIVE_ZERO._replace(i=4, j_i=1.0), _ZERO._replace(i=5, j_i=1.0)],
-    TerminationStatus.MAX_ITER_EXCEEDED, 0, np.zeros(1), 0.0, None, [],
+    TerminationStatus.MAX_ITER_EXCEEDED, 0, np.zeros(1), 0.0, None,
 ))
 def test_writers_reuse_only_rows_of_the_same_cell_objects(trace):
     # A row whose cells after i are the previous row's own objects reuses
@@ -789,21 +791,57 @@ class TestCmdDiagnose:
     @pytest.mark.parametrize("problem, flags", [
         (BALL, ["--x0", "2.5,-1.5", "--baseline", "zero_eps"]),
         (BALL, ["--x0", "2,0"]),
-        (MaxAffineProblem([[-0.2, 1.0], [-0.2, -1.0]], [0.0, 0.0]), ["--x0", "-2,0.5"]),
-    ], ids=["stalled-ball", "harmonic-ball", "max-affine-wedge"])
-    def test_kappa_is_the_estimate_over_every_iterate(self, tmp_path, problem, flags, capsys):
-        # diagnose hands estimate_kappa only the points that a step moved
-        # to; its kappa_hat is still the estimate over every iterate with
-        # f > 0, bit for bit.
-        path, report = write_problem(tmp_path, problem), tmp_path / "r.json"
-        argv = ["diagnose", "--problem", path, *flags]
-        main([*argv, "--report-json", str(report)])
+        (WEDGE, ["--x0", "-2,0.5"]),
+        (WEDGE, ["--x0", "-2,0.5", "--schedule", "log"]),
+    ], ids=["stalled-ball", "harmonic-ball", "max-affine-wedge", "log-wedge"])
+    def test_kappa_is_the_largest_ratio_of_its_rows(self, tmp_path, problem, flags, capsys):
+        # kappa_hat is the largest d(x_i, S_eps_i) / (f(x_i) + eps_i) over
+        # the rows with f > 0 and a distance, read back from the run's own
+        # CSV trace, bit for bit.
+        path, csv_path, report = (write_problem(tmp_path, problem), tmp_path / "t.csv",
+                                  tmp_path / "r.json")
+        main(["diagnose", "--problem", path, *flags, "--trace-csv", str(csv_path),
+              "--report-json", str(report)])
         capsys.readouterr()
+        expected = max(r.dist_sublevel / (r.f_xi + r.eps_i)
+                       for r in parse_trace_csv(csv_path.read_text())
+                       if r.f_xi > 0.0 and r.dist_sublevel is not None)
+        assert expected > 0.0
+        assert json.loads(report.read_text())["kappa_hat"].hex() == expected.hex()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["ball", "max_affine"]), n=st.sampled_from([1, 2, 3]),
+           max_iter=st.sampled_from([3, 50, 300]), seed=st.integers(0, 2**32 - 1))
+    # Runs that stall just outside the sublevel set, and runs that end
+    # feasible without a stall: a ball, then a max-affine problem of each.
+    @example(kind="ball", n=1, max_iter=50, seed=0)
+    @example(kind="ball", n=1, max_iter=50, seed=8)
+    @example(kind="max_affine", n=2, max_iter=300, seed=11)
+    @example(kind="max_affine", n=2, max_iter=50, seed=12)
+    def test_zero_shift_kappa_is_the_estimate_over_every_point(self, tmp_path_factory, kind,
+                                                               n, max_iter, seed):
+        # At the zero shift, each row's ratio is estimate_kappa's at eps = 0
+        # for its point, so kappa_hat is the estimate over every point with
+        # f > 0 that the step-by-step loop visits, stalled run or not.
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, kind, n)
+        x0 = rng.standard_normal(n) * 10.0 ** rng.uniform(-1.0, 2.0)
+        tmp_path = tmp_path_factory.mktemp("zero")
+        path, report = write_problem(tmp_path, problem), tmp_path / "r.json"
+        argv = ["diagnose", "--problem", path, "--x0", ",".join(map(repr, x0.tolist())),
+                "--baseline", "zero_eps", "--max-iter", str(max_iter)]
+        code = main([*argv, "--report-json", str(report)])
+        # Fewer than three rows with f > 0 leave nothing to diagnose.
+        assert report.exists() == (code != 5)
+        if code == 5:
+            return
         args = cli._PARSER.parse_args(argv)
-        trace = solve(problem, cli._resolve_x0(args, problem),
-                      _build_options(args, record_dist=True))
-        points = [x for row, x in zip(trace.rows, trace.iterates) if row.f_xi > 0.0]
-        expected = estimate_kappa(problem, points, eps=0.0)
+        problem = cli._load_problem(path)
+        x0, opts = cli._resolve_x0(args, problem), _build_options(args, record_dist=True)
+        trace = solve(problem, x0, opts)
+        points = reference_points(problem, x0, opts, trace)
+        expected = estimate_kappa(problem, [x for row, x in zip(trace.rows, points)
+                                            if row.f_xi > 0.0], 0.0)
         assert json.loads(report.read_text())["kappa_hat"].hex() == expected.hex()
 
     def test_short_trace_exit_five(self, ball_file):

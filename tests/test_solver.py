@@ -68,19 +68,19 @@ def first_cut(x, ev, eps) -> CutPolyhedron:
 class TestStep:
     def test_ball_single_cut_closed_form(self):
         trace = one_step(BALL, [2.0, 0.0], 0.1)
-        assert_allclose(trace.iterates[1], [1.225, 0.0], rtol=0, atol=1e-15)
+        assert_allclose(trace.final_x, [1.225, 0.0], rtol=0, atol=1e-15)
         assert trace.rows[0].j_i == 1
         assert trace.rows[0].cut_count_active == 1
 
     def test_single_cut_bundle_equals_halfspace_projection(self):
         x = np.array([1.7, -0.4])
         ev = evaluate(BALL, x)
-        via_step = one_step(BALL, x, 0.05).iterates[1]
+        via_step = one_step(BALL, x, 0.05).final_x
         assert_allclose(via_step, project_polyhedron(x, first_cut(x, ev, 0.05)).point, rtol=1e-14)
 
     def test_max_affine_corner(self):
         trace = one_step(AXES_MAX, [1.0, 1.0], 0.5)
-        assert_allclose(trace.iterates[1], [-0.5, -0.5], atol=1e-14)
+        assert_allclose(trace.final_x, [-0.5, -0.5], atol=1e-14)
         assert trace.rows[0].j_i == 2
         assert trace.rows[0].cut_count_active == 2
 
@@ -89,7 +89,7 @@ class TestStep:
         # Only the first (most active, lowest index) cut is honored:
         # x <= 0 - f - eps = -1.1. Both cuts together are empty, so this
         # point is reachable only through the fallback.
-        assert_allclose(trace.iterates[1], [-1.1], atol=1e-15)
+        assert_allclose(trace.final_x, [-1.1], atol=1e-15)
         assert trace.rows[0].j_i == 2
         assert trace.rows[0].cut_count_active == 1
 
@@ -122,7 +122,6 @@ class TestSolveBall:
         for row in trace.rows[:-1]:
             assert row.f_xi > 0.0
         assert trace.rows[-1].f_xi <= 0.0
-        assert len(trace.iterates) == len(trace.rows)
 
     def test_cut_validity_per_iteration(self):
         for problem, x0 in [
@@ -130,9 +129,11 @@ class TestSolveBall:
             (nonconvex_default_problem(), [2.5, 1.2]),
             (AXES_MAX, [1.0, 1.0]),
         ]:
-            trace = solve(problem, x0, harmonic_opts(max_iter=200))
-            for i in range(len(trace.iterates) - 1):
-                x_i, x_next = trace.iterates[i], trace.iterates[i + 1]
+            opts = harmonic_opts(max_iter=200)
+            trace = solve(problem, x0, opts)
+            points = reference_points(problem, x0, opts, trace)
+            for i in range(len(points) - 1):
+                x_i, x_next = points[i], points[i + 1]
                 ev = evaluate(problem, x_i)
                 eps_i = trace.rows[i].eps_i
                 delta = x_next - x_i
@@ -141,10 +142,12 @@ class TestSolveBall:
                     assert ev.value + float(np.dot(s, delta)) <= -eps_i + slack
 
     def test_step_dominates_first_single_cut(self):
-        trace = solve(nonconvex_default_problem(), [2.5, 1.2], harmonic_opts())
-        for i in range(len(trace.iterates) - 1):
-            x_i, x_next = trace.iterates[i], trace.iterates[i + 1]
-            ev = evaluate(nonconvex_default_problem(), x_i)
+        problem, x0, opts = nonconvex_default_problem(), [2.5, 1.2], harmonic_opts()
+        trace = solve(problem, x0, opts)
+        points = reference_points(problem, x0, opts, trace)
+        for i in range(len(points) - 1):
+            x_i, x_next = points[i], points[i + 1]
+            ev = evaluate(problem, x_i)
             single = project_polyhedron(x_i, first_cut(x_i, ev, trace.rows[i].eps_i)).point
             assert (
                 np.linalg.norm(x_next - x_i)
@@ -153,10 +156,11 @@ class TestSolveBall:
 
     def test_monotone_distance_decay_at_fixed_shift(self):
         trace = solve(BALL, [2.0, 0.0], harmonic_opts())
-        for i in range(len(trace.iterates) - 1):
+        points = reference_points(BALL, [2.0, 0.0], harmonic_opts(), trace)
+        for i in range(len(points) - 1):
             eps_i = trace.rows[i].eps_i
-            d_now = exact_sublevel_distance(BALL, trace.iterates[i], eps_i)
-            d_next = exact_sublevel_distance(BALL, trace.iterates[i + 1], eps_i)
+            d_now = exact_sublevel_distance(BALL, points[i], eps_i)
+            d_next = exact_sublevel_distance(BALL, points[i + 1], eps_i)
             assert d_next <= d_now + 1e-12
 
     def test_recorded_distances(self):
@@ -376,7 +380,7 @@ class TestCallPoints:
                             record_sublevel_distance=True)
         trace = solve(BALL, [2.0, 0.0], opts)
         assert trace.status is TerminationStatus.MAX_ITER_EXCEEDED
-        assert len(trace.rows) == len(trace.iterates) == 1001
+        assert len(trace.rows) == 1001
         assert [row.cut_count_active for row in trace.rows[4:7]] == [1, 0, 0]
         assert counts == {"evaluate": 7, "exact_sublevel_distance": 7,
                           "project_one_cut": 6, "build_cuts": 1, "project_polyhedron": 1}
@@ -544,9 +548,9 @@ class TestMultistart:
 
 
 def trace_bytes(trace) -> bytes:
-    """Every serialized byte of a trace, plus the bytes of its iterates."""
+    """Every serialized byte of a trace, plus the bytes of its last point."""
     text = trace_to_csv(trace) + trace_to_json(trace)
-    return text.encode() + b"".join(x.tobytes() for x in trace.iterates + [trace.final_x])
+    return text.encode() + trace.final_x.tobytes()
 
 
 def assert_lockstep_matches_solve(problem, starts, opts):
@@ -562,14 +566,15 @@ def assert_lockstep_matches_solve(problem, starts, opts):
 
 # The loop of solve before it filled stalled runs: every iteration
 # evaluates, measures and steps. It calls the layers through the solver
-# module, so a patched name reaches both loops.
+# module, so a patched name reaches both loops. It returns its trace and
+# the points x_0, x_1, ... it visited, which the solver does not keep.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _solve_reference(problem, x0, opts):
     x = as_vector(x0, problem.dim).copy()
     record_dist = opts.record_sublevel_distance and supports_sublevel_distance(problem)
 
     rows = []
-    iterates = [x.copy()]
+    points = [x.copy()]
     for i in range(opts.max_iter + 1):
         evaluation = solver.evaluate(problem, x, opts.j_max)
         f_xi = evaluation.value
@@ -590,8 +595,17 @@ def _solve_reference(problem, x0, opts):
                             dist, active)
         )
         x = point
-        iterates.append(x.copy())
-    return solver._finish(rows, iterates, status, i, eps_i, f_xi, len(evaluation.bundle), dist, x)
+        points.append(x.copy())
+    trace = solver._finish(rows, status, i, eps_i, f_xi, len(evaluation.bundle), dist, x)
+    return trace, points
+
+
+def reference_points(problem, x0, opts, trace) -> list:
+    """The points a run from x0 visited, after checking that its trace is
+    the step-by-step loop's, byte for byte."""
+    reference, points = _solve_reference(problem, x0, opts)
+    assert trace_bytes(trace) == trace_bytes(reference)
+    return points
 
 
 SCHEDULES = {
@@ -633,7 +647,7 @@ class TestStalledRunFill:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             trace = solve(problem, x0, opts)
-        assert trace_bytes(trace) == trace_bytes(_solve_reference(problem, x0, opts))
+        assert trace_bytes(trace) == trace_bytes(_solve_reference(problem, x0, opts)[0])
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(**CASES)
@@ -644,17 +658,19 @@ class TestStalledRunFill:
              infeasible_cut_fallback="fail", record_sublevel_distance=False)
     def test_unmoved_step_keeps_the_bits(self, **case):
         # A step with no active cut hands x back as it was: x_{i+1} has
-        # x_i's bits, in both loops. diagnose relies on it to skip repeated
-        # points (cli.cmd_diagnose).
+        # x_i's bits. Both loops give the step-by-step loop's trace and last
+        # point, and the stall fill relies on this to keep x for the rows
+        # it writes.
         problem, x0, opts, rng = self.case(**case)
         starts = [x0, rng.standard_normal(problem.dim) * 10.0 ** rng.uniform(-1.0, 2.0)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traces = [solve(problem, x0, opts), *solve_multistart(problem, starts, opts)]
-        for trace in traces:
+        for start, trace in zip([x0, *starts], traces):
+            points = reference_points(problem, start, opts, trace)
             for i, row in enumerate(trace.rows[:-1]):
                 if row.cut_count_active == 0:
-                    assert trace.iterates[i + 1].tobytes() == trace.iterates[i].tobytes()
+                    assert points[i + 1].tobytes() == points[i].tobytes()
 
     def test_fill_stops_where_the_shift_changes(self, monkeypatch):
         # Shift segments: a switch of sign of zero and one of type (0 and
@@ -683,7 +699,7 @@ class TestStalledRunFill:
         assert at == [0, 1, 2, 3, 4, 5, *changes, 100]
         assert trace.status is TerminationStatus.MAX_ITER_EXCEEDED
         assert [str(trace.rows[c].eps_i) for c in changes] == ["-0.0", "0.0", "0", "1e-300", "0.0"]
-        assert trace_bytes(trace) == trace_bytes(_solve_reference(BALL, [2.0, 0.0], opts))
+        assert trace_bytes(trace) == trace_bytes(_solve_reference(BALL, [2.0, 0.0], opts)[0])
 
 
 OPTION_CHOICES = dict(
@@ -865,10 +881,11 @@ class TestFiniteTermination:
                 traces = solve_multistart(problem, starts, opts)
             else:
                 traces = [solve(problem, starts[0], opts)]
-        for trace in traces:
+        for x0, trace in zip(starts, traces):
             assert trace.status in (TerminationStatus.FEASIBLE_FOUND,
                                     TerminationStatus.MAX_ITER_EXCEEDED)
-            gaps = [float(np.sum((x - z) ** 2)) for x in trace.iterates]
+            points = reference_points(problem, x0, opts, trace)
+            gaps = [float(np.sum((x - z) ** 2)) for x in points]
             for row, now, after in zip(trace.rows, gaps, gaps[1:]):
                 d = row.step_norm
                 assert after <= now - d * d - 2.0 * rho * d + 1e-12 * now
