@@ -13,8 +13,12 @@ CSV text. So a caller that writes both forms formats each cell once, by
 handing that text to ``trace_to_json``. A row whose cells after ``i`` are
 the previous row's own objects, as the rows that ``solve`` writes for a
 stalled run are, is not formatted again: its text is the previous row's
-with its own ``i``. File writes are whole-file atomic (temp file then
-rename).
+with its own ``i``. ``parse_trace_csv`` reads text as the writer makes it
+(no quote, carriage return or NUL, no line past ``csv``'s field size limit)
+by splitting it on newlines and commas, and parses each distinct text after
+a row's ``i`` once, so a stalled run's repeated rows again share their
+cells. ``csv`` reads every other text and raises every error. File writes
+are whole-file atomic (temp file then rename).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import operator
 import os
 import stat
 import tempfile
-from itertools import compress, count
+from itertools import compress, count, repeat
 
 from .solver import SolveTrace, TraceRow
 
@@ -48,6 +52,10 @@ _SCHEMA = (
     ("cut_count_active", int),
 )
 CSV_COLUMNS = tuple(column for column, _ in _SCHEMA)
+# The parsers of the cells after i, which a row's text after its first
+# comma holds.
+_CELL_PARSERS = [parse for _, parse in _SCHEMA[1:]]
+_HEADER = ",".join(CSV_COLUMNS)
 # The text that json.dumps(indent=2) writes before each cell of a row in the
 # document's rows array, the text between one row's last cell and the next
 # row's first, and the text after the last row's last cell.
@@ -108,7 +116,57 @@ def trace_to_csv(trace: SolveTrace) -> str:
 def parse_trace_csv(text: str) -> list[TraceRow]:
     """Rows of a CSV trace. Raises ValueError on a missing or wrong header,
     a row with the wrong number of fields, or a field that does not parse,
-    including an empty field other than ``dist_sublevel``."""
+    including an empty field other than ``dist_sublevel``. A header with no
+    rows reads as no rows.
+
+    Text with no quote, carriage return or NUL and no line longer than
+    ``csv.field_size_limit()``, as ``trace_to_csv`` writes it, splits on
+    newlines and commas into the fields ``csv`` reads from it, and is read
+    so. Each row's ``i`` is parsed, and each distinct text after a row's
+    first comma is parsed once: rows with the same text there, as a stalled
+    run's repeats have, share one set of cell objects, so ``trace_to_csv``
+    writes them again from the first one's text. Any other text, and text
+    that fails a check of the header, a field count or a parse, is read by
+    ``csv``, which raises every error."""
+    rows = _split_rows(text)
+    return _csv_rows(text) if rows is None else rows
+
+
+def _split_rows(text: str) -> list[TraceRow] | None:
+    """The rows of plain text read by splitting it, or None if ``csv``
+    must read it: it is not plain, or a check fails."""
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final newline's
+    limit = csv.field_size_limit()
+    if (not lines or lines[0] != _HEADER
+            or (len(text) > limit and max(map(len, lines)) > limit)):
+        return None
+    if len(lines) == 1:
+        return []
+    heads, _, tails = zip(*map(str.partition, lines[1:], repeat(",")))
+    distinct = list(dict.fromkeys(tails))
+    try:
+        # strict: a tail with the wrong number of fields raises. A line
+        # without a comma has the tail "", one field.
+        fields = list(zip(*map(str.split, distinct, repeat(",")), strict=True))
+        if len(fields) != len(_CELL_PARSERS):
+            return None
+        indices = list(map(int, heads))
+        columns = [list(map(parse, cells)) for cells, parse in zip(fields, _CELL_PARSERS)]
+    except ValueError:
+        return None
+    cells = dict(zip(distinct, zip(*columns)))
+    # TraceRow(i, *cells) for each row, built in C: tuple.__new__ of the
+    # class and the row's cells, with i's 1-tuple added to the tail's cells.
+    rows = map(operator.add, zip(indices), map(cells.__getitem__, tails))
+    return list(map(tuple.__new__, repeat(TraceRow), rows))
+
+
+def _csv_rows(text: str) -> list[TraceRow]:
+    """The rows of any text, read by ``csv``."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or tuple(header) != CSV_COLUMNS:
@@ -119,6 +177,8 @@ def parse_trace_csv(text: str) -> list[TraceRow]:
             raise ValueError(
                 f"CSV row {number}: expected {len(_SCHEMA)} fields, got {len(rec)}"
             )
+    if not records:
+        return []
     columns = zip(*records)
     return list(map(TraceRow, *(list(map(parse, cells))
                                 for cells, (_, parse) in zip(columns, _SCHEMA))))

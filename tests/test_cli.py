@@ -1,5 +1,8 @@
 """Trace format round-trips, CLI exit codes, and output determinism."""
 
+import csv
+import dataclasses
+import io
 import json
 import math
 import os
@@ -30,7 +33,7 @@ from epscut import (
     trace_to_dict,
     trace_to_json,
 )
-from epscut import cli
+from epscut import cli, traceio
 from epscut.cli import _build_options, _build_parser, main
 from epscut.problems import (
     BallBody,
@@ -210,6 +213,34 @@ def reference_csv(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_parse(text: str) -> list[TraceRow]:
+    """The reader as it was before plain text was split: ``csv`` reads every
+    text, and a header with no rows raises TypeError."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or tuple(header) != CSV_COLUMNS:
+        raise ValueError(f"unexpected CSV header {header!r}")
+    records = list(reader)
+    for number, rec in enumerate(records, start=2):
+        if len(rec) != len(CSV_COLUMNS):
+            raise ValueError(
+                f"CSV row {number}: expected {len(CSV_COLUMNS)} fields, got {len(rec)}"
+            )
+    parsers = [parse for _, parse in traceio._SCHEMA]
+    return list(map(TraceRow, *(list(map(parse, cells))
+                                for cells, parse in zip(zip(*records), parsers))))
+
+
+def cell_reprs(rows) -> list[tuple]:
+    """The rows' cells by ``repr``, so that NaN compares equal to NaN and
+    -0.0 differs from 0.0."""
+    return [tuple(map(repr, row)) for row in rows]
+
+
+def csv_trace(rows) -> SolveTrace:
+    return SolveTrace(rows, TerminationStatus.MAX_ITER_EXCEEDED, 0, np.zeros(1), 0.0, None)
+
+
 CSV_FLOATS = FLOATS | st.just(1e308)
 CSV_ROWS = st.builds(
     TraceRow, INTS, CSV_FLOATS, CSV_FLOATS, INTS, CSV_FLOATS, st.none() | CSV_FLOATS, INTS
@@ -222,9 +253,12 @@ CSV_ROWS = st.builds(
           TraceRow(0, 1e308, -math.inf, 1, 5e-324, math.nan, 2**65)])
 def test_csv_writer_matches_cell_by_cell_reference(rows):
     # csv writes a float by its repr and an int by str, as the reference
-    # does, for rows of Python floats and ints.
-    trace = SolveTrace(rows, TerminationStatus.MAX_ITER_EXCEEDED, 0, np.zeros(1), 0.0, None)
-    assert trace_to_csv(trace) == reference_csv(trace)
+    # does, for rows of Python floats and ints, and the reader gives the
+    # rows back, none for a header alone.
+    trace = csv_trace(rows)
+    text = trace_to_csv(trace)
+    assert text == reference_csv(trace)
+    assert cell_reprs(parse_trace_csv(text)) == cell_reprs(rows)
 
 
 # Cells drawn as new objects, so that equal cells of two rows are not one
@@ -266,7 +300,7 @@ def traces_with_repeats(draw):
             rows.append(TraceRow(*cells))
         else:
             rows.append(draw(SHARED_ROWS))
-    return SolveTrace(rows, TerminationStatus.MAX_ITER_EXCEEDED, 0, np.zeros(1), 0.0, None)
+    return csv_trace(rows)
 
 
 _ZERO = TraceRow(0, 0.1, 0.0, 1, 0.0, None, 0)
@@ -291,6 +325,135 @@ def test_writers_reuse_only_rows_of_the_same_cell_objects(trace):
     expected = json.dumps(trace_to_dict(trace), indent=2) + "\n"
     assert trace_to_json(trace) == expected
     assert trace_to_json(trace, csv_text) == expected
+    # The reader gives the rows back, unless an int column holds a float,
+    # whose text int rejects.
+    if all(type(row[k]) is int for row in trace.rows for k in (3, 6)):
+        assert cell_reprs(parse_trace_csv(csv_text)) == cell_reprs(trace.rows)
+    else:
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            parse_trace_csv(csv_text)
+
+
+FIELD_LIMIT = csv.field_size_limit()
+MUTATIONS = ["none", "crlf", "quote", "blank", "blank_last", "no_final_newline", "short",
+             "long", "bad_cell", "nul", "nel", "line_separator", "huge_cell"]
+
+
+@st.composite
+def trace_texts(draw):
+    """The CSV text of a trace, or a copy of it changed in one place: line
+    ends, quoting, a blank or unterminated line, a row's field count, a
+    cell that does not parse, a character that only ``csv`` or only
+    ``str.splitlines`` treats apart, or a cell at or past ``csv``'s field
+    size limit."""
+    trace = draw(traces_with_repeats() | st.lists(CSV_ROWS, max_size=5).map(csv_trace))
+    text = trace_to_csv(trace)
+    kind = draw(st.sampled_from(MUTATIONS))
+    if kind == "none":
+        return text
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    if kind == "no_final_newline":
+        return text[:-1]
+    if kind == "blank_last":
+        return text + "\n"
+    lines = text.split("\n")  # the last is the empty text after the final newline
+    k = draw(st.integers(0, len(lines) - 2))
+    if kind == "blank":
+        lines.insert(k + 1, "")
+        return "\n".join(lines)
+    cells = lines[k].split(",")
+    c = draw(st.integers(0, len(cells) - 1))
+    if kind == "quote":
+        cells[c] = f'"{cells[c]}"'
+    elif kind == "short":
+        del cells[c]
+    elif kind == "long":
+        cells.insert(c, cells[c])
+    elif kind == "bad_cell":
+        cells[c] = draw(st.sampled_from(["x", "", "1.5", "1e", "-", "0x1"]))
+    elif kind == "nul":
+        cells[c] += "\0"
+    elif kind == "nel":
+        cells[c] += "\x85"
+    elif kind == "line_separator":
+        cells[c] = "\u2028" + cells[c]
+    else:  # huge_cell: spaces that int and float skip, to the limit or one past it
+        size = FIELD_LIMIT + draw(st.integers(0, 1))
+        cells[c] = cells[c].rjust(size)
+    lines[k] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def read_outcome(parse, text):
+    """The cell reprs of the rows that ``parse`` reads, or the type and
+    message of the error it raises."""
+    try:
+        return cell_reprs(parse(text))
+    except (ValueError, TypeError, csv.Error) as exc:
+        return type(exc), str(exc)
+
+
+_HEADER = ",".join(CSV_COLUMNS)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(trace_texts())
+@example(f"{_HEADER}\n")
+@example(f"{_HEADER}")
+@example(f"{_HEADER}\r\n")
+@example(f'"i",{_HEADER[2:]}\n0,0.1,1.0,1,0.5,,1\n1,0.1,1.0,1,0.5,,1\n')
+@example(f"{_HEADER}\n0,0.1,1.0,1,0.5,,1\n1,0.1,1.0,1,0.5,,1\n1,0.1,1.0,1,0.5\n")
+@example(f"{_HEADER}\n0,0.1,1.0,1,0.5,,1\n{' ' * FIELD_LIMIT}1,0.1,1.0,1,0.5,,1\n")
+@example("")
+def test_reader_matches_csv_reader(text):
+    # Whatever the text, the rows are the ones the csv-only reader reads, or
+    # the error is its error, type and message. The one difference: that
+    # reader failed on a header with no rows, which now reads as no rows.
+    expected = read_outcome(reference_parse, text)
+    if isinstance(expected, tuple) and expected[0] is TypeError:
+        assert list(csv.reader(io.StringIO(text))) == [list(CSV_COLUMNS)]
+        expected = []
+    assert read_outcome(parse_trace_csv, text) == expected
+
+
+def text_repeat_spans(text: str) -> list[list[int]]:
+    """The ``[start, stop]`` row index ranges of the maximal runs of rows
+    whose text after ``i`` is the previous row's."""
+    tails = [line.partition(",")[2] for line in text.splitlines()[1:]]
+    spans: list[list[int]] = []
+    for k in range(1, len(tails)):
+        if tails[k] == tails[k - 1]:
+            if spans and spans[-1][1] == k:
+                spans[-1][1] = k + 1
+            else:
+                spans.append([k, k + 1])
+    return spans
+
+
+@pytest.mark.parametrize("x0, schedule", [
+    ([2.5, -1.5], EpsilonSchedule.constant_for_testing(0.0)),
+    ([2.0, 0.0], EpsilonSchedule.harmonic(0.1, 1.0)),
+], ids=["stalled_zero_shift", "harmonic"])
+def test_parsed_repeats_share_cells(x0, schedule):
+    # Rows read from the same text after i share their cells, so the writer
+    # writes each repeat from the text of the row before it. That covers
+    # the stall fill's rows, and also the two rows around them that solve
+    # builds anew with the same text: the stalled step's own row, whose
+    # step_norm is a computed 0.0, and the last row.
+    trace = solve(BALL, x0, SolveOptions(schedule=schedule, record_sublevel_distance=True))
+    text = trace_to_csv(trace)
+    rows = parse_trace_csv(text)
+    solve_spans = traceio._repeat_spans(trace.rows)
+    parsed_spans = traceio._repeat_spans(rows)
+    assert parsed_spans == text_repeat_spans(text)
+    assert all(any(a <= start and stop <= b for a, b in parsed_spans)
+               for start, stop in solve_spans)
+    if schedule.eps0 == 0.0:
+        assert (solve_spans, parsed_spans) == ([[8, 1000]], [[7, 1001]])
+    else:
+        assert parsed_spans == []
+    assert trace_to_csv(dataclasses.replace(trace, rows=rows)) == text
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
