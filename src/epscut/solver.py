@@ -175,12 +175,6 @@ def build_cuts(x, evaluation: Evaluation, eps: float) -> CutPolyhedron:
     return CutPolyhedron(G, np.vecdot(G, x) - evaluation.value - eps)
 
 
-def _same_bits(a: float, b: float) -> bool:
-    """Whether two shifts are one value: the same type, equal, and the same
-    sign of zero."""
-    return type(a) is type(b) and a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
-
-
 def _sublevel_distance(problem: Problem, x, eps: float) -> float | None:
     try:
         return exact_sublevel_distance(problem, x, eps)
@@ -259,15 +253,16 @@ def solve(problem: Problem, x0, opts: SolveOptions | None = None) -> SolveTrace:
 
     A step that leaves x where it is (x already lies inside its cuts, as
     when the zero shift stalls just outside the boundary) is repeated by
-    every later step for as long as the shift keeps its bits: the oracle
-    and the kernel give the same bits from the same point, so the next
-    evaluation, cuts, projection and distance are this step's again. The
-    loop writes those rows straight away, without evaluating anything,
-    and steps again from x at the first iteration whose shift
-    differs in type, value or sign of zero. The trace is the one the
+    every later step for as long as the schedule hands back the same shift
+    object, as a constant schedule does: the oracle and the kernel give the
+    same bits from the same point, so the next evaluation, cuts, projection
+    and distance are this step's again. The loop writes those rows straight
+    away, without evaluating anything, and steps again from x at the first
+    iteration whose shift is another object. The trace is the one the
     step-by-step loop gives, byte for byte. The harmonic and logarithmic
-    schedules change the shift at every step, so in practice only
-    constant schedules, the zero shift among them, take this path.
+    schedules make a new shift at every step, so only constant schedules,
+    the zero shift among them, take this path; a harmonic shift that
+    underflows to zero still steps at every iteration.
     """
     opts = opts or SolveOptions()
     x = as_vector(x0, problem.dim).copy()
@@ -285,10 +280,10 @@ def _run(problem: Problem, x, i: int, rows: list[TraceRow], opts: SolveOptions) 
     place and goes into the trace, which keeps x only as the run's last
     point. A step with no active cut leaves x's bits as they were (x lay
     inside its cuts, and the kernel hands it back), so its next iterate
-    repeats x. The stall fill first finds the iteration where the shift
-    changes, then appends its rows in one call. The fill rows share one set
-    of cell objects after i, so ``traceio`` writes each of them but the
-    first from the text of the row before it.
+    repeats x. The stall fill first finds the first later iteration whose
+    shift is not this step's shift object, then appends its rows in one
+    call. The fill rows share the stalled step's row's cell objects after
+    i, so ``traceio`` writes each of them from the text of that row.
     """
     record_dist = opts.record_sublevel_distance and supports_sublevel_distance(problem)
     while True:
@@ -305,26 +300,22 @@ def _run(problem: Problem, x, i: int, rows: list[TraceRow], opts: SolveOptions) 
         if status is not None:
             break
         step = point - x
-        rows.append(
-            TraceRow(i, eps_i, f_xi, len(evaluation.bundle), math.sqrt(step.dot(step)),
-                     dist, active)
-        )
+        row = TraceRow(i, eps_i, f_xi, len(evaluation.bundle), math.sqrt(step.dot(step)),
+                       dist, active)
+        rows.append(row)
         x = point
         i += 1
         if not active:
             # x lay inside its own cuts and came back unmoved, so every later
-            # step repeats this one while the shift keeps its bits. A constant
-            # schedule returns its own shift object at every step.
+            # step repeats this one while the schedule hands back this shift
+            # object, as a constant schedule does at every step.
             end = i
-            while end < opts.max_iter and (
-                (eps := eps_at(opts.schedule, end)) is eps_i or _same_bits(eps, eps_i)
-            ):
+            while end < opts.max_iter and eps_at(opts.schedule, end) is eps_i:
                 end += 1
-            # The rows are built as TraceRow's own __new__ builds a row; x
-            # stays as it is for all of them.
-            cells = (eps_i, f_xi, len(evaluation.bundle), 0.0, dist, 0)
+            # The rows are built as TraceRow's own __new__ builds a row, from
+            # this row's cells after i; x stays as it is for all of them.
             rows.extend(map(tuple.__new__, repeat(TraceRow),
-                            zip(range(i, end), *map(repeat, cells))))
+                            zip(range(i, end), *map(repeat, row[1:]))))
             i = end
 
     # The loop always stops by ``break``: at the latest when i == max_iter.

@@ -13,12 +13,13 @@ CSV text. So a caller that writes both forms formats each cell once, by
 handing that text to ``trace_to_json``. A row whose cells after ``i`` are
 the previous row's own objects, as the rows that ``solve`` writes for a
 stalled run are, is not formatted again: its text is the previous row's
-with its own ``i``. ``parse_trace_csv`` reads text as the writer makes it
-(no quote, carriage return or NUL, no line past ``csv``'s field size limit)
-by splitting it on newlines and commas, and parses each distinct text after
-a row's ``i`` once, so a stalled run's repeated rows again share their
-cells. ``csv`` reads every other text and raises every error. File writes
-are whole-file atomic (temp file then rename).
+with its own ``i``. ``parse_trace_csv`` has two tokenizers and one parser.
+It splits text as the writer makes it (no quote, carriage return or NUL,
+no line past ``csv``'s field size limit) on newlines and commas, and
+``csv`` reads every other text and raises every error. Either way the
+parser reads each distinct tail, a row's fields after its ``i``, once, so
+a stalled run's repeated rows again share their cells. File writes are
+whole-file atomic (temp file then rename).
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ _SCHEMA = (
     ("cut_count_active", int),
 )
 CSV_COLUMNS = tuple(column for column, _ in _SCHEMA)
-# The parsers of the cells after i, which a row's text after its first
-# comma holds.
+# The parser of i, and those of the cells after it: a row's tail.
+_PARSE_I = _SCHEMA[0][1]
 _CELL_PARSERS = [parse for _, parse in _SCHEMA[1:]]
 _HEADER = ",".join(CSV_COLUMNS)
 # The text that json.dumps(indent=2) writes before each cell of a row in the
@@ -119,54 +120,29 @@ def parse_trace_csv(text: str) -> list[TraceRow]:
     including an empty field other than ``dist_sublevel``. A header with no
     rows reads as no rows.
 
-    Text with no quote, carriage return or NUL and no line longer than
-    ``csv.field_size_limit()``, as ``trace_to_csv`` writes it, splits on
-    newlines and commas into the fields ``csv`` reads from it, and is read
-    so. Each row's ``i`` is parsed, and each distinct text after a row's
-    first comma is parsed once: rows with the same text there, as a stalled
-    run's repeats have, share one set of cell objects, so ``trace_to_csv``
-    writes them again from the first one's text. Any other text, and text
+    Two tokenizers feed one parser. Text with no quote, carriage return or
+    NUL and no line longer than ``csv.field_size_limit()``, as
+    ``trace_to_csv`` writes it, splits on newlines and commas into the
+    fields ``csv`` reads from it, and is read so. Any other text, and text
     that fails a check of the header, a field count or a parse, is read by
-    ``csv``, which raises every error."""
-    rows = _split_rows(text)
-    return _csv_rows(text) if rows is None else rows
-
-
-def _split_rows(text: str) -> list[TraceRow] | None:
-    """The rows of plain text read by splitting it, or None if ``csv``
-    must read it: it is not plain, or a check fails."""
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the final newline's
-    limit = csv.field_size_limit()
-    if (not lines or lines[0] != _HEADER
-            or (len(text) > limit and max(map(len, lines)) > limit)):
-        return None
-    if len(lines) == 1:
-        return []
-    heads, _, tails = zip(*map(str.partition, lines[1:], repeat(",")))
-    distinct = list(dict.fromkeys(tails))
-    try:
-        # strict: a tail with the wrong number of fields raises. A line
-        # without a comma has the tail "", one field.
-        fields = list(zip(*map(str.split, distinct, repeat(",")), strict=True))
-        if len(fields) != len(_CELL_PARSERS):
-            return None
-        indices = list(map(int, heads))
-        columns = [list(map(parse, cells)) for cells, parse in zip(fields, _CELL_PARSERS)]
-    except ValueError:
-        return None
-    cells = dict(zip(distinct, zip(*columns)))
-    # TraceRow(i, *cells) for each row, built in C: tuple.__new__ of the
-    # class and the row's cells, with i's 1-tuple added to the tail's cells.
-    rows = map(operator.add, zip(indices), map(cells.__getitem__, tails))
-    return list(map(tuple.__new__, repeat(TraceRow), rows))
-
-
-def _csv_rows(text: str) -> list[TraceRow]:
-    """The rows of any text, read by ``csv``."""
+    ``csv``, which raises every error. Either way each row's ``i`` is
+    parsed, and each distinct tail (the fields after a row's ``i``) is
+    parsed once: rows with the same tail, as a stalled run's repeats have,
+    share one set of cell objects, so ``trace_to_csv`` writes them again
+    from the first one's text."""
+    if '"' not in text and "\r" not in text and "\0" not in text:
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()  # the final newline's
+        limit = csv.field_size_limit()
+        if lines[:1] == [_HEADER] and (len(text) <= limit or max(map(len, lines)) <= limit):
+            if len(lines) == 1:
+                return []
+            heads, _, tails = zip(*map(str.partition, lines[1:], repeat(",")))
+            try:
+                return _parse_rows(heads, tails, split=True)
+            except ValueError:
+                pass  # csv reads the text again and raises the error
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or tuple(header) != CSV_COLUMNS:
@@ -179,9 +155,30 @@ def _csv_rows(text: str) -> list[TraceRow]:
             )
     if not records:
         return []
-    columns = zip(*records)
-    return list(map(TraceRow, *(list(map(parse, cells))
-                                for cells, (_, parse) in zip(columns, _SCHEMA))))
+    return _parse_rows([rec[0] for rec in records], [tuple(rec[1:]) for rec in records],
+                       split=False)
+
+
+def _parse_rows(heads, tails, split: bool) -> list[TraceRow]:
+    """The rows with these ``i`` texts and tails: tuples of field texts,
+    or with ``split`` a line's text after its first comma, which splits at
+    every comma (a line without a comma has the tail "", one field). Each
+    ``i`` is parsed, then each column of the distinct tails in turn, so the
+    first field that does not parse, in column order, raises its
+    ValueError, as a column-by-column read of every row would. A tail with
+    a field count other than the schema's, or unlike another tail's,
+    raises ValueError too."""
+    indices = list(map(_PARSE_I, heads))
+    distinct = list(dict.fromkeys(tails))
+    fields = map(str.split, distinct, repeat(",")) if split else distinct
+    columns = zip(*fields, strict=True)
+    parsed = [list(map(parse, cells))
+              for cells, parse in zip(columns, _CELL_PARSERS, strict=True)]
+    cells = dict(zip(distinct, zip(*parsed)))
+    # TraceRow(i, *cells) for each row, built in C: tuple.__new__ of the
+    # class and the row's cells, with i's 1-tuple added to the tail's cells.
+    rows = map(operator.add, zip(indices), map(cells.__getitem__, tails))
+    return list(map(tuple.__new__, repeat(TraceRow), rows))
 
 
 def _document(trace: SolveTrace, rows: list) -> dict:

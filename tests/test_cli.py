@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import operator
 import os
 import pathlib
 import re
@@ -437,23 +438,32 @@ def text_repeat_spans(text: str) -> list[list[int]]:
 ], ids=["stalled_zero_shift", "harmonic"])
 def test_parsed_repeats_share_cells(x0, schedule):
     # Rows read from the same text after i share their cells, so the writer
-    # writes each repeat from the text of the row before it. That covers
-    # the stall fill's rows, and also the two rows around them that solve
-    # builds anew with the same text: the stalled step's own row, whose
-    # step_norm is a computed 0.0, and the last row.
+    # writes each repeat from the text of the row before it. The stall
+    # fill's rows share the cells of the stalled step's own row, which
+    # starts their span; the last row, which solve builds anew after
+    # evaluating again, has their text but its own cells. Text that only
+    # csv reads, with CRLF line ends or every cell quoted, goes through the
+    # same parser, so its rows share their cells too.
     trace = solve(BALL, x0, SolveOptions(schedule=schedule, record_sublevel_distance=True))
     text = trace_to_csv(trace)
-    rows = parse_trace_csv(text)
     solve_spans = traceio._repeat_spans(trace.rows)
-    parsed_spans = traceio._repeat_spans(rows)
-    assert parsed_spans == text_repeat_spans(text)
-    assert all(any(a <= start and stop <= b for a, b in parsed_spans)
+    text_spans = text_repeat_spans(text)
+    assert all(any(a <= start and stop <= b for a, b in text_spans)
                for start, stop in solve_spans)
     if schedule.eps0 == 0.0:
-        assert (solve_spans, parsed_spans) == ([[8, 1000]], [[7, 1001]])
+        assert (solve_spans, text_spans) == ([[7, 1000]], [[7, 1001]])
+        stalled, first_fill = trace.rows[6:8]
+        assert stalled.cut_count_active == 0
+        assert all(map(operator.is_, stalled[1:], first_fill[1:]))
     else:
-        assert parsed_spans == []
-    assert trace_to_csv(dataclasses.replace(trace, rows=rows)) == text
+        assert text_spans == []
+    quoted = io.StringIO()
+    csv.writer(quoted, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(
+        csv.reader(io.StringIO(text)))
+    for rendering in (text, text.replace("\n", "\r\n"), quoted.getvalue()):
+        rows = parse_trace_csv(rendering)
+        assert traceio._repeat_spans(rows) == text_spans
+        assert trace_to_csv(dataclasses.replace(trace, rows=rows)) == text
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from epscut import EpsilonSchedule, eps_at, parse_schedule
+from epscut.cli import BASELINES
 
 
 def test_harmonic_values():
@@ -56,9 +57,14 @@ def test_harmonic_ratio_nondecreasing():
     assert all(b >= a for a, b in zip(ratios, ratios[1:]))
 
 
-def test_constant_kind_is_constant():
-    s = EpsilonSchedule.constant_for_testing(0.25)
-    assert [eps_at(s, i) for i in (0, 5, 500)] == [0.25, 0.25, 0.25]
+@pytest.mark.parametrize("s, eps0", [(EpsilonSchedule.constant_for_testing(0.25), 0.25),
+                                     (BASELINES["zero_eps"]["schedule"], 0.0)],
+                         ids=["const", "zero_eps"])
+def test_constant_kind_is_constant(s, eps0):
+    # Every shift is one object, the schedule's own: solve's stall fill
+    # keeps filling while the shift is the stalled step's object.
+    assert [eps_at(s, i) for i in (0, 5, 500)] == [eps0, eps0, eps0]
+    assert all(eps_at(s, i) is eps_at(s, 0) for i in (5, 500))
 
 
 @pytest.mark.parametrize("eps0", [0.0, -0.0, 0], ids=["zero", "negative-zero", "int-zero"])

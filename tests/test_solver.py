@@ -617,9 +617,9 @@ SCHEDULES = {
 
 
 class TestStalledRunFill:
-    """A step that leaves x in place repeats while the shift keeps its
-    bits; solve writes those rows without stepping, and its trace must be
-    the step-by-step loop's."""
+    """A step that leaves x in place repeats while the schedule hands back
+    the same shift object; solve writes those rows without stepping, and
+    its trace must be the step-by-step loop's."""
 
     # A shift of 1e-20 is below the round-off of most of these cuts, so the
     # const schedule can stall as the zero shift does, and the harmonic and
@@ -671,6 +671,29 @@ class TestStalledRunFill:
             for i, row in enumerate(trace.rows[:-1]):
                 if row.cut_count_active == 0:
                     assert points[i + 1].tobytes() == points[i].tobytes()
+
+    def test_equal_shifts_in_new_objects_step(self, monkeypatch):
+        # From i = 1 on, harmonic(5e-324) underflows to a new +0.0 object at
+        # every step: equal bits, but not the stalled step's shift object,
+        # so the stalled run steps at every iteration and still writes the
+        # step-by-step loop's trace.
+        opts = SolveOptions(schedule=EpsilonSchedule.harmonic(5e-324),
+                            record_sublevel_distance=True)
+        shift = solver.eps_at(opts.schedule, 1)
+        assert shift == 0.0 and shift is not solver.eps_at(opts.schedule, 1)
+        evaluated = []
+        evaluate = solver.evaluate
+
+        def counting(*args):
+            evaluated.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(solver, "evaluate", counting)
+        trace = solve(BALL, [2.5, -1.5], opts)
+        assert trace.status is TerminationStatus.MAX_ITER_EXCEEDED
+        assert [row.cut_count_active for row in trace.rows[-3:]] == [0, 0, 0]
+        assert len(evaluated) == opts.max_iter + 1
+        assert trace_bytes(trace) == trace_bytes(_solve_reference(BALL, [2.5, -1.5], opts)[0])
 
     def test_fill_stops_where_the_shift_changes(self, monkeypatch):
         # Shift segments: a switch of sign of zero and one of type (0 and
