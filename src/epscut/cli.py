@@ -29,6 +29,8 @@ import math
 import re
 import sys
 from dataclasses import replace
+from itertools import accumulate, compress
+from operator import is_not
 
 import numpy as np
 
@@ -204,15 +206,20 @@ def _indented_json(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2)`` for a report: dicts with string keys,
     scalars and lists of numbers. json.dumps with an indent takes json's
     pure-Python encoder, so here json's C encoder writes each list in one
-    call instead, split on the ``", "`` that no number holds. ``indent`` is
-    the indent of the line that ``value`` starts on."""
+    call instead, split on the ``", "`` that no number holds. A run of
+    entries that are one object (a stalled run's repeated distance) is
+    formatted once: json's text for a number depends only on the object.
+    ``indent`` is the indent of the line that ``value`` starts on."""
     inner = indent + "  "
     if isinstance(value, dict) and value:
         items = [f"{inner}{json.dumps(key)}: {_indented_json(item, inner)}"
                  for key, item in value.items()]
         return "{\n" + ",\n".join(items) + f"\n{indent}}}"
     if isinstance(value, list) and value:
-        cells = json.dumps(value)[1:-1].split(", ")
+        # new[i]: value[i + 1] starts a run; each entry takes its run's text.
+        new = list(map(is_not, value[1:], value))
+        texts = json.dumps([value[0], *compress(value[1:], new)])[1:-1].split(", ")
+        cells = map(texts.__getitem__, accumulate(new, initial=0))
         return f"[\n{inner}" + f",\n{inner}".join(cells) + f"\n{indent}]"
     return json.dumps(value)
 

@@ -25,6 +25,7 @@ from epscut import (
     SolveTrace,
     TerminationStatus,
     TraceRow,
+    claim_contrast,
     eps_at,
     estimate_kappa,
     parse_trace_csv,
@@ -183,8 +184,12 @@ def test_json_writer_matches_json_dumps(trace):
 
 REPORT_NUMBERS = FLOATS | INTS | st.sampled_from([5e-324, 1e308])
 REPORT_TEXT = st.text(st.sampled_from('a ,"\\\n\u00e9\u221e'), max_size=6)
+# Lists of runs: each drawn (number, count) pair gives count entries that
+# are one object, as a stalled run's repeated distance is.
+REPORT_LISTS = st.lists(st.tuples(REPORT_NUMBERS, st.integers(1, 4)), max_size=5).map(
+    lambda runs: [entry for number, count in runs for entry in [number] * count])
 REPORTS = st.recursive(
-    st.none() | st.booleans() | REPORT_NUMBERS | REPORT_TEXT | st.lists(REPORT_NUMBERS, max_size=5),
+    st.none() | st.booleans() | REPORT_NUMBERS | REPORT_TEXT | REPORT_LISTS,
     lambda children: st.dictionaries(REPORT_TEXT, children, max_size=4),
     max_leaves=12,
 )
@@ -195,8 +200,16 @@ REPORTS = st.recursive(
 @example({"x0": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308], "empty": [],
           "variants": {"main": {"decay_rho": None, "final_f": -0.0}, "none": {}},
           "terminated": True, "verdict": 'rho=0.5, "l_hat" \u221e'})
+@example({"runs": [-0.0] * 3 + [math.nan] * 2 + [0.5] + [math.inf] * 4 + [-math.inf] * 2
+                  + [5e-324] * 3 + [1e308] * 2,
+          "ints": [1] * 3 + [1.0] * 2 + [2**65] * 2, "zeros": [0.0, -0.0, float("0.0")],
+          "signed": [0.0] * 2 + [-0.0] * 2 + [float("0.0")] * 2, "one": [7],
+          "single": [1.1102230246251565e-15] * 5})
 def test_report_writer_matches_json_dumps(report):
-    # The report shapes: dicts with string keys, scalars and lists of numbers.
+    # The report shapes: dicts with string keys, scalars and lists of
+    # numbers, with runs of one object at the start, middle and end of a
+    # list. A run is keyed on identity, so -0.0 stays apart from 0.0 and
+    # 1.0 from 1.
     assert cli._indented_json(report) == json.dumps(report, indent=2)
 
 
@@ -936,12 +949,18 @@ class TestCmdDiagnose:
             path = write_problem(tmp_path, problem)
             assert_config_error(main(["diagnose", "--problem", path, *flags]), capsys)
 
-    def test_stalled_run_writes_all_three_files(self, ball_file, tmp_path, capsys):
+    @pytest.mark.parametrize("x0, repeated", [
+        ("2.5,-1.5", 0.0), ("2,0", 1.1102230246251565e-15),
+    ], ids=["zero-distance", "positive-distance"])
+    def test_stalled_run_writes_all_three_files(self, ball_file, tmp_path, capsys, x0,
+                                                repeated):
         # The zero shift stalls just outside the ball: all 1,001 rows are
-        # written, and eps_over_dist reads Infinity once the distance is 0.
+        # written, and the report's distances end in a run of one value,
+        # 0.0 from (2.5, -1.5), where eps_over_dist reads Infinity, and a
+        # positive one from (2, 0).
         paths = {name: tmp_path / name for name in ("t.csv", "t.json", "r.json")}
-        code = main(["diagnose", "--problem", ball_file, "--baseline", "zero_eps",
-                     "--x0", "2.5,-1.5", "--trace-csv", str(paths["t.csv"]),
+        argv = ["diagnose", "--problem", ball_file, "--baseline", "zero_eps", "--x0", x0]
+        code = main([*argv, "--trace-csv", str(paths["t.csv"]),
                      "--trace-json", str(paths["t.json"]), "--report-json", str(paths["r.json"])])
         assert code == 2
         docs = {}
@@ -952,12 +971,23 @@ class TestCmdDiagnose:
         rows = docs["t.json"]["rows"]
         assert len(rows) == 1001
         assert [tuple(row.values()) for row in rows] == parse_trace_csv(paths["t.csv"].read_text())
-        assert math.inf in docs["r.json"]["contrast"]["eps_over_dist"]
-        # The solve and compare reports keep the layout too.
+        contrast = docs["r.json"]["contrast"]
+        assert contrast["dist"][-990:] == [repeated] * 990
+        assert (math.inf in contrast["eps_over_dist"]) == (repeated == 0.0)
+        # The report writer formats a run of one object once: the run's
+        # own distances share the stall fill's cells.
+        trace = solve(BALL, np.array([float(v) for v in x0.split(",")]),
+                      _build_options(_build_parser().parse_args(argv), record_dist=True))
+        assert trace_to_csv(trace) == paths["t.csv"].read_text()
+        assert len(set(map(id, claim_contrast(trace).dist))) <= 8
+        capsys.readouterr()
+
+    def test_solve_and_compare_reports_keep_the_layout(self, ball_file, tmp_path, capsys):
+        # The solve and compare reports are json.dumps(indent=2) too.
+        report = tmp_path / "r.json"
         for command in ("solve", "compare"):
-            main([command, "--problem", ball_file, "--x0", "2,0",
-                  "--report-json", str(paths["r.json"])])
-            text = paths["r.json"].read_text()
+            main([command, "--problem", ball_file, "--x0", "2,0", "--report-json", str(report)])
+            text = report.read_text()
             assert text == json.dumps(json.loads(text), indent=2) + "\n"
         capsys.readouterr()
 
