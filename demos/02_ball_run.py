@@ -30,7 +30,9 @@ for r in trace.rows:
 # The zero-shift baseline uses the plain linearization cut
 # f(x_i) + <s, x - x_i> <= 0: a constant schedule of zero shifts. On a
 # strictly convex instance its cut boundary stays strictly outside the
-# sublevel set, so the iterates creep toward the boundary but never cross it.
+# sublevel set. In floating point the iterates stop moving just outside the
+# boundary: from (2, 0) the run stops at i = 5 with f = 2.2e-15, lies inside
+# its own cut from then on, repeats that row and ends MaxIterExceeded.
 baseline = solve(
     problem, [2.0, 0.0],
     SolveOptions(schedule=EpsilonSchedule.constant_for_testing(0.0), max_iter=1000,

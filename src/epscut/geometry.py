@@ -153,7 +153,7 @@ class CutPolyhedron:
             raise ValueError(
                 f"expected {normals.shape[0]} offsets, got shape {offsets.shape}"
             )
-        norms = np.linalg.norm(normals, axis=1)
+        norms = _row_norms(normals)
         if (norms == 0.0).any():
             raise ZeroNormalError("cut normals must be nonzero")
         if not np.isfinite(offsets).all():
@@ -297,7 +297,7 @@ def project_polyhedron(x0, poly: CutPolyhedron) -> ProjectionResult:
                 # An empty working set: no multiplier blocks and a nonzero
                 # normal always moves x, so this is the full step, in the
                 # closed form that project_one_cut shares.
-                x, t, zz = _one_cut_step(x, a_p, b[p])
+                x, t, zz, _ = _one_cut_step(x, a_p, b[p])
                 _check_finite(x)
                 ws.add(p, lam_p + t, None, a_p, math.sqrt(zz))
                 adds += 1
@@ -355,38 +355,50 @@ def project_one_cut(x, a, b):
     add, ``x - t a`` with ``t = (<a, x> - b) / <a, a>``. ``settled`` is true
     only where the kernel would return exactly that moved point: x fails
     the kernel's entry test (its scaled violation ``(<a, x> - b) / norm``,
-    with ``norm`` the length of ``a`` computed as ``CutPolyhedron``'s
-    ``normal_norms`` are, exceeds ``FEASIBILITY_TOL``), the point is
-    finite, and the kernel's stop test holds there. A point inside its cut,
-    which the kernel hands back unmoved, is not settled. Nor is a cut that
-    ``CutPolyhedron`` would reject, with no test of its own: a zero length
-    (or squares that underflow) or an offset of -inf makes t infinite and
-    the point not finite, and a length that is infinite or NaN, or an
-    offset of +inf or NaN, fails the entry test. Every settled point equals
-    ``project_polyhedron``'s bit for bit. Unsettled rows may warn of
-    division by zero, overflow or invalid values.
+    with ``norm`` the length of ``a`` from ``_row_norms``, as
+    ``CutPolyhedron``'s ``normal_norms`` are, exceeds ``FEASIBILITY_TOL``),
+    the point is finite, and the kernel's stop test holds there. A point
+    inside its cut, which the kernel hands back unmoved, is not settled.
+    Nor is a cut that ``CutPolyhedron`` would reject, with no test of its
+    own: a zero length (or squares that underflow) or an offset of -inf
+    makes t infinite and the point not finite, and a length that is
+    infinite or NaN, or an offset of +inf or NaN, fails the entry test.
+    Every settled point equals ``project_polyhedron``'s bit for bit.
+    Unsettled rows may warn of division by zero, overflow or invalid values.
+
+    Each quantity is computed once: the entry test divides the residual
+    ``<a, x> - b`` that the step has made, and the round-off bound of the
+    stop test is evaluated only when some moved point's scaled violation
+    exceeds ``FEASIBILITY_TOL``, since where every one is within it the
+    bound cannot change the test.
     """
-    norm = np.linalg.norm(a, axis=-1)
-    point = _one_cut_step(x, a, b)[0]
+    norm = _row_norms(a)
+    point, _, _, residual = _one_cut_step(x, a, b)
     scaled = (np.vecdot(a, point) - b) / norm
-    outside = (np.vecdot(a, x) - b) / norm > FEASIBILITY_TOL
-    settled = outside & np.isfinite(point).all(axis=-1) & (
-        (scaled <= FEASIBILITY_TOL)
-        | (scaled < math.inf) & (scaled <= _roundoff(a, point, b, norm))
-    )
-    return point, settled
+    stops = scaled <= FEASIBILITY_TOL
+    if not stops.all():
+        stops = stops | (scaled < math.inf) & (scaled <= _roundoff(a, point, b, norm))
+    return point, (residual / norm > FEASIBILITY_TOL) & np.isfinite(point).all(axis=-1) & stops
 
 
 def _one_cut_step(x, a, b):
-    """``(x - t a, t, <a, a>)`` with ``t = (<a, x> - b) / <a, a>``, over
-    leading axes: the step onto the hyperplane ``<a, y> = b`` along ``a``.
-    It is the step onto a constraint that joins an empty working set, and
-    the one-cut projection of ``project_one_cut``."""
+    """``(x - t a, t, <a, a>, <a, x> - b)`` with ``t = (<a, x> - b) / <a, a>``,
+    over leading axes: the step onto the hyperplane ``<a, y> = b`` along
+    ``a``, with the residual it divides. It is the step onto a constraint
+    that joins an empty working set, and the one-cut projection of
+    ``project_one_cut``."""
     aa = np.vecdot(a, a)
-    t = (np.vecdot(a, x) - b) / aa
+    residual = np.vecdot(a, x) - b
+    t = residual / aa
     # (t * a.T).T scales each row of a by its t; for one point it is the
     # plain t * a, without the cost of indexing a 0-d t.
-    return x - (t * a.T).T, t, aa
+    return x - (t * a.T).T, t, aa, residual
+
+
+def _row_norms(a):
+    """Lengths of the rows of ``a`` (its last axis): the arithmetic of
+    ``np.linalg.norm(a, axis=-1)`` for real input, without its dispatch."""
+    return np.sqrt(np.add.reduce(a * a, axis=-1))
 
 
 def _roundoff(a, x, b, norm):

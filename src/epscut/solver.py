@@ -383,7 +383,10 @@ def solve_multistart(
                 continue
             dist = _sublevel_distance(problem, X[r], eps_i) if record_dist else None
             if status is None:
-                rows[start].append(TraceRow(i, eps_i, f_xi, 1, step_norms[r], dist, 1))
+                # The row TraceRow(...) makes, without the call through its
+                # Python-level __new__; the stall fill builds rows the same way.
+                rows[start].append(tuple.__new__(TraceRow, (i, eps_i, f_xi, 1, step_norms[r],
+                                                            dist, 1)))
                 live.append(r)
             else:
                 traces[start] = _finish(rows[start], status, i, eps_i, f_xi, size, dist,

@@ -24,8 +24,9 @@ from conftest import brute_force_projection, random_projection_instance
 # Cut entries at every edge of a row length (signed zeros, a subnormal,
 # entries whose squares underflow or overflow, and non-finite values) and
 # normal-sized entries scaled across 340 decades.
-EXTREME_ENTRY = st.sampled_from([0.0, -0.0, 5e-324, 2.3e-162, 1e-170, 1e154, 1e200, -1e200,
-                                 np.inf, -np.inf, np.nan])
+EXTREME_VALUES = [0.0, -0.0, 5e-324, 2.3e-162, 1e-170, 1e154, 1e200, -1e200,
+                  np.inf, -np.inf, np.nan]
+EXTREME_ENTRY = st.sampled_from(EXTREME_VALUES)
 DECADE = st.integers(-170, 170)
 
 
@@ -45,6 +46,22 @@ def cut_rows(n):
 # non-finite one is the offset itself.
 CUT_OFFSET = st.one_of(st.floats(-1.0, 2.0), st.sampled_from([np.inf, -np.inf, np.nan]))
 CUT_POINT_ENTRY = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e200, 1e200))
+
+
+def one_cut_reference(x, a, b):
+    """``project_one_cut`` written out in full: row lengths by
+    ``np.linalg.norm``, the residual ``<a, x> - b`` computed a second time
+    for the entry test, and the round-off bound evaluated on every row."""
+    norm = np.linalg.norm(a, axis=-1)
+    t = (np.vecdot(a, x) - b) / np.vecdot(a, a)
+    point = x - (t * a.T).T
+    scaled = (np.vecdot(a, point) - b) / norm
+    outside = (np.vecdot(a, x) - b) / norm > geometry.FEASIBILITY_TOL
+    settled = outside & np.isfinite(point).all(axis=-1) & (
+        (scaled <= geometry.FEASIBILITY_TOL)
+        | (scaled < np.inf) & (scaled <= geometry._roundoff(a, point, b, norm))
+    )
+    return point, settled
 
 
 def halfspace(normal, offset) -> CutPolyhedron:
@@ -182,21 +199,39 @@ class TestPolyhedronProjection:
             with np.errstate(over="ignore"), pytest.raises(ProjectionFailedError):
                 project_polyhedron(X[-1], CutPolyhedron(A[-1:], b[-1:]))
 
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
-        st.tuples(cut_rows(n), CUT_OFFSET,
-                  st.lists(CUT_POINT_ENTRY, min_size=n, max_size=n)),
-        min_size=1, max_size=8)))
-    def test_one_cut_settles_only_cuts_the_constructor_accepts(self, cuts):
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(st.tuples(st.integers(1, 4), st.one_of(st.integers(0, 8), st.just(20))).flatmap(
+        lambda shape: st.tuples(st.just(shape[1] == 0), st.lists(
+            st.tuples(cut_rows(shape[0]), CUT_OFFSET,
+                      st.one_of(cut_rows(shape[0]),
+                                st.lists(CUT_POINT_ENTRY, min_size=shape[0], max_size=shape[0]))),
+            min_size=max(shape[1], 1), max_size=max(shape[1], 1)))))
+    def test_one_cut_settles_only_cuts_the_constructor_accepts(self, batch):
         # project_one_cut has no test of a cut's length or offset: a cut that
-        # CutPolyhedron rejects must fail its step's own arithmetic.
+        # CutPolyhedron rejects must fail its step's own arithmetic. Its
+        # point and settled bits are one_cut_reference's, on one cut (1-D
+        # input and a scalar offset, as solve's step has it) and on batches
+        # of up to 20 rows.
+        one, cuts = batch
         A = np.array([a for a, _, _ in cuts])
         X = np.array([x for _, _, x in cuts])
         D = np.array([d for _, d, _ in cuts])
         with np.errstate(all="ignore"):
-            b = np.where(np.isfinite(D), np.vecdot(A, X) - D * np.linalg.norm(A, axis=1), D)
+            # A finite draw's depth is scaled by x's largest entry (when
+            # above 1), as a solve step's depth f(x_i) grows with x_i, so
+            # that rows only the round-off bound settles are common.
+            depth = D * np.linalg.norm(A, axis=1) * np.maximum(1.0, np.abs(X).max(axis=1))
+            b = np.where(np.isfinite(D), np.vecdot(A, X) - depth, D)
+            if one:
+                X, A, b = X[0], A[0], b[0]
             point, settled = geometry.project_one_cut(X, A, b)
-        for a, b_row, x, p, s in zip(A, b, X, point, settled):
+            ref_point, ref_settled = one_cut_reference(X, A, b)
+        assert type(point) is type(ref_point) and point.shape == ref_point.shape
+        assert point.tobytes() == ref_point.tobytes()
+        assert type(settled) is type(ref_settled)
+        assert np.asarray(settled).tobytes() == np.asarray(ref_settled).tobytes()
+        for a, b_row, x, p, s in zip(np.atleast_2d(A), np.atleast_1d(b), np.atleast_2d(X),
+                                     np.atleast_2d(point), np.atleast_1d(settled)):
             try:
                 with np.errstate(all="ignore"):
                     cut = CutPolyhedron([a], [b_row])
@@ -206,6 +241,33 @@ class TestPolyhedronProjection:
             if s:
                 with np.errstate(all="ignore"):
                     assert p.tobytes() == project_polyhedron(x, cut).point.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(width=st.integers(1, 200), rows=st.sampled_from([None, 1, 2, 5, 17]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_row_norms_are_linalg_norms(self, order, width, rows, seed):
+        # Rows scaled across 340 decades, so that some squares overflow to
+        # inf and others underflow to 0, with extreme entries (+-inf, NaN,
+        # signed zeros, subnormals) scattered through them; widths past 128
+        # take NumPy's pairwise summation into a second block.
+        rng = np.random.default_rng(seed)
+        shape = (width,) if rows is None else (rows, width)
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-170, 171, shape[:-1] + (1,))
+        extreme = rng.random(shape) < rng.choice([0.0, 0.05, 0.5])
+        a[extreme] = rng.choice(EXTREME_VALUES, size=int(extreme.sum()))
+        a = np.asfortranarray(a) if order == "F" else a
+        with np.errstate(all="ignore"):
+            norms = geometry._row_norms(a)
+            expected = np.linalg.norm(a, axis=-1)
+        assert type(norms) is type(expected) and np.shape(norms) == np.shape(expected)
+        assert np.asarray(norms).tobytes() == np.asarray(expected).tobytes()
+        if rows is not None:
+            usable = (norms > 0.0) & np.isfinite(norms)
+            if usable.any():
+                normals = a[usable]
+                poly = CutPolyhedron(normals, np.zeros(len(normals)))
+                assert poly.normal_norms.tobytes() == geometry._row_norms(normals).tobytes()
 
     def test_feasible_point_returned_unchanged(self):
         P = CutPolyhedron([[1.0, 0.0]], [0.0])

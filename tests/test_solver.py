@@ -790,6 +790,39 @@ class TestLockstep:
         assert counts == {1, 2}
         assert traces[2].status_iteration == 0
 
+    def test_capped_ties_stay_in_the_batch(self, monkeypatch):
+        # On AXES_MAX's diagonal both pieces tie. j_max = 1 caps that
+        # two-piece bundle at the top piece's one cut, so these runs take
+        # every step in the batch and none reaches the loop of solve. The
+        # last three starts are feasible on the diagonal, where the
+        # finishing row's J_i is the capped count.
+        starts = [[1.0, 1.0], [2.0, 2.0], [0.5, 0.5], [3.0, 3.0], [-1.0, -1.0], [0.0, 0.0],
+                  [-2.0, -2.0]]
+        opts = harmonic_opts(j_max=1)
+        runs = []
+        run = solver._run
+
+        def counting(*args):
+            runs.append(args)
+            return run(*args)
+
+        monkeypatch.setattr(solver, "_run", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = solve_multistart(AXES_MAX, starts, opts)
+        monkeypatch.undo()
+        assert runs == []
+        assert [trace_bytes(t) for t in batch] == [trace_bytes(solve(AXES_MAX, x0, opts))
+                                                   for x0 in starts]
+        assert all(t.status is TerminationStatus.FEASIBLE_FOUND for t in batch)
+        for trace in batch:
+            assert all(row.j_i == 1 for row in trace.rows)
+            values = AXES_MAX.piece_values(trace.final_x)
+            active = int(AXES_MAX.activity_mask(values, values.max()).sum())
+            assert trace.rows[-1].j_i == min(active, opts.j_max)
+        # The tie was there: each start's first row saw both pieces active.
+        assert all(np.ptp(AXES_MAX.piece_values(np.array(x0))) == 0.0 for x0 in starts)
+
     def test_stalled_runs_leave_the_batch_and_are_filled(self, monkeypatch):
         # The zero shift stalls each run a few steps in. A stalled run
         # leaves the batch for the loop of solve, which writes the rest of
