@@ -197,7 +197,8 @@ class ProjectionResult:
 
     ``adds`` and ``drops`` count the working-set constraints the active-set
     loop added one at a time and dropped, and ``start_size`` the cuts of the
-    whole-bundle start (0 for a cold start).
+    whole-bundle start (0 for a cold start). ``point`` is always a new
+    array: it shares no memory with the query point, even when it equals it.
     """
 
     point: np.ndarray
@@ -230,7 +231,11 @@ def project_polyhedron(x0, poly: CutPolyhedron) -> ProjectionResult:
     ``A[W].T = Q R``. An added constraint costs O(n|W|) (one Gram-Schmidt
     pass with re-orthogonalization). Dropping the j-th constraint keeps the
     factors of the j before it and adds each later one again, which costs
-    O(n|W|^2). A one-cut projection never builds the factors.
+    O(n|W|^2). A one-cut projection never builds the factors. Their buffers
+    are allocated by the first add or by the first QR of a start, so a
+    projection that ends at its start allocates none. ``x0`` is read, never
+    written: the first move of x makes a new array, and a query point
+    already inside is returned as a copy.
 
     Each step on the most violated constraint p takes the shorter of two
     dual steps: the full step onto p, or the partial step at which a
@@ -263,7 +268,7 @@ def project_polyhedron(x0, poly: CutPolyhedron) -> ProjectionResult:
     again would only cycle. The second bound exceeds ``FEASIBILITY_TOL``
     only far out, where ``|x|`` or ``|b_p| / ||a_p||`` is above about 5e4.
     """
-    x = as_vector(x0, poly.dim).copy()
+    x = as_vector(x0, poly.dim)
     A = poly.normals
     b = poly.offsets
     norms = poly.normal_norms
@@ -271,7 +276,7 @@ def project_polyhedron(x0, poly: CutPolyhedron) -> ProjectionResult:
     scaled = (A @ x - b) / norms
     p = int(scaled.argmax())
     if scaled[p] <= FEASIBILITY_TOL:
-        return ProjectionResult(x)
+        return ProjectionResult(x.copy())
 
     ws = _WorkingSet(A)
     adds = drops = start_size = 0
@@ -431,16 +436,18 @@ def _bundle_start(ws, norms, scaled, x):
     Unit rows keep C in range whatever the normals' scale: the Gram matrix
     of A itself squares the row lengths, which underflow or overflow.
     ``ws`` records only S and its multipliers; its QR factors are built
-    when the loop first needs them.
+    when the loop first needs them. The first attempt takes every cut and
+    indexes nothing: it reads C, the violations, the unit normals and the
+    row lengths in place.
     """
     A = ws.A
     units = A / norms[:, None]
     gram = units @ units.T
     work = np.arange(len(A))
     for _ in range(_START_FACTORIZATIONS):
-        # Most starts end on their first attempt, which takes every cut;
-        # indexing would copy the whole matrix for it.
-        sub = gram if work.size == len(A) else gram[np.ix_(work, work)]
+        # Most starts end on their first attempt, which indexes nothing.
+        full = work.size == len(A)
+        sub = gram if full else gram[np.ix_(work, work)]
         try:
             chol = np.linalg.cholesky(sub)
         except np.linalg.LinAlgError:
@@ -449,13 +456,15 @@ def _bundle_start(ws, norms, scaled, x):
             return None
         # NumPy has no triangular solve; one LU solve of C[S, S] costs
         # less than two general solves with L.
-        mu = np.linalg.solve(sub, scaled[work])
+        mu = np.linalg.solve(sub, scaled if full else scaled[work])
         keep = mu >= 0.0
         if keep.all():
-            point = x - mu @ units[work]
+            if not full:
+                units, norms = units[work], norms[work]
+            point = x - mu @ units
             if not np.isfinite(point).all():
                 return None
-            ws.start(work.tolist(), mu / norms[work])
+            ws.start(work.tolist(), mu / norms)
             return point
         work = work[keep]
         if not work.size:
@@ -473,17 +482,23 @@ class _WorkingSet:
     triangular solve. ``rinv`` is applied as a full matrix product, so it
     keeps explicit zeros below its diagonal. The buffers hold at most
     min(n, k) constraints, since admitted normals are linearly independent.
-    After ``start`` the factors are stale until ``split`` first needs them.
+    ``qt`` and ``rinv`` are None until ``factor`` or the first ``add``
+    allocates them. After ``start`` the factors are stale until ``split``
+    first needs them.
     """
 
     def __init__(self, A: np.ndarray):
         self.A = A
-        cap = min(A.shape)
         self.work: list[int] = []
-        self.lam = np.empty(cap)
-        self.qt = np.empty((cap, A.shape[1]))
-        self.rinv = np.zeros((cap, cap))
+        self.lam = np.empty(min(A.shape))
+        self.qt = self.rinv = None
         self.stale = False
+
+    def _allocate(self) -> None:
+        """Allocate ``qt`` and ``rinv``, the latter zero-filled."""
+        cap = self.lam.size
+        self.qt = np.empty((cap, self.A.shape[1]))
+        self.rinv = np.zeros((cap, cap))
 
     def start(self, work: list[int], lam: np.ndarray) -> None:
         """Take the independent cuts ``work`` with multipliers ``lam`` as the
@@ -498,6 +513,7 @@ class _WorkingSet:
         m = len(self.work)
         q, r = np.linalg.qr(self.A[self.work].T)
         sign = np.copysign(1.0, np.diagonal(r))[:, None]
+        self._allocate()
         self.qt[:m] = sign * q.T
         self.rinv[:m, :m] = np.triu(np.linalg.inv(sign * r))
         self.stale = False
@@ -516,6 +532,8 @@ class _WorkingSet:
     def add(self, p: int, lam_p: float, r, z: np.ndarray, znorm: float) -> None:
         """Append constraint ``p``; ``r, z`` come from ``split``."""
         m = len(self.work)
+        if self.qt is None:
+            self._allocate()
         self.qt[m] = z / znorm
         if m:
             self.rinv[:m, m] = r / -znorm

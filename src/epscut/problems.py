@@ -257,7 +257,13 @@ class MaxAffineProblem(Problem):
         return np.vecdot(X[..., None, :], self.coefs) + self.intercepts
 
     def piece_gradients(self, X):
-        return np.broadcast_to(self.coefs, X.shape[:-1] + self.coefs.shape)
+        if X.ndim > 1:
+            return np.broadcast_to(self.coefs, X.shape[:-1] + self.coefs.shape)
+        # For one point, a read-only view as broadcast_to would give, made
+        # and indexed for a fraction of its cost.
+        view = self.coefs.view()
+        view.flags.writeable = False
+        return view
 
     def _sublevel_distances(self, X, eps):
         # One polyhedral projection per point, onto cuts built once.

@@ -570,6 +570,20 @@ def _rotation(rng, n):
     return np.linalg.qr(rng.standard_normal((n, n)))[0]
 
 
+def _acute_instance(rng, n, k, log_norm=(0.0, 0.0)):
+    """``(x0, A, b)``: k <= n cuts in R^n whose unit normals meet at acute
+    angles, with row lengths ``10 ** uniform(*log_norm)``. The unit-normal
+    multipliers are drawn from [0.5, 2], so every cut is violated at x0 and
+    the whole-bundle start keeps them all."""
+    units = np.abs(rng.standard_normal((k, n))) @ _rotation(rng, n)
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    norms = 10.0 ** rng.uniform(*log_norm, size=k)
+    A = norms[:, None] * units
+    x0 = rng.standard_normal(n)
+    mu = rng.uniform(0.5, 2.0, size=k)
+    return x0, A, A @ x0 - norms * (units @ (units.T @ mu))
+
+
 def _block_instance(rng, n, depths, pair):
     """Orthogonal blocks of chains, plus an optional near-dependent pair,
     rotated into R^n with rows scaled and shuffled.
@@ -719,13 +733,7 @@ class TestBundleStart:
         for _ in range(200):
             n = int(rng.integers(4, 9))
             k = int(rng.integers(4, n + 1))
-            units = np.abs(rng.standard_normal((k, n))) @ _rotation(rng, n)
-            units /= np.linalg.norm(units, axis=1)[:, None]
-            norms = 10.0 ** rng.uniform(*log_norm, size=k)
-            A = norms[:, None] * units
-            x0 = rng.standard_normal(n)
-            mu = rng.uniform(0.5, 2.0, size=k)
-            b = A @ x0 - norms * (units @ (units.T @ mu))
+            x0, A, b = _acute_instance(rng, n, k, log_norm)
             res = project_polyhedron(x0, CutPolyhedron(A, b))
             assert res.start_size == k
             assert _kkt_error(x0, A, b, res) == ""
@@ -757,6 +765,25 @@ class TestBundleStart:
         assert (res.start_size, res.adds, res.drops, calls) == (0, k, 0, [])
         assert_allclose(res.point, np.r_[np.zeros(k), np.ones(5 - k)])
 
+    def test_start_only_builds_no_factors(self, monkeypatch):
+        # A projection that ends at its start never needs the QR factors,
+        # nor the buffers that would hold them.
+        rng = np.random.default_rng(8)
+        instances = [_acute_instance(rng, 12, k) for k in range(4, 10)]
+        calls = []
+        for name in ("factor", "_allocate"):
+            method = getattr(geometry._WorkingSet, name)
+            monkeypatch.setattr(geometry._WorkingSet, name,
+                                lambda ws, m=method, name=name: (calls.append(name), m(ws))[1])
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda M: (calls.append("qr"), qr(M))[1])
+        for x0, A, b in instances:
+            k = len(A)
+            res = project_polyhedron(x0, CutPolyhedron(A, b))
+            assert (res.start_size, res.adds, res.drops) == (k, 0, 0)
+            assert _kkt_error(x0, A, b, res) == ""
+        assert calls == []
+
     def test_factors_hold_after_start_and_later_drops(self, monkeypatch):
         # The start leaves its QR factors to the first split that needs
         # them; check them there and after every later drop.
@@ -786,6 +813,49 @@ class TestBundleStart:
             assert _kkt_error(x0, A, b, res) == ""
         assert len(started) > 100
         assert len(dropped) >= 10
+
+
+class TestInputIsOnlyRead:
+    """``project_polyhedron`` reads x0 and returns a point of its own, on
+    every path of the kernel. The query points are 1-D float64 arrays,
+    which ``as_vector`` passes through uncopied."""
+
+    @staticmethod
+    def _project(x0, A, b):
+        assert geometry.as_vector(x0) is x0
+        before = x0.tobytes()
+        res = project_polyhedron(x0, CutPolyhedron(A, b))
+        assert not np.shares_memory(res.point, x0)
+        assert x0.tobytes() == before
+        return res
+
+    def test_feasible_point(self):
+        x0 = np.array([0.5, -0.25, 1.0])
+        res = self._project(x0, np.eye(3), np.full(3, 2.0))
+        assert res.feasible
+        assert res.point.tobytes() == x0.tobytes()
+
+    def test_start_only(self):
+        x0, A, b = _acute_instance(np.random.default_rng(3), 8, 6)
+        res = self._project(x0, A, b)
+        assert (res.start_size, res.adds, res.drops) == (6, 0, 0)
+
+    def test_cold_loop_with_drops(self):
+        res = self._project(*_hard_instance(6, 3, 12, "generic", 1.0, False))
+        assert res.start_size == 0 and res.drops > 0
+
+    def test_start_then_drops(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(4, 11))
+            k = int(rng.integers(4, n + 1))
+            A = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-1.0, 1.0, size=(k, 1))
+            x0 = rng.standard_normal(n)
+            b = A @ x0 - rng.uniform(0.01, 1.0, size=k) * np.linalg.norm(A, axis=1)
+            res = self._project(x0, A, b)
+            if res.start_size and res.drops:
+                return
+        pytest.fail("no projection started and then dropped a cut")
 
 
 class TestVariationalInequality:

@@ -533,6 +533,29 @@ def distances_one_by_one(problem, X, eps):
     return dists, None
 
 
+class TestMaxAffineGradients:
+    PROBLEM = MaxAffineProblem(np.arange(12.0).reshape(4, 3) - 5.0, [0.5, -1.0, 2.0, 0.0])
+
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    def test_gradients_are_a_read_only_view_of_coefs(self, lead):
+        coefs = self.PROBLEM.coefs
+        before = coefs.tobytes()
+        G = self.PROBLEM.piece_gradients(np.ones(lead + (3,)))
+        assert G.shape == lead + coefs.shape
+        assert G.tobytes() == np.broadcast_to(coefs, G.shape).tobytes()
+        assert not G.flags.writeable
+        with pytest.raises(ValueError):
+            G[..., 0, 0] = 1.0
+        assert coefs.tobytes() == before
+
+    def test_bundle_is_a_writable_copy(self):
+        problem = self.PROBLEM
+        ev = evaluate(problem, [1.0, -2.0, 0.5])
+        assert ev.bundle.flags.writeable
+        assert not np.shares_memory(ev.bundle, problem.coefs)
+        assert ev.bundle.tobytes() == problem.coefs[ev.active].tobytes()
+
+
 class TestBatchedSublevelDistance:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(kind=st.sampled_from(["ball", "max_affine"]), n=st.sampled_from([1, 2, 3, 8, 40]),
@@ -602,6 +625,19 @@ class TestBatchedSublevelDistance:
         for problem in (BallProblem(), AXES_MAX, MaxAffineProblem([[0.0, 0.0]], [-1.0])):
             for x in ([2.0, 1.0], [0.1, -0.2]):
                 assert type(exact_sublevel_distance(problem, x, 0.5)) is float
+
+    def test_stack_is_left_as_it_was(self):
+        # Each point is a row view of the stack, which the kernel must only
+        # read: points inside the set, outside a few of its cuts, and
+        # outside all six, where the whole-bundle start is taken.
+        rng = np.random.default_rng(4)
+        problem = MaxAffineProblem(rng.standard_normal((6, 8)), -rng.uniform(0.5, 1.5, 6))
+        X = np.vstack([np.zeros(8), 3.0 * rng.standard_normal((6, 8)),
+                       5.0 * problem.coefs.sum(axis=0)])
+        before = X.tobytes()
+        dists = exact_sublevel_distance(problem, X, 0.25)
+        assert X.tobytes() == before
+        assert dists[0] == 0.0 and (dists[1:] > 0.0).all()
 
     def test_empty_and_flat_stacks(self):
         assert exact_sublevel_distance(BallProblem(), np.empty((0, 2)), 0.0).shape == (0,)
