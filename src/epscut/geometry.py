@@ -70,12 +70,23 @@ _ROUNDOFF_FACTOR = 8.0 * np.finfo(float).eps
 # distance from near.
 _CHEBYSHEV_RADIUS_CAP = 1e3
 _CHEBYSHEV_HEIGHT = 1e5
-# Least number of rows per block of the VI checker's rejection sampler; a
-# block also holds four rows per sample still needed.
+# Rows per block of the VI checker's rejection sampler. The first block holds
+# max(_VI_BLOCK_ROWS, 4 * need) rows for the `need` samples still missing;
+# each later one is sized from the acceptance seen so far, within
+# [_VI_BLOCK_ROWS, _VI_MAX_BLOCK_ROWS] (see check_variational_inequality).
+# A block costs ~13 us of NumPy calls plus ~64 ns per row (timeit, n = 3,
+# k = 5), so a call that accepts few draws should take a few full blocks,
+# not dozens of small ones. The cap bounds a block's arrays (40 kB of draws
+# at n = 5): with no cap, verify_battery read 0.5-1.6 MB more peak RSS at the
+# same throughput. No block runs past the budget of draws, and rows past the
+# last sample kept are discarded uncounted, so the block sizes change no
+# draw, sample or count: only how many rows are thrown away.
 _VI_BLOCK_ROWS = 64
+_VI_MAX_BLOCK_ROWS = 1023
 # Largest scaled violation the VI checker grants the projection point it is
 # given; its samples must be strictly feasible.
 _VI_POINT_TOL = 1e-8
+_VI_TOO_FAR = "x0 is too far from result.point for the check's arithmetic"
 
 
 def check_count(name: str, value) -> int:
@@ -596,20 +607,29 @@ def chebyshev_point(poly: CutPolyhedron, near) -> np.ndarray | None:
     not strictly inside every cut: on a polyhedron of zero width, r is
     round-off and may exceed 1e-12.
     """
-    lifted = CutPolyhedron(
-        np.vstack([np.column_stack([poly.normals, poly.normal_norms]),
-                   np.eye(1, poly.dim + 1, poly.dim)]),
-        np.append(poly.offsets, _CHEBYSHEV_RADIUS_CAP),
-    )
+    k, n = poly.normals.shape
+    normals = np.zeros((k + 1, n + 1))
+    normals[:k, :n] = poly.normals
+    normals[:k, n] = poly.normal_norms
+    normals[k, n] = 1.0
+    offsets = np.empty(k + 1)
+    offsets[:k] = poly.offsets
+    offsets[k] = _CHEBYSHEV_RADIUS_CAP
+    query = np.empty(n + 1)
+    query[:n] = as_vector(near, n)
+    query[n] = _CHEBYSHEV_HEIGHT
     try:
-        point = project_polyhedron(
-            np.append(as_vector(near, poly.dim), _CHEBYSHEV_HEIGHT), lifted).point
+        point = project_polyhedron(query, CutPolyhedron(normals, offsets)).point
     except ProjectionFailedError:
         return None
     c, r = point[:-1], point[-1]
     return c if r > 1e-12 and (poly.normals @ c < poly.offsets).all() else None
 
 
+# Far from its projection the checker's draws and scores can overflow. A draw
+# that does is rejected or, if kept, gives a score that is not finite, and
+# such a score raises ValueError; NumPy need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def check_variational_inequality(
     x0,
     result: ProjectionResult,
@@ -625,8 +645,12 @@ def check_variational_inequality(
     ``chebyshev_point(poly, x1)`` when there is one, and segments from x1
     toward it top up the quota when rejection alone cannot fill it. Raises
     NoFeasibleSampleFoundError if the quota cannot be met, and ValueError
-    if ``samples`` fails ``check_count`` or ``result.point`` violates a cut
-    by more than ``_VI_POINT_TOL`` (1e-8) in scaled terms.
+    if ``samples`` fails ``check_count``, if ``result.point`` violates a cut
+    by more than ``_VI_POINT_TOL`` (1e-8) in scaled terms, or if x0 lies so
+    far from ``result.point`` that the check's own arithmetic overflows:
+    when ``||x0 - x1||`` is not finite, before any draw, or when a score
+    ``<x0 - x1, y - x1>`` or its denominator is not finite. None of these
+    cases warns.
 
     Draw ``i`` (counting from 0) is ``x1 + radii[i % 3] * z_i`` with ``z_i``
     a standard normal n-vector, and it is kept when it is strictly feasible.
@@ -638,6 +662,15 @@ def check_variational_inequality(
     sample kept are discarded uncounted. The segment top-up is reached only
     after the whole budget is drawn, so it reads the same uniforms as one
     draw at a time would.
+
+    So the block sizes decide only how many rows are drawn and thrown away,
+    never a sample, ``n_attempts`` or a report bit, as long as no block runs
+    past the budget. The first block holds ``max(64, 4 * need)`` rows for
+    the ``need`` samples still missing. A later one holds ``ceil(1.25 *
+    need * attempts / own)`` rows, where ``own`` counts the samples drawn so
+    far (not the interior point), or four times the rows of the block before
+    while ``own`` is 0; it holds at least 64 and at most
+    ``min(budget - attempts, 1023)`` rows.
     """
     x0 = as_vector(x0, poly.dim)
     x1 = as_vector(result.point, poly.dim)
@@ -648,6 +681,8 @@ def check_variational_inequality(
     rng = np.random.default_rng(seed)
     gap = x0 - x1
     gap_norm = float(np.linalg.norm(gap))
+    if not math.isfinite(gap_norm):
+        raise ValueError(_VI_TOO_FAR)
     scale = 1.0 + gap_norm
     interior = chebyshev_point(poly, x1)
 
@@ -658,16 +693,27 @@ def check_variational_inequality(
         count = 1
     budget = 200 * samples
     attempts = 0
+    m = max(_VI_BLOCK_ROWS, 4 * (samples - count))
     radii = np.array([0.5 * scale, 2.0 * scale, 0.05 * scale])
+    A, b, norms = poly.normals, poly.offsets[:, None], poly.normal_norms[:, None]
     while count < samples and attempts < budget:
         need = samples - count
-        m = min(budget - attempts, max(_VI_BLOCK_ROWS, 4 * need))
+        if attempts:
+            # The draws kept so far: the interior point is not one of them.
+            own = count - (interior is not None)
+            m = -(-5 * need * attempts // (4 * own)) if own else 4 * m
+            m = min(max(m, _VI_BLOCK_ROWS), _VI_MAX_BLOCK_ROWS)
+        m = min(m, budget - attempts)
         radius = radii[(attempts + np.arange(m)) % radii.size]
-        Y = x1 + radius[:, None] * rng.standard_normal((m, poly.dim))
+        Y = rng.standard_normal((m, poly.dim))
+        Y *= radius[:, None]
+        Y += x1
         # Samples must be strictly feasible; only the projection point
         # itself is granted the tolerance. The (k, m) layout makes the max
         # over cuts a reduction over the leading axis, which is the fast one.
-        scaled = (poly.normals @ Y.T - poly.offsets[:, None]) / poly.normal_norms[:, None]
+        scaled = A @ Y.T
+        scaled -= b
+        scaled /= norms
         kept = np.flatnonzero(scaled.max(axis=0) <= 0.0)[:need]
         ys[count:count + kept.size] = Y[kept]
         count += kept.size
@@ -689,7 +735,10 @@ def check_variational_inequality(
     # of equal maxima, as a running max() does.
     D = ys - x1
     inner = np.vecdot(D, gap) if poly.dim > 1 else D[:, 0] * gap[0]
-    normalized = inner / (1.0 + gap_norm * np.sqrt(np.vecdot(D, D)))
+    denominator = 1.0 + gap_norm * np.sqrt(np.vecdot(D, D))
+    if not (np.isfinite(inner).all() and np.isfinite(denominator).all()):
+        raise ValueError(_VI_TOO_FAR)
+    normalized = inner / denominator
     return VariationalInequalityReport(
         max_violation=float(inner[inner.argmax()]),
         max_normalized_violation=float(normalized[normalized.argmax()]),

@@ -1,5 +1,8 @@
 """Projection kernel tests: closed forms, KKT certificates, oracle equivalence."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -930,6 +933,22 @@ class TestVariationalInequality:
         assert (report.n_samples, report.n_attempts) == (10, 2000)
         assert report.max_normalized_violation <= 1e-9
 
+    @pytest.mark.parametrize("x0", [[3e153, 1.0], [1e154, 1.0], [1.4e154, 1.0]])
+    def test_query_point_too_far_raises(self, x0):
+        # The scores overflow from the first two points; unchecked, they
+        # give a normalized violation of -0.0 and NaN. From the third,
+        # ||x0 - x1|| itself overflows, so the check raises before any draw.
+        P = CutPolyhedron([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+        res = project_polyhedron(x0, P)
+        rows = []
+        real = np.random.default_rng
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+            warnings.simplefilter("error")
+            mp.setattr(np.random, "default_rng", lambda s: _DrawRecorder(real(s), rows))
+            with pytest.raises(ValueError, match="too far"):
+                check_variational_inequality(x0, res, P, samples=100)
+        assert (not rows) == (x0[0] == 1.4e154)
+
 
 @st.composite
 def chebyshev_instances(draw):
@@ -1058,12 +1077,13 @@ def _assert_matches_reference(x0, poly, samples, seed):
 
 
 @st.composite
-def vi_instances(draw):
+def vi_instances(draw, shapes=("generic", "interior", "thin"), samples=st.integers(1, 12)):
     """n <= 5, k <= 6: generic cuts, cuts around an interior start (x0 = x1),
-    or cuts plus a thin slab through the anchor that rejects most draws."""
+    or cuts plus a thin slab through the anchor that rejects most draws;
+    one of ``shapes``, with a sample count drawn from ``samples``."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, k = draw(st.integers(1, 5)), draw(st.integers(1, 6))
-    shape = draw(st.sampled_from(["generic", "interior", "thin"]))
+    shape = draw(st.sampled_from(list(shapes)))
     A = rng.standard_normal((k, n))
     A[np.linalg.norm(A, axis=1) < 1e-3, 0] = 1.0
     A *= 10.0 ** rng.uniform(-1.0, 1.0, size=(k, 1))
@@ -1076,8 +1096,56 @@ def vi_instances(draw):
         A = np.vstack([A, a, -a])
         b = np.append(b, [a @ anchor + half, half - a @ anchor])
     x0 = anchor if shape == "interior" else anchor + 2.0 * rng.standard_normal(n)
-    samples = draw(st.integers(1, 12))
-    return x0, A, b, samples, draw(st.integers(0, 2**32 - 1))
+    return x0, A, b, draw(samples), draw(st.integers(0, 2**32 - 1))
+
+
+def _stacked_chebyshev_point(poly, near):
+    """``chebyshev_point`` with its lifted polyhedron and query point built
+    by stacking; returns them and the center."""
+    lifted = CutPolyhedron(
+        np.vstack([np.column_stack([poly.normals, poly.normal_norms]),
+                   np.eye(1, poly.dim + 1, poly.dim)]),
+        np.append(poly.offsets, geometry._CHEBYSHEV_RADIUS_CAP),
+    )
+    query = np.append(near, geometry._CHEBYSHEV_HEIGHT)
+    try:
+        point = project_polyhedron(query, lifted).point
+    except ProjectionFailedError:
+        return lifted, query, None
+    c, r = point[:-1], point[-1]
+    return lifted, query, c if r > 1e-12 and (poly.normals @ c < poly.offsets).all() else None
+
+
+class TestChebyshevLift:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(vi_instances())
+    def test_lift_is_the_stacked_form(self, inst):
+        x0, A, b, _, _ = inst
+        poly = CutPolyhedron(A, b)
+        try:
+            near = project_polyhedron(x0, poly).point
+        except InfeasiblePolyhedronError:
+            assume(False)
+        calls = []
+        real = geometry.project_polyhedron
+
+        def recording(x, lifted):
+            calls.append((x, lifted))
+            return real(x, lifted)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "project_polyhedron", recording)
+            center = geometry.chebyshev_point(poly, near)
+        [(query, lifted)] = calls
+        want_lifted, want_query, want_center = _stacked_chebyshev_point(poly, near)
+        assert lifted.normals.shape == want_lifted.normals.shape
+        assert lifted.normals.tobytes() == want_lifted.normals.tobytes()
+        assert lifted.offsets.tobytes() == want_lifted.offsets.tobytes()
+        assert lifted.normal_norms.tobytes() == want_lifted.normal_norms.tobytes()
+        assert query.tobytes() == want_query.tobytes()
+        assert (center is None) == (want_center is None)
+        if center is not None:
+            assert center.tobytes() == want_center.tobytes()
 
 
 class TestVariationalInequalityReference:
@@ -1121,3 +1189,91 @@ class TestVariationalInequalityReference:
         rng = np.random.default_rng(12)
         one_by_one = [rng.uniform(0.0, 1.0) for _ in range(500)]
         assert np.array_equal(np.random.default_rng(12).uniform(0.0, 1.0, size=500), one_by_one)
+
+
+class _DrawRecorder:
+    """A generator that records the size of each ``standard_normal`` draw
+    and hands every call to the generator it wraps."""
+
+    def __init__(self, rng, sizes):
+        self._rng = rng
+        self._sizes = sizes
+
+    def standard_normal(self, size):
+        self._sizes.append(size)
+        return self._rng.standard_normal(size)
+
+    def uniform(self, *args, **kwargs):
+        return self._rng.uniform(*args, **kwargs)
+
+
+def _checked_blocks(x0, poly, samples, seed):
+    """``_assert_matches_reference`` with every generator recording its
+    draws; returns the report and the row counts of the checker's blocks,
+    after asserting that no block exceeds the cap or runs past the budget."""
+    sizes = []
+    real = np.random.default_rng
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda s: _DrawRecorder(real(s), sizes))
+        report = _assert_matches_reference(x0, poly, samples, seed)
+    # The oracle draws one n-vector at a time; the checker draws (m, n) blocks.
+    blocks = [size for size in sizes if isinstance(size, tuple)]
+    assert blocks and all(n == poly.dim for _, n in blocks)
+    rows = [m for m, _ in blocks]
+    assert rows[0] <= max(geometry._VI_BLOCK_ROWS, 4 * samples)
+    assert max(rows[1:], default=0) <= geometry._VI_MAX_BLOCK_ROWS
+    assert sum(rows) <= 200 * samples
+    return report, rows
+
+
+class TestVariationalInequalityBlocks:
+    """The block schedule of the rejection sampler: whatever it draws, the
+    report is the one-draw-at-a-time oracle's, bit for bit."""
+
+    def test_thin_slab(self):
+        # {0 <= x_1 <= 1e-3} accepts a few draws in a thousand: every block
+        # after the first is sized at the cap until the budget ends, and the
+        # segment top-up fills the rest.
+        P = CutPolyhedron([[-1.0, 0.0], [1.0, 0.0]], [0.0, 1e-3])
+        report, rows = _checked_blocks([2.0, 0.5], P, samples=100, seed=5)
+        assert report.n_attempts == 20000
+        assert len(rows) <= math.ceil((20000 - rows[0]) / geometry._VI_MAX_BLOCK_ROWS) + 1
+
+    def test_slab_sized_from_its_acceptance(self):
+        # {0 <= x_1 <= 0.03} accepts about 3% of the draws, so the blocks
+        # shrink toward the floor as the quota fills.
+        P = CutPolyhedron([[-1.0, 0.0], [1.0, 0.0]], [0.0, 0.03])
+        report, rows = _checked_blocks([2.0, 0.5], P, samples=100, seed=5)
+        assert report.n_attempts < 20000
+        assert geometry._VI_BLOCK_ROWS in rows
+        assert any(geometry._VI_BLOCK_ROWS < m < geometry._VI_MAX_BLOCK_ROWS for m in rows[1:])
+
+    def test_zero_acceptance_slab(self):
+        # {0 <= x_1 <= 0} holds no draw: each block after the first is four
+        # times the one before up to the cap, where blocks of a fixed 400
+        # rows would take 50.
+        P = CutPolyhedron([[-1.0, 0.0], [1.0, 0.0]], [0.0, 0.0])
+        report, rows = _checked_blocks([2.0, 0.5], P, samples=100, seed=5)
+        assert report is None
+        assert sum(rows) == 20000
+        assert rows[0] == 400
+        assert len(rows) <= math.ceil((20000 - rows[0]) / geometry._VI_MAX_BLOCK_ROWS) + 1
+
+    def test_accepting_halfspace_takes_one_block(self):
+        # x0 lies deep inside, so x1 = x0 and nearly every draw is kept. The
+        # interior point is sample 0, so the first block draws for 99.
+        P = CutPolyhedron([[1.0, 0.0]], [1e3])
+        report, rows = _checked_blocks([0.0, 0.0], P, samples=100, seed=5)
+        assert rows == [4 * 99]
+        assert report.n_attempts < 4 * 99
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(vi_instances(shapes=("thin",), samples=st.integers(60, 120)))
+    def test_thin_polyhedra_match_one_draw_at_a_time(self, inst):
+        x0, A, b, samples, seed = inst
+        poly = CutPolyhedron(A, b)
+        try:
+            project_polyhedron(x0, poly)
+        except InfeasiblePolyhedronError:
+            assume(False)
+        _checked_blocks(x0, poly, samples, seed)
