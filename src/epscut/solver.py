@@ -123,7 +123,9 @@ class TraceRow(NamedTuple):
     """One per-iterate record, a named tuple of its cells in CSV column order.
 
     The cells are Python ints, floats and None (no sublevel distance), which
-    ``traceio`` hands to ``csv`` and ``json`` as they are.
+    ``traceio`` hands to ``csv`` and ``json`` as they are. The solver builds
+    its rows as ``tuple.__new__(TraceRow, cells)``: the row ``TraceRow(*cells)``
+    makes, without the call through the Python-level ``__new__``.
     """
 
     i: int
@@ -221,12 +223,23 @@ def _step(x, evaluation: Evaluation, eps: float, fallback: str):
 
 
 def _finish(rows, status, i, eps_i, f_xi, j_i, dist, x) -> SolveTrace:
-    """The trace of a run that stopped at iteration i, from x."""
-    rows.append(TraceRow(i, eps_i, f_xi, j_i, 0.0, dist, 0))
-    strict_feasible = (
-        f_xi < 0.0 if status is TerminationStatus.FEASIBLE_FOUND else None
+    """The trace of a run that stopped at iteration i, from x.
+
+    Every run ends here, so the record skips the frozen dataclass's
+    generated ``__init__``, which makes one ``object.__setattr__`` call per
+    field: it fills the new object's ``__dict__`` in one update, in
+    ``fields`` order, with what ``__init__`` would store. ``SolveTrace``
+    has no ``__post_init__`` to skip, so the record compares, prints,
+    ``dataclasses.replace``s and refuses assignment as one made by
+    ``SolveTrace(...)`` does, at half the cost.
+    """
+    rows.append(tuple.__new__(TraceRow, (i, eps_i, f_xi, j_i, 0.0, dist, 0)))
+    trace = object.__new__(SolveTrace)
+    trace.__dict__.update(
+        rows=rows, status=status, status_iteration=i, final_x=x, final_f=f_xi,
+        strict_feasible=f_xi < 0.0 if status is TerminationStatus.FEASIBLE_FOUND else None,
     )
-    return SolveTrace(rows, status, i, x, f_xi, strict_feasible)
+    return trace
 
 
 def _start_points(starts: list, dim: int) -> np.ndarray:
@@ -300,8 +313,8 @@ def _run(problem: Problem, x, i: int, rows: list[TraceRow], opts: SolveOptions) 
         if status is not None:
             break
         step = point - x
-        row = TraceRow(i, eps_i, f_xi, len(evaluation.bundle), math.sqrt(step.dot(step)),
-                       dist, active)
+        row = tuple.__new__(TraceRow, (i, eps_i, f_xi, len(evaluation.bundle),
+                                       math.sqrt(step.dot(step)), dist, active))
         rows.append(row)
         x = point
         i += 1
@@ -312,8 +325,8 @@ def _run(problem: Problem, x, i: int, rows: list[TraceRow], opts: SolveOptions) 
             end = i
             while end < opts.max_iter and eps_at(opts.schedule, end) is eps_i:
                 end += 1
-            # The rows are built as TraceRow's own __new__ builds a row, from
-            # this row's cells after i; x stays as it is for all of them.
+            # The rows take this row's cells after i; x stays as it is for all
+            # of them.
             rows.extend(map(tuple.__new__, repeat(TraceRow),
                             zip(range(i, end), *map(repeat, row[1:]))))
             i = end
@@ -342,6 +355,15 @@ def solve_multistart(
     batch for good: the loop of ``solve`` continues it from that iteration,
     stall fill included.
 
+    A round tests each row as that loop does, in this order: f <= 0 ends
+    the run FeasibleFound, then the last iteration ends it
+    MaxIterExceeded, then a step that is not settled leaves the batch, and
+    only a row past all three stays. The order matters for a NaN f: it is
+    not <= 0 and its step is never settled, so before the last iteration
+    it leaves the batch, and the loop of ``solve`` reports NonfiniteStep.
+    Testing "f > 0 and not the last iteration" first would finish it in
+    the batch as MaxIterExceeded.
+
     Per-start failures are already captured inside each trace's status, so a
     bad start never aborts the batch. Every start is checked before the
     first round.
@@ -356,23 +378,23 @@ def solve_multistart(
     rows: list[list[TraceRow]] = [[] for _ in starts]
     traces: list[SolveTrace | None] = [None] * len(starts)
     owner = list(range(len(starts)))  # the start of each live row
+    index = np.arange(len(starts))
     for i in range(opts.max_iter + 1):
         eps_i = eps_at(opts.schedule, i)
         values = problem.piece_values(X)
         f = values.max(axis=-1)
         sizes = np.minimum(problem.activity_mask(values, f[:, None]).sum(axis=-1), opts.j_max)
         # The cut of a one-cut bundle is the top piece's.
-        g = problem.piece_gradients(X)[np.arange(len(X)), values.argmax(axis=-1)]
+        g = problem.piece_gradients(X)[index[:len(X)], values.argmax(axis=-1)]
         point, settled = project_one_cut(X, g, np.vecdot(g, X) - f - eps_i)
         # Only a one-cut bundle's step is settled. A cut that build_cuts
         # would reject never is: it leaves the batch, and _run reports it.
         settled &= sizes == 1
         step = point - X
         step_norms = np.sqrt(np.vecdot(step, step)).tolist()
-        live = []
-        for r, (f_xi, size, stays) in enumerate(zip(f.tolist(), sizes.tolist(),
-                                                   settled.tolist())):
-            start = owner[r]
+        live, next_owner = [], []
+        for r, (start, f_xi, stays, step_norm) in enumerate(zip(owner, f.tolist(),
+                                                                settled.tolist(), step_norms)):
             status = None
             if f_xi <= 0.0:
                 status = TerminationStatus.FEASIBLE_FOUND
@@ -383,15 +405,14 @@ def solve_multistart(
                 continue
             dist = _sublevel_distance(problem, X[r], eps_i) if record_dist else None
             if status is None:
-                # The row TraceRow(...) makes, without the call through its
-                # Python-level __new__; the stall fill builds rows the same way.
-                rows[start].append(tuple.__new__(TraceRow, (i, eps_i, f_xi, 1, step_norms[r],
+                rows[start].append(tuple.__new__(TraceRow, (i, eps_i, f_xi, 1, step_norm,
                                                             dist, 1)))
                 live.append(r)
+                next_owner.append(start)
             else:
-                traces[start] = _finish(rows[start], status, i, eps_i, f_xi, size, dist,
-                                        X[r].copy())
+                traces[start] = _finish(rows[start], status, i, eps_i, f_xi, sizes.item(r),
+                                        dist, X[r].copy())
         if not live:
             return traces
-        X = point[live]
-        owner = [owner[r] for r in live]
+        X = point.take(live, axis=0)
+        owner = next_owner

@@ -921,6 +921,22 @@ class TestVariationalInequality:
         with pytest.raises(ValueError):
             check_variational_inequality([1.0, 0.0], bad, P, samples=10, seed=0)
 
+    @pytest.mark.parametrize("point, error, message", [
+        ([np.nan, 0.0], ValueError, "must be finite"),
+        ([0.0, 0.0, 0.0], DimensionMismatchError, "dimension"),
+        ([1e-8 + 1e-7, 0.0], ValueError, "does not lie in the polyhedron"),
+    ])
+    def test_bad_result_point_raises(self, point, error, message):
+        # The point is checked once, by as_vector, and then tested against
+        # the cuts with the tolerance; the last point is 1e-7 outside it.
+        P = CutPolyhedron([[1.0, 0.0]], [0.0])
+        res = type(project_polyhedron([1.0, 0.0], P))(point=np.array(point))
+        with pytest.raises(error, match=message):
+            check_variational_inequality([1.0, 0.0], res, P, samples=10, seed=0)
+        inside = type(res)(point=np.array([1e-8, 0.0]))
+        report = check_variational_inequality([1.0, 0.0], inside, P, samples=10, seed=0)
+        assert report.n_samples == 10
+
     def test_slab_far_from_the_origin(self):
         # The slab 2e4 <= x_1 <= 2e4 + 1e-3 is too thin for rejection draws
         # to hit, so the quota rests on its interior point. A Chebyshev LP

@@ -1,6 +1,7 @@
 """Driver tests: steps, cut validity, termination semantics, baselines."""
 
 import collections
+import dataclasses
 import math
 import os
 import pathlib
@@ -21,9 +22,12 @@ from epscut import (
     DimensionMismatchError,
     EpsilonSchedule,
     MaxAffineProblem,
+    MaxQuadraticsProblem,
     ShiftedBallProblem,
     SolveOptions,
+    SolveTrace,
     TerminationStatus,
+    TraceRow,
     ZeroNormalError,
     build_cuts,
     evaluate,
@@ -553,6 +557,29 @@ def trace_bytes(trace) -> bytes:
     return text.encode() + trace.final_x.tobytes()
 
 
+# The cell types of a row, column by column, as TraceRow's docstring gives them.
+ROW_CELL_TYPES = ((int,), (float,), (float,), (int,), (float,), (float, type(None)), (int,))
+
+
+def assert_plain_record(trace):
+    """The trace is the frozen SolveTrace that SolveTrace(...) makes, with
+    Python ints, floats and None in its rows and scalars."""
+    names = [f.name for f in dataclasses.fields(SolveTrace)]
+    assert type(trace) is SolveTrace
+    assert list(vars(trace)) == names
+    copy = dataclasses.replace(trace)
+    assert type(copy) is SolveTrace
+    assert all(getattr(copy, name) is getattr(trace, name) for name in names)
+    assert repr(copy) == repr(trace)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.status = TerminationStatus.FEASIBLE_FOUND
+    for row in trace.rows:
+        assert type(row) is TraceRow
+        assert all(type(cell) in kinds for cell, kinds in zip(row, ROW_CELL_TYPES, strict=True))
+    assert type(trace.final_f) is float and type(trace.status_iteration) is int
+    assert trace.strict_feasible in (True, False, None)
+
+
 def assert_lockstep_matches_solve(problem, starts, opts):
     """solve_multistart gives, start by start, solve's trace byte for byte,
     without a warning of any kind."""
@@ -851,6 +878,61 @@ class TestLockstep:
         # Every oracle call, batched or through evaluate, calls piece_values.
         assert 0 < calls["evaluate"] < calls["piece_values"] < 50
         assert [trace_bytes(t) for t in again] == [trace_bytes(t) for t in traces]
+
+    # Piece values at (1e200, 0) are [nan, -1, inf], so f is NaN there: the
+    # first piece's x1^2 is inf and its -1e300 x1 is -inf. Its step is never
+    # settled, so the run leaves the batch before the loop of solve reports
+    # NonfiniteStep. Starts with x1 > 0 follow the third piece, a disk, from
+    # inside the batch; (-1e-299, 2) has a cut normal of length 1e300, whose
+    # square overflows, and (0.5, 0.5) is feasible from the outset.
+    NAN_VALUE = MaxQuadraticsProblem([(np.eye(2), [-1e300, 0.0], 0.0),
+                                      (np.zeros((2, 2)), [0.0, 0.0], -1.0),
+                                      (np.eye(2), [0.0, 0.0], -1.0)])
+
+    @pytest.mark.parametrize("schedule", ["harmonic", "zero"])
+    @pytest.mark.parametrize("max_iter", [1, 2, 20])
+    def test_nan_value_leaves_the_batch(self, schedule, max_iter):
+        starts = [[2.0, 1.0], [1e200, 0.0], [3.0, -2.0], [0.5, 0.5], [-1e-299, 2.0],
+                  [1.5, 4.0]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(self.NAN_VALUE.piece_values(np.array(starts[1]))[0])
+        opts = SolveOptions(schedule=SCHEDULES[schedule](0.1), max_iter=max_iter)
+        traces = assert_lockstep_matches_solve(self.NAN_VALUE, starts, opts)
+        assert traces[1].status is TerminationStatus.NONFINITE_STEP
+        assert traces[1].status_iteration == 0 and math.isnan(traces[1].final_f)
+        assert traces[3].status is TerminationStatus.FEASIBLE_FOUND
+        if max_iter < 20:
+            assert traces[0].status is TerminationStatus.MAX_ITER_EXCEEDED
+
+    def test_ended_runs_are_plain_records(self, monkeypatch):
+        # (-2, -2) is feasible at round 0. (3, 1) steps once in the batch, to
+        # a point where the second piece is still positive, and max_iter = 1
+        # ends it there. (1, 1) ties both pieces, and the loop of solve ends
+        # its run after its two-cut step.
+        starts = [[-2.0, -2.0], [3.0, 1.0], [1.0, 1.0]]
+        runs = []
+        run = solver._run
+
+        def counting(problem, x, *args):
+            runs.append(x.tolist())
+            return run(problem, x, *args)
+
+        monkeypatch.setattr(solver, "_run", counting)
+        batch = solve_multistart(AXES_MAX, starts, harmonic_opts(max_iter=1,
+                                                                 record_sublevel_distance=True))
+        monkeypatch.undo()
+        assert runs == [[1.0, 1.0]]
+        assert [t.status for t in batch] == [TerminationStatus.FEASIBLE_FOUND,
+                                             TerminationStatus.MAX_ITER_EXCEEDED,
+                                             TerminationStatus.FEASIBLE_FOUND]
+        singles = [solve(problem, x0, opts) for problem, x0, opts in (
+            (AXES_MAX, starts[1], harmonic_opts(max_iter=1)),
+            (BALL, [2.0, 0.0], harmonic_opts(record_sublevel_distance=True)),
+            (BALL, [2.0, 0.0], SolveOptions(schedule=ZERO_SHIFT, max_iter=50)),
+            (OPPOSING, [0.0], harmonic_opts(infeasible_cut_fallback="fail")),
+        )]
+        for trace in batch + singles:
+            assert_plain_record(trace)
 
 
 class TestNonconvexLocal:
