@@ -71,18 +71,23 @@ _ROUNDOFF_FACTOR = 8.0 * np.finfo(float).eps
 _CHEBYSHEV_RADIUS_CAP = 1e3
 _CHEBYSHEV_HEIGHT = 1e5
 # Rows per block of the VI checker's rejection sampler. The first block holds
-# max(_VI_BLOCK_ROWS, 4 * need) rows for the `need` samples still missing;
-# each later one is sized from the acceptance seen so far, within
-# [_VI_BLOCK_ROWS, _VI_MAX_BLOCK_ROWS] (see check_variational_inequality).
-# A block costs ~13 us of NumPy calls plus ~64 ns per row (timeit, n = 3,
-# k = 5), so a call that accepts few draws should take a few full blocks,
-# not dozens of small ones. The cap bounds a block's arrays (40 kB of draws
-# at n = 5): with no cap, verify_battery read 0.5-1.6 MB more peak RSS at the
-# same throughput. No block runs past the budget of draws, and rows past the
-# last sample kept are discarded uncounted, so the block sizes change no
-# draw, sample or count: only how many rows are thrown away.
+# 4 * need rows for the `need` samples still missing; each later one is
+# sized from the acceptance seen so far. Every block holds at least
+# _VI_BLOCK_ROWS and at most _VI_MAX_BLOCK_ROWS rows (see
+# check_variational_inequality). A block costs ~13 us of NumPy calls plus
+# ~64 ns per row (timeit, n = 3, k = 5), so a call that accepts few draws
+# should take a few full blocks, not dozens of small ones. The cap bounds a
+# block's arrays (40 kB of draws at n = 5): with no cap, verify_battery read
+# 0.5-1.6 MB more peak RSS at the same throughput. No block runs past the
+# budget of draws, and rows past the last sample kept are discarded
+# uncounted, so the block sizes change no draw, sample or count: only how
+# many rows are thrown away.
 _VI_BLOCK_ROWS = 64
 _VI_MAX_BLOCK_ROWS = 1023
+# Draw i takes radius i % 3. A block of m rows from draw `attempts` reads
+# its radii's indices as the slice [o, o + m) of this table, o = attempts % 3,
+# built once: an arange and a modulo per block cost more than its gather.
+_VI_RADIUS_INDEX = np.arange(_VI_MAX_BLOCK_ROWS + 2) % 3
 # Largest scaled violation the VI checker grants the projection point it is
 # given; its samples must be strictly feasible.
 _VI_POINT_TOL = 1e-8
@@ -278,6 +283,13 @@ def project_polyhedron(x0, poly: CutPolyhedron) -> ProjectionResult:
     that constraint as nearly as double precision can say, and adding it
     again would only cycle. The second bound exceeds ``FEASIBILITY_TOL``
     only far out, where ``|x|`` or ``|b_p| / ||a_p||`` is above about 5e4.
+
+    The loop's scalar bookkeeping (the ratio test, ``b_p``, ``||a_p||``,
+    the step lengths) runs on Python floats, which round as NumPy's
+    float64 scalars do. Both returns build the record through
+    ``_projection_result``, which fills the frozen dataclass without its
+    ``__init__``; a point already inside gets a new empty active set and
+    a new empty multiplier array.
     """
     x = as_vector(x0, poly.dim)
     A = poly.normals
@@ -287,7 +299,7 @@ def project_polyhedron(x0, poly: CutPolyhedron) -> ProjectionResult:
     scaled = (A @ x - b) / norms
     p = int(scaled.argmax())
     if scaled[p] <= FEASIBILITY_TOL:
-        return ProjectionResult(x.copy())
+        return _projection_result(x.copy(), [], np.zeros(0), 0, 0, 0)
 
     ws = _WorkingSet(A)
     adds = drops = start_size = 0
@@ -300,9 +312,10 @@ def project_polyhedron(x0, poly: CutPolyhedron) -> ProjectionResult:
             p = int(scaled.argmax())
 
     for _ in range(50 * (k + 1)):
-        scaled_p = float(scaled[p])
+        scaled_p = scaled.item(p)
+        b_p = b.item(p)
         if scaled_p <= FEASIBILITY_TOL or p in ws.work and scaled_p < math.inf and (
-            scaled_p <= _roundoff(A[p], x, b[p], norms[p])
+            scaled_p <= _roundoff(A[p], x, b_p, norms.item(p))
         ):
             break
         a_p = A[p]
@@ -313,7 +326,7 @@ def project_polyhedron(x0, poly: CutPolyhedron) -> ProjectionResult:
                 # An empty working set: no multiplier blocks and a nonzero
                 # normal always moves x, so this is the full step, in the
                 # closed form that project_one_cut shares.
-                x, t, zz, _ = _one_cut_step(x, a_p, b[p])
+                x, t, zz, _ = _one_cut_step(x, a_p, b_p)
                 _check_finite(x)
                 ws.add(p, lam_p + t, None, a_p, math.sqrt(zz))
                 adds += 1
@@ -325,8 +338,8 @@ def project_polyhedron(x0, poly: CutPolyhedron) -> ProjectionResult:
             znorm = math.sqrt(zz)
             # A normal in the span of the working set has no full step: the
             # dual step leaves x in place.
-            moves = znorm > _DEPENDENCE_TOL * norms[p]
-            t_full = (float(a_p.dot(x)) - b[p]) / zz if moves else math.inf
+            moves = znorm > _DEPENDENCE_TOL * norms.item(p)
+            t_full = (float(a_p.dot(x)) - b_p) / zz if moves else math.inf
             if not moves and t_part == math.inf:
                 raise InfeasiblePolyhedronError(
                     "empty halfspace intersection (dual ray found)"
@@ -358,8 +371,21 @@ def project_polyhedron(x0, poly: CutPolyhedron) -> ProjectionResult:
     multipliers = ws.lam[:len(active)]
     if active != ws.work:
         multipliers = multipliers[np.argsort(ws.work)]
-    return ProjectionResult(x, active, np.maximum(multipliers, 0.0), adds, drops,
-                            start_size)
+    return _projection_result(x, active, np.maximum(multipliers, 0.0), adds, drops,
+                              start_size)
+
+
+def _projection_result(point, active_set, multipliers, adds, drops, start_size):
+    """``ProjectionResult(point, active_set, multipliers, adds, drops,
+    start_size)``, with its ``__dict__`` filled in one update, in field
+    order, where the frozen dataclass's ``__init__`` makes one
+    ``object.__setattr__`` per field. The class has no ``__post_init__``
+    to skip, so the record compares, prints, ``dataclasses.replace``s and
+    refuses assignment as a constructed one does."""
+    result = object.__new__(ProjectionResult)
+    result.__dict__.update(point=point, active_set=active_set, multipliers=multipliers,
+                           adds=adds, drops=drops, start_size=start_size)
+    return result
 
 
 def project_one_cut(x, a, b):
@@ -458,7 +484,7 @@ def _bundle_start(ws, norms, scaled, x):
     for _ in range(_START_FACTORIZATIONS):
         # Most starts end on their first attempt, which indexes nothing.
         full = work.size == len(A)
-        sub = gram if full else gram[np.ix_(work, work)]
+        sub = gram if full else gram[work][:, work]
         try:
             chol = np.linalg.cholesky(sub)
         except np.linalg.LinAlgError:
@@ -569,13 +595,21 @@ class _WorkingSet:
 def _min_ratio(lam: np.ndarray, r: np.ndarray) -> tuple[float, int]:
     """Smallest lam_j / r_j over r_j > MULTIPLIER_TOL, lowest j on ties.
 
-    Returns (inf, -1) when none qualifies.
+    Returns (inf, -1) when none qualifies, and also when some qualifying
+    ratio is NaN, as ``argmin`` over the ratios (inf where r_j does not
+    qualify) would pick that NaN. One pass over Python floats: the working
+    set holds a few constraints, where NumPy's per-call cost outweighs
+    its arithmetic.
     """
-    ratios = np.full(lam.size, np.inf)
-    np.divide(lam, r, out=ratios, where=r > MULTIPLIER_TOL)
-    j = int(np.argmin(ratios))
-    best = float(ratios[j])
-    return (best, j) if best < np.inf else (np.inf, -1)
+    best, j_best = math.inf, -1
+    for j, (lam_j, r_j) in enumerate(zip(lam.tolist(), r.tolist())):
+        if r_j > MULTIPLIER_TOL:
+            ratio = lam_j / r_j
+            if ratio < best:
+                best, j_best = ratio, j
+            elif ratio != ratio:
+                return math.inf, -1
+    return best, j_best
 
 
 @dataclass(frozen=True)
@@ -605,7 +639,10 @@ def chebyshev_point(poly: CutPolyhedron, near) -> np.ndarray | None:
     the ball is deep and near ``near``, but not necessarily the deepest.
     Returns None when r <= 1e-12, when the projection fails, or when c is
     not strictly inside every cut: on a polyhedron of zero width, r is
-    round-off and may exceed 1e-12.
+    round-off and may exceed 1e-12. It also returns None, without a
+    warning, when a lifted row ``[a_j, ||a_j||]`` is too long for a float
+    (``||a_j||`` above about 9.48e153) so that the lift is no
+    ``CutPolyhedron``; the VI checker then samples by rejection alone.
     """
     k, n = poly.normals.shape
     normals = np.zeros((k + 1, n + 1))
@@ -618,8 +655,15 @@ def chebyshev_point(poly: CutPolyhedron, near) -> np.ndarray | None:
     query = np.empty(n + 1)
     query[:n] = as_vector(near, n)
     query[n] = _CHEBYSHEV_HEIGHT
+    # A row [a, ||a||] is sqrt(2) times as long as a, so its length can
+    # overflow where a's does not: the lift is then no polyhedron.
+    with np.errstate(over="ignore"):
+        try:
+            lifted = CutPolyhedron(normals, offsets)
+        except ValueError:
+            return None
     try:
-        point = project_polyhedron(query, CutPolyhedron(normals, offsets)).point
+        point = project_polyhedron(query, lifted).point
     except ProjectionFailedError:
         return None
     c, r = point[:-1], point[-1]
@@ -665,12 +709,14 @@ def check_variational_inequality(
 
     So the block sizes decide only how many rows are drawn and thrown away,
     never a sample, ``n_attempts`` or a report bit, as long as no block runs
-    past the budget. The first block holds ``max(64, 4 * need)`` rows for
-    the ``need`` samples still missing. A later one holds ``ceil(1.25 *
+    past the budget. The first block asks for ``4 * need`` rows for the
+    ``need`` samples still missing. A later one asks for ``ceil(1.25 *
     need * attempts / own)`` rows, where ``own`` counts the samples drawn so
     far (not the interior point), or four times the rows of the block before
-    while ``own`` is 0; it holds at least 64 and at most
-    ``min(budget - attempts, 1023)`` rows.
+    while ``own`` is 0. Every block, the first included, holds at least 64
+    and at most ``min(budget - attempts, 1023)`` rows. A block's radii are
+    read as one slice of the fixed index table ``_VI_RADIUS_INDEX``,
+    starting at ``attempts % 3``.
     """
     x0 = as_vector(x0, poly.dim)
     x1 = as_vector(result.point, poly.dim)
@@ -681,7 +727,9 @@ def check_variational_inequality(
 
     rng = np.random.default_rng(seed)
     gap = x0 - x1
-    gap_norm = float(np.linalg.norm(gap))
+    # np.linalg.norm of a real 1-D array is this sqrt of a dot, overflow
+    # to inf included.
+    gap_norm = math.sqrt(gap.dot(gap))
     if not math.isfinite(gap_norm):
         raise ValueError(_VI_TOO_FAR)
     scale = 1.0 + gap_norm
@@ -694,7 +742,7 @@ def check_variational_inequality(
         count = 1
     budget = 200 * samples
     attempts = 0
-    m = max(_VI_BLOCK_ROWS, 4 * (samples - count))
+    m = 4 * (samples - count)
     radii = np.array([0.5 * scale, 2.0 * scale, 0.05 * scale])
     A, b, norms = poly.normals, poly.offsets[:, None], poly.normal_norms[:, None]
     while count < samples and attempts < budget:
@@ -703,9 +751,9 @@ def check_variational_inequality(
             # The draws kept so far: the interior point is not one of them.
             own = count - (interior is not None)
             m = -(-5 * need * attempts // (4 * own)) if own else 4 * m
-            m = min(max(m, _VI_BLOCK_ROWS), _VI_MAX_BLOCK_ROWS)
-        m = min(m, budget - attempts)
-        radius = radii[(attempts + np.arange(m)) % radii.size]
+        m = min(max(m, _VI_BLOCK_ROWS), _VI_MAX_BLOCK_ROWS, budget - attempts)
+        o = attempts % 3
+        radius = radii[_VI_RADIUS_INDEX[o:o + m]]
         Y = rng.standard_normal((m, poly.dim))
         Y *= radius[:, None]
         Y += x1

@@ -1,11 +1,12 @@
 """Projection kernel tests: closed forms, KKT certificates, oracle equivalence."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
@@ -861,6 +862,107 @@ class TestInputIsOnlyRead:
         pytest.fail("no projection started and then dropped a cut")
 
 
+def min_ratio_reference(lam, r):
+    """``_min_ratio`` written out in NumPy: the ratios, inf where r_j does
+    not exceed ``MULTIPLIER_TOL``, and the first of their minima by
+    ``argmin``, which picks the first NaN when there is one."""
+    lam, r = np.array(lam, dtype=float), np.array(r, dtype=float)
+    with np.errstate(all="ignore"):
+        ratios = np.full(lam.size, np.inf)
+        np.divide(lam, r, out=ratios, where=r > geometry.MULTIPLIER_TOL)
+    j = int(np.argmin(ratios))
+    best = float(ratios[j])
+    return (best, j) if best < np.inf else (np.inf, -1)
+
+
+_TOL = geometry.MULTIPLIER_TOL
+# Entries that tie, overflow a ratio (1e300 over a divisor near the
+# tolerance), sit exactly at the tolerance or one ulp either side of it,
+# or are not finite.
+RATIO_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1e300, -1e300, 5e-324,
+                     _TOL, np.nextafter(_TOL, 0.0), np.nextafter(_TOL, 1.0),
+                     np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def ratio_pairs(draw):
+    m = draw(st.integers(1, 7))
+    row = st.lists(RATIO_ENTRY, min_size=m, max_size=m)
+    return draw(row), draw(row)
+
+
+class TestMinRatio:
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(ratio_pairs())
+    @example(([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]))
+    @example(([0.0, -0.0], [1.0, 1.0]))
+    @example(([-0.0, 0.0, 1.0], [1.0, 1.0, 1.0]))
+    @example(([1.0, np.nan, 0.0], [1.0, 1.0, 1.0]))
+    @example(([1.0, 1.0], [_TOL, np.nextafter(_TOL, 1.0)]))
+    @example(([1e300, -1e300], [np.nextafter(_TOL, 1.0), np.nextafter(_TOL, 1.0)]))
+    @example(([np.inf, 1.0], [np.inf, np.nan]))
+    def test_matches_the_numpy_reference(self, pair):
+        lam, r = pair
+        got = geometry._min_ratio(np.array(lam), np.array(r))
+        want = min_ratio_reference(lam, r)
+        assert type(got[0]) is float and type(got[1]) is int
+        assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
+
+
+def _record_instance(case):
+    """A query point and cuts for each return path of the kernel."""
+    if case == "feasible":
+        return np.array([0.5, -0.25, 1.0]), np.eye(3), np.full(3, 2.0)
+    if case == "start_only":
+        return _acute_instance(np.random.default_rng(3), 8, 6)
+    return _hard_instance(6, 3, 12, "generic", 1.0, False)
+
+
+class TestProjectionRecord:
+    """The kernel fills its frozen record without ``__init__``; the record
+    must behave as one made by the constructor."""
+
+    @pytest.mark.parametrize("case", ["feasible", "start_only", "loop"])
+    def test_plain_record(self, case):
+        x0, A, b = _record_instance(case)
+        res = project_polyhedron(x0, CutPolyhedron(A, b))
+        names = [f.name for f in dataclasses.fields(geometry.ProjectionResult)]
+        assert type(res) is geometry.ProjectionResult
+        assert list(vars(res)) == names
+        built = geometry.ProjectionResult(*(getattr(res, name) for name in names))
+        assert res == built
+        assert repr(res) == repr(built)
+        copy = dataclasses.replace(res)
+        assert type(copy) is geometry.ProjectionResult
+        assert all(getattr(copy, name) is getattr(res, name) for name in names)
+        assert copy == res and repr(copy) == repr(res)
+        assert res.feasible is built.feasible is (case == "feasible")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.adds = 1
+        assert type(res.active_set) is list
+        assert all(type(j) is int for j in res.active_set)
+        assert res.multipliers.dtype == np.float64 and res.multipliers.ndim == 1
+        assert all(type(v) is int for v in (res.adds, res.drops, res.start_size))
+        if case == "feasible":
+            # The constructor's defaults, with only the point given.
+            assert repr(res) == repr(geometry.ProjectionResult(res.point))
+        elif case == "start_only":
+            assert (res.start_size, res.adds, res.drops) == (6, 0, 0)
+        else:
+            assert res.start_size == 0 and res.adds > 0 and res.drops > 0
+
+    def test_feasible_records_share_nothing(self):
+        P = CutPolyhedron(np.eye(2), [1.0, 1.0])
+        first, second = (project_polyhedron([0.0, 0.0], P) for _ in range(2))
+        assert first.active_set is not second.active_set
+        assert first.multipliers is not second.multipliers
+        first.active_set.append(0)
+        assert second.active_set == []
+
+
 class TestVariationalInequality:
     def test_corner_instance_nonpositive(self):
         P = CutPolyhedron([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
@@ -1019,6 +1121,22 @@ class TestChebyshevPoint:
              0.3676546554062162])
         near = [-4.081067294288751, 0.4466104570868308]
         assert geometry.chebyshev_point(P, near) is None
+
+    @pytest.mark.parametrize("length", [9.4e153, 9.5e153, 1.2e154, 1.3e154])
+    def test_lifted_row_too_long_for_a_float(self, length):
+        # From a row length of about 9.48e153 the lifted row [a, ||a||] is
+        # too long for a float, though a is not. There is then no interior
+        # point, and no warning; the checker samples by rejection alone.
+        P = CutPolyhedron([[length, 0.0], [0.0, 1.0]], [0.0, 1.0])
+        res = project_polyhedron([1.0, 0.5], P)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            center = geometry.chebyshev_point(P, res.point)
+            report = _assert_matches_reference([1.0, 0.5], P, samples=20, seed=0)
+        assert (center is None) == (length > 9.4e153)
+        if center is not None:
+            assert (P.scaled_violations(center) < 0.0).all()
+        assert report.n_samples == 20
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_single_halfspace_depth_is_the_cap(self, rng, n):
@@ -1236,7 +1354,7 @@ def _checked_blocks(x0, poly, samples, seed):
     blocks = [size for size in sizes if isinstance(size, tuple)]
     assert blocks and all(n == poly.dim for _, n in blocks)
     rows = [m for m, _ in blocks]
-    assert rows[0] <= max(geometry._VI_BLOCK_ROWS, 4 * samples)
+    assert rows[0] <= min(max(geometry._VI_BLOCK_ROWS, 4 * samples), geometry._VI_MAX_BLOCK_ROWS)
     assert max(rows[1:], default=0) <= geometry._VI_MAX_BLOCK_ROWS
     assert sum(rows) <= 200 * samples
     return report, rows
@@ -1282,6 +1400,34 @@ class TestVariationalInequalityBlocks:
         report, rows = _checked_blocks([0.0, 0.0], P, samples=100, seed=5)
         assert rows == [4 * 99]
         assert report.n_attempts < 4 * 99
+
+    @pytest.mark.parametrize("samples", [300, 1000])
+    def test_first_block_is_capped(self, samples):
+        # 4 * need exceeds the cap: the first block holds 1023 rows, on a
+        # halfspace that keeps every draw as on a slab that keeps few.
+        P = CutPolyhedron([[1.0, 0.0]], [1e3])
+        report, rows = _checked_blocks([0.0, 0.0], P, samples=samples, seed=5)
+        assert rows == [geometry._VI_MAX_BLOCK_ROWS]
+        assert report.n_attempts == samples - 1
+        P = CutPolyhedron([[-1.0, 0.0], [1.0, 0.0]], [0.0, 1e-3])
+        report, rows = _checked_blocks([2.0, 0.5], P, samples=samples, seed=5)
+        assert rows[0] == geometry._VI_MAX_BLOCK_ROWS
+        assert report.n_attempts == sum(rows) == 200 * samples
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False),
+                              st.sampled_from([1e154, -1.4e154, 1e200, 5e-324])),
+                    min_size=1, max_size=6))
+    @example([1e200, 1e200])
+    @example([np.inf, -1.0])
+    def test_gap_norm_is_linalg_norm(self, gap):
+        # The checker takes ||x0 - x1|| as the square root of a dot product,
+        # which is what np.linalg.norm computes for a real 1-D array.
+        gap = np.array(gap)
+        with np.errstate(over="ignore"):
+            want = float(np.linalg.norm(gap))
+            got = math.sqrt(gap.dot(gap))
+        assert got.hex() == want.hex()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(vi_instances(shapes=("thin",), samples=st.integers(60, 120)))
