@@ -313,13 +313,7 @@ def cmd_diagnose(args) -> int:
         _write_outputs(args, trace)
         print(f"diagnose: {exc}", file=sys.stderr)
         return 5
-    # The error-bound ratio d(x_i, S_eps_i) / (f(x_i) + eps_i) at the shift
-    # each step used, over the rows claim_contrast fits. As in
-    # estimate_kappa, only a ratio above 0.0 counts: a NaN (inf / inf) never is.
-    ratios = (r.dist_sublevel / (r.f_xi + r.eps_i) for r in trace.rows
-              if r.f_xi > 0.0 and r.dist_sublevel is not None)
-    kappa_hat = max((q for q in ratios if q > 0.0), default=0.0)
-    report = {"problem": problem.name, **_outcome(trace), "kappa_hat": kappa_hat,
+    report = {"problem": problem.name, **_outcome(trace), "kappa_hat": contrast.kappa_hat,
               "contrast": contrast.to_dict()}
     _write_outputs(args, trace, report)
     print(_summary_line(trace))

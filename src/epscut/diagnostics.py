@@ -101,9 +101,14 @@ def estimate_kappa(problem: Problem, points, eps: float) -> float:
     d = exact_sublevel_distance(problem, X, eps)
     with np.errstate(over="ignore", invalid="ignore"):
         ratios = d / denom
-    # The largest ratio above 0.0, as max(best, ratio) from best = 0.0 finds
-    # it point by point; a NaN is never above.
-    return float(np.max(ratios, initial=0.0, where=ratios > 0.0))
+    return _largest_ratio(ratios.tolist())
+
+
+def _largest_ratio(ratios) -> float:
+    """The largest ratio above 0.0, and 0.0 if there is none: as
+    max(best, ratio) from best = 0.0 finds it ratio by ratio, so a NaN is
+    never above."""
+    return max((q for q in ratios if q > 0.0), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -112,28 +117,35 @@ class ContrastReport:
 
     ``l_hat`` is the largest observed eps_i / d_i; its finiteness over the
     recorded rows witnesses that the distances stayed above a multiple of
-    the shifts.
+    the shifts. ``kappa_hat`` is the largest d_i / (f_i + eps_i) over the
+    same rows, the error-bound ratio at the shift each step used, taken by
+    ``estimate_kappa``'s rule: only a ratio above 0.0 counts, a NaN
+    (inf / inf) never does, and 0.0 stands for none.
     """
 
     rate: RateFit
     dist: list[float]
     eps_over_dist: list[float]
     l_hat: float
+    kappa_hat: float
     terminated: bool
     termination_index: int | None
     verdict: str
 
     def to_dict(self) -> dict:
-        """The fields in order, with ``rate`` as a dict too."""
-        return {**vars(self), "rate": dict(vars(self.rate))}
+        """The fields in order, with ``rate`` as a dict too, and without
+        ``kappa_hat``, which the diagnose report carries ahead of them."""
+        fields = {**vars(self), "rate": dict(vars(self.rate))}
+        del fields["kappa_hat"]
+        return fields
 
 
 def claim_contrast(trace: SolveTrace) -> ContrastReport:
     """Contrast the distance decay of a trace with its shift floor.
 
-    Uses the rows recorded before termination (f > 0) that carry a sublevel
-    distance. Raises InsufficientDataError when fewer than three such rows
-    exist.
+    Every field is measured on the rows recorded before termination (f > 0)
+    that carry a sublevel distance. Raises InsufficientDataError when fewer
+    than three such rows exist.
     """
     pre_rows = [
         r for r in trace.rows if r.f_xi > 0.0 and r.dist_sublevel is not None
@@ -150,6 +162,7 @@ def claim_contrast(trace: SolveTrace) -> ContrastReport:
     ]
     finite = [v for v in eps_over_dist if math.isfinite(v)]
     l_hat = max(finite) if finite else math.inf
+    kappa_hat = _largest_ratio(r.dist_sublevel / (r.f_xi + r.eps_i) for r in pre_rows)
 
     terminated = trace.status is TerminationStatus.FEASIBLE_FOUND
     term_index = trace.status_iteration if terminated else None
@@ -171,6 +184,7 @@ def claim_contrast(trace: SolveTrace) -> ContrastReport:
         dist=dist,
         eps_over_dist=eps_over_dist,
         l_hat=l_hat,
+        kappa_hat=kappa_hat,
         terminated=terminated,
         termination_index=term_index,
         verdict=verdict,

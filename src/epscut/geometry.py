@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -201,6 +201,31 @@ class CutPolyhedron:
         return bool(np.max(self.scaled_violations(x)) <= tol)
 
 
+def record_eq(self, other) -> bool:
+    """``==`` for frozen dataclass records that hold arrays, field by field.
+
+    An array field compares by dtype, shape and bytes, so -0.0 differs from
+    0.0 and a NaN equals a NaN of the same bits; every other field compares
+    with ``==``, under which -0.0 equals 0.0 and a NaN equals nothing. A
+    record of another class gives NotImplemented. The dataclass's own
+    ``__eq__`` compares the fields as one tuple, which asks two arrays that
+    are not one object for the truth value of their ``==``, and that raises
+    ValueError.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if isinstance(a, np.ndarray):
+            same = (isinstance(b, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape)
+                    and a.tobytes() == b.tobytes())
+        else:
+            same = a == b
+        if not same:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class ProjectionResult:
     """Nearest point of a polyhedron plus its KKT certificate.
@@ -215,7 +240,13 @@ class ProjectionResult:
     loop added one at a time and dropped, and ``start_size`` the cuts of the
     whole-bundle start (0 for a cold start). ``point`` is always a new
     array: it shares no memory with the query point, even when it equals it.
+
+    Two results compare by ``record_eq``: ``point`` and ``multipliers`` by
+    their bytes, the other fields with ``==``. ``hash()`` raises TypeError,
+    since the fields hold a list and arrays.
     """
+
+    __eq__ = record_eq
 
     point: np.ndarray
     active_set: list[int] = field(default_factory=list)

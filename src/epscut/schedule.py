@@ -5,7 +5,9 @@ ratio eps_{i+1}/eps_i tends to 1 (slower than every geometric sequence).
 Both non-constant kinds here have that property by construction; the
 constant kind exists only to exercise baselines that violate it. A zero
 constant is the unshifted baseline: the classical linearization cut of
-Fukushima's method.
+Fukushima's method. Each schedule also says where its shift next changes
+(``EpsilonSchedule.next_change``), so that the solver can write the rows of
+a stalled run without stepping.
 """
 
 from __future__ import annotations
@@ -52,6 +54,14 @@ class EpsilonSchedule:
             raise ValueError(f"eps0 must be {'nonnegative' if zero_ok else 'positive'} and finite")
         if self.kind == "harmonic" and not 0.0 < self.p <= 1.0:
             raise ValueError("harmonic exponent p must lie in (0, 1]")
+
+    def next_change(self, i: int) -> float:
+        """The first iteration after i whose shift may not be the shift
+        object of iteration i: ``math.inf`` for the constant kind, which
+        hands back ``eps0`` itself at every iteration, and i + 1 for the
+        others, which make a new shift at every iteration. The solver's stall
+        fill writes the rows up to that iteration without stepping."""
+        return math.inf if self.kind == "constant_for_testing" else i + 1
 
     @classmethod
     def harmonic(cls, eps0: float = 0.1, p: float = 1.0) -> "EpsilonSchedule":

@@ -77,6 +77,7 @@ from .geometry import (
     check_count,
     project_one_cut,
     project_polyhedron,
+    record_eq,
 )
 from .problems import (
     DEFAULT_J_MAX,
@@ -147,7 +148,14 @@ class SolveTrace:
     statuses it is the iteration that failed. ``strict_feasible`` is
     meaningful only for FEASIBLE_FOUND and records whether f was strictly
     negative.
+
+    Two traces compare by ``geometry.record_eq``: ``final_x`` by its dtype,
+    shape and bytes, the other fields with ``==``, so the rows compare cell
+    by cell as tuples do. ``hash()`` raises TypeError, since ``rows`` is a
+    list.
     """
+
+    __eq__ = record_eq
 
     rows: list[TraceRow]
     status: TerminationStatus
@@ -269,13 +277,14 @@ def solve(problem: Problem, x0, opts: SolveOptions | None = None) -> SolveTrace:
     every later step for as long as the schedule hands back the same shift
     object, as a constant schedule does: the oracle and the kernel give the
     same bits from the same point, so the next evaluation, cuts, projection
-    and distance are this step's again. The loop writes those rows straight
-    away, without evaluating anything, and steps again from x at the first
-    iteration whose shift is another object. The trace is the one the
-    step-by-step loop gives, byte for byte. The harmonic and logarithmic
-    schedules make a new shift at every step, so only constant schedules,
-    the zero shift among them, take this path; a harmonic shift that
-    underflows to zero still steps at every iteration.
+    and distance are this step's again. The schedule says where that ends
+    (``EpsilonSchedule.next_change``). The loop writes those rows straight
+    away, without evaluating anything, and steps again from x at that
+    iteration. The trace is the one the step-by-step loop gives, byte for
+    byte. The harmonic and logarithmic schedules make a new shift at every
+    step, so only constant schedules, the zero shift among them, take this
+    path; a harmonic shift that underflows to zero still steps at every
+    iteration.
     """
     opts = opts or SolveOptions()
     x = as_vector(x0, problem.dim).copy()
@@ -293,10 +302,12 @@ def _run(problem: Problem, x, i: int, rows: list[TraceRow], opts: SolveOptions) 
     place and goes into the trace, which keeps x only as the run's last
     point. A step with no active cut leaves x's bits as they were (x lay
     inside its cuts, and the kernel hands it back), so its next iterate
-    repeats x. The stall fill first finds the first later iteration whose
-    shift is not this step's shift object, then appends its rows in one
-    call. The fill rows share the stalled step's row's cell objects after
-    i, so ``traceio`` writes each of them from the text of that row.
+    repeats x. The stall fill asks the schedule once for the first later
+    iteration whose shift may not be this step's shift object
+    (``next_change``), then appends the rows up to it, or up to
+    ``max_iter``, in one call. The fill rows share the stalled step's row's
+    cell objects after i, so ``traceio`` writes each of them from the text
+    of that row.
     """
     record_dist = opts.record_sublevel_distance and supports_sublevel_distance(problem)
     while True:
@@ -322,9 +333,7 @@ def _run(problem: Problem, x, i: int, rows: list[TraceRow], opts: SolveOptions) 
             # x lay inside its own cuts and came back unmoved, so every later
             # step repeats this one while the schedule hands back this shift
             # object, as a constant schedule does at every step.
-            end = i
-            while end < opts.max_iter and eps_at(opts.schedule, end) is eps_i:
-                end += 1
+            end = min(opts.schedule.next_change(i - 1), opts.max_iter)
             # The rows take this row's cells after i; x stays as it is for all
             # of them.
             rows.extend(map(tuple.__new__, repeat(TraceRow),

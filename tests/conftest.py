@@ -6,6 +6,8 @@ feasible candidate nearest to the query point. It is independent of the
 active-set kernel it validates.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,25 @@ def brute_force_projection(x0, normals, offsets, feas_tol=1e-9):
             best_dist = dist
             best = cand
     return best
+
+
+def assert_compares_by_bytes(record, field):
+    """A record equals its copy, and differs from one whose float64 array
+    ``field`` is one bit off, has another dtype or shape, or holds -0.0
+    where it held 0.0."""
+    array = getattr(record, field)
+    assert record == dataclasses.replace(record) and not record != dataclasses.replace(record)
+    changed = [array.astype(np.float32), array.reshape(-1, 1)]
+    if array.size:
+        bits = array.copy().view(np.uint64)
+        bits[-1] ^= np.uint64(1)
+        changed.append(bits.view(np.float64))
+    for other in changed:
+        assert record != dataclasses.replace(record, **{field: other})
+    zero = dataclasses.replace(record, **{field: np.zeros(array.size)})
+    negative_zero = dataclasses.replace(record, **{field: -np.zeros(array.size)})
+    assert zero == dataclasses.replace(record, **{field: np.zeros(array.size)})
+    assert (zero == negative_zero) == (array.size == 0)
 
 
 def random_projection_instance(rng):

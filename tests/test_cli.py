@@ -475,6 +475,7 @@ def test_parsed_repeats_share_cells(x0, schedule):
         csv.reader(io.StringIO(text)))
     for rendering in (text, text.replace("\n", "\r\n"), quoted.getvalue()):
         rows = parse_trace_csv(rendering)
+        assert cell_reprs(rows) == cell_reprs(reference_parse(rendering))
         assert traceio._repeat_spans(rows) == text_spans
         assert trace_to_csv(dataclasses.replace(trace, rows=rows)) == text
 
@@ -576,6 +577,33 @@ class TestCmdSolve:
         assert code == 0
         start = [float(v) for v in x0.split(",")]
         assert json.loads(json_path.read_text())["rows"][0]["f_xi"] == BALL.value(start)
+
+    # Spec texts of the other kinds, with the fields a spec may leave out
+    # left out: the parabola-disk instance without one piece's linear term
+    # and the other's constant, the 3-D distance maximum of the test corpus,
+    # max_j (x_j - 1) in R^4, whose first four cuts are all violated, so
+    # the kernel starts from the whole bundle, and the wedge |x2| <= 0.2 x1,
+    # diagnosed along the polyhedral distance path.
+    @pytest.mark.parametrize("command, spec, x0", [
+        ("solve", {"name": "parabola-disk", "kind": "max_quadratics", "dim": 2, "params": {
+            "pieces": [{"quad": [[-1.0, 0.0], [0.0, 0.0]], "lin": [0.0, 1.0]},
+                       {"quad": [[1.0, 0.0], [0.0, 1.0]], "const": -4.0}]}}, "2.5,1.2"),
+        ("solve", {"kind": "sip_distance", "dim": 3, "activity_tol": 0.3, "params": {"bodies": [
+            {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 2.0},
+            {"type": "ball", "center": [1.5, 0.5, -0.5], "radius": 1.5},
+            {"type": "halfspace", "normal": [1.0, 1.0, 0.0], "offset": 0.5},
+            {"type": "halfspace", "normal": [0.0, -2.0, 1.0], "offset": 1.0}]}}, "6,-4,5"),
+        ("solve", {"kind": "max_affine", "dim": 4, "params": {"pieces": [
+            {"coef": row, "intercept": -1.0} for row in np.eye(4).tolist()]}}, "3,3,3,3"),
+        ("diagnose", {"kind": "max_affine", "dim": 2, "params": {"pieces": [
+            {"coef": [-0.2, 1.0], "intercept": 0.0},
+            {"coef": [-0.2, -1.0], "intercept": 0.0}]}}, "-2,0.5"),
+    ], ids=["parabola-disk", "sip-distance", "orthant", "wedge"])
+    def test_spec_of_each_kind_runs_to_feasibility(self, tmp_path, command, spec, x0, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main([command, "--problem", str(path), "--x0", x0]) == 0
+        assert capsys.readouterr().out.startswith("FeasibleFound ")
 
     def test_flag_like_start_still_rejected(self, ball_file, capsys):
         assert main(["solve", "--problem", ball_file, "--x0", "-x,0"]) == 1
@@ -773,6 +801,9 @@ class TestCmdSolve:
             "solve", "--problem", path, "--x0", "0", "--fallback", "fail",
         ])
         assert code == 3
+        # The default fallback steps on the first cut alone and runs out of
+        # iterations instead.
+        assert main(["solve", "--problem", path, "--x0", "0"]) == 2
 
     def test_nonfinite_step_exit_three(self, ball_file, capsys):
         # f is finite at 1.2e154, but the cut offset overflows.
@@ -911,12 +942,22 @@ class TestCmdCompare:
 
 class TestCmdDiagnose:
     def test_ball_report(self, ball_file, tmp_path, capsys):
-        report_path = tmp_path / "diag.json"
+        # All three files of a harmonic run: the JSON trace and the report
+        # are json.dumps(indent=2) of themselves, and the JSON rows are the
+        # ones read from the CSV trace.
+        report_path, csv_path, json_path = (tmp_path / name
+                                            for name in ("diag.json", "t.csv", "t.json"))
         code = main([
             "diagnose", "--problem", ball_file, "--x0", "2,0",
-            "--report-json", str(report_path),
+            "--report-json", str(report_path), "--trace-csv", str(csv_path),
+            "--trace-json", str(json_path),
         ])
         assert code == 0
+        for path in (report_path, json_path):
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        rows = json.loads(json_path.read_text())["rows"]
+        assert [tuple(row.values()) for row in rows] == parse_trace_csv(csv_path.read_text())
         report = json.loads(report_path.read_text())
         dist = report["contrast"]["dist"]
         assert all(b < a for a, b in zip(dist, dist[1:]))

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.optimize import linprog
 
 from epscut import (
     CutPolyhedron,
@@ -22,7 +21,7 @@ from epscut import (
     project_polyhedron,
 )
 from epscut import geometry
-from conftest import brute_force_projection, random_projection_instance
+from conftest import assert_compares_by_bytes, brute_force_projection, random_projection_instance
 
 
 # Cut entries at every edge of a row length (signed zeros, a subnormal,
@@ -397,7 +396,10 @@ def _least_violation(A, b) -> float:
     over x, floored at -1: positive exactly when the polyhedron is empty.
     Unlike a zero-objective feasibility LP, it has an optimum, which HiGHS
     also finds for hundreds of cuts. On a nonempty polyhedron it is the
-    Chebyshev-center LP: its negation is the inradius, capped at 1."""
+    Chebyshev-center LP: its negation is the inradius, capped at 1. It is
+    the one use of SciPy in the tests, so only its callers skip where SciPy
+    is not installed."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
     norms = np.linalg.norm(A, axis=1)
     lp = linprog(np.append(np.zeros(A.shape[1]), 1.0),
                  A_ub=np.hstack([A / norms[:, None], -np.ones((len(A), 1))]),
@@ -954,6 +956,18 @@ class TestProjectionRecord:
         else:
             assert res.start_size == 0 and res.adds > 0 and res.drops > 0
 
+    @pytest.mark.parametrize("case", ["feasible", "start_only", "loop"])
+    def test_equal_calls_give_equal_records(self, case):
+        # Each call builds its arrays anew, so the records compare by the
+        # arrays' bytes, not by the arrays being one object.
+        x0, A, b = _record_instance(case)
+        P = CutPolyhedron(A, b)
+        res = project_polyhedron(x0, P)
+        assert res == project_polyhedron(x0, P)
+        assert res != dataclasses.replace(res, adds=res.adds + 1)
+        for field in ("point", "multipliers"):
+            assert_compares_by_bytes(res, field)
+
     def test_feasible_records_share_nothing(self):
         P = CutPolyhedron(np.eye(2), [1.0, 1.0])
         first, second = (project_polyhedron([0.0, 0.0], P) for _ in range(2))
@@ -1431,6 +1445,14 @@ class TestVariationalInequalityBlocks:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(vi_instances(shapes=("thin",), samples=st.integers(60, 120)))
+    # The slab {0 <= x_1 <= 1e-3} from (2, 0.5): seeds 0-4 at 100 samples
+    # and seed 0 at 300.
+    @example(([2.0, 0.5], [[-1.0, 0.0], [1.0, 0.0]], [0.0, 1e-3], 100, 0))
+    @example(([2.0, 0.5], [[-1.0, 0.0], [1.0, 0.0]], [0.0, 1e-3], 100, 1))
+    @example(([2.0, 0.5], [[-1.0, 0.0], [1.0, 0.0]], [0.0, 1e-3], 100, 2))
+    @example(([2.0, 0.5], [[-1.0, 0.0], [1.0, 0.0]], [0.0, 1e-3], 100, 3))
+    @example(([2.0, 0.5], [[-1.0, 0.0], [1.0, 0.0]], [0.0, 1e-3], 100, 4))
+    @example(([2.0, 0.5], [[-1.0, 0.0], [1.0, 0.0]], [0.0, 1e-3], 300, 0))
     def test_thin_polyhedra_match_one_draw_at_a_time(self, inst):
         x0, A, b, samples, seed = inst
         poly = CutPolyhedron(A, b)

@@ -163,3 +163,20 @@ def test_bad_exponent_raises_value_error(kind, p):
     # Only the harmonic kind uses p, but every kind stores it.
     with pytest.raises(ValueError, match="^p "):
         EpsilonSchedule(kind, 0.1, p)
+
+
+@pytest.mark.parametrize("schedule", [
+    EpsilonSchedule.constant_for_testing(0.0),
+    EpsilonSchedule.constant_for_testing(0.1),
+    EpsilonSchedule.harmonic(0.1, 1.0),
+    EpsilonSchedule.harmonic(5e-324, 0.5),
+    EpsilonSchedule.logarithmic(0.1),
+], ids=["zero", "constant", "harmonic", "harmonic-underflow", "log"])
+def test_next_change(schedule):
+    # A constant hands back eps0 itself at every iteration, so its shift
+    # never changes; the other kinds make a new object at every iteration,
+    # an underflowed +0.0 too.
+    constant = schedule.kind == "constant_for_testing"
+    for i in (0, 1, 7, 10**6):
+        assert schedule.next_change(i) == (math.inf if constant else i + 1)
+        assert (eps_at(schedule, i + 1) is eps_at(schedule, i)) == constant

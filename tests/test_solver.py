@@ -41,7 +41,7 @@ from epscut import (
 from epscut import solver, trace_to_csv, trace_to_json
 from epscut.geometry import as_vector
 from epscut.problems import DEFAULT_J_MAX, KINDS, Evaluation, supports_sublevel_distance
-from conftest import radial_ball_reference
+from conftest import assert_compares_by_bytes, radial_ball_reference
 from test_problems import random_problem
 
 BALL = BallProblem([0.0, 0.0], 1.0)
@@ -723,10 +723,21 @@ class TestStalledRunFill:
         assert trace_bytes(trace) == trace_bytes(_solve_reference(BALL, [2.5, -1.5], opts)[0])
 
     def test_fill_stops_where_the_shift_changes(self, monkeypatch):
-        # Shift segments: a switch of sign of zero and one of type (0 and
-        # 0.0 compare equal) each end a fill, and so does a new value.
+        # Shift segments, one shift object each: a switch of sign of zero
+        # and one of type (0 and 0.0 compare equal) each end a fill, and so
+        # does a new value. The schedule says where each segment ends, and
+        # the fill asks it once per stall, not the shifts row by row.
         changes = [20, 30, 40, 55, 70]
         shifts = [0.0, -0.0, 0.0, 0, 1e-300, 0.0]
+
+        class Segments:
+            """A schedule whose shift object changes at ``changes``."""
+
+            asked = []
+
+            def next_change(self, i):
+                self.asked.append(i)
+                return next((c for c in changes if c > i), math.inf)
 
         def shift(schedule, i):
             shift.calls.append(i)
@@ -742,11 +753,12 @@ class TestStalledRunFill:
 
         monkeypatch.setattr(solver, "eps_at", shift)
         monkeypatch.setattr(solver, "evaluate", marking)
-        opts = SolveOptions(max_iter=100, record_sublevel_distance=True)
+        opts = SolveOptions(schedule=Segments(), max_iter=100, record_sublevel_distance=True)
         trace = solve(BALL, [2.0, 0.0], opts)
         # solve asks for the shift of iteration i right after evaluating at it.
         at = [shift.calls[k] for k in evaluated]
         assert at == [0, 1, 2, 3, 4, 5, *changes, 100]
+        assert shift.calls == at and Segments.asked == [5, *changes]
         assert trace.status is TerminationStatus.MAX_ITER_EXCEEDED
         assert [str(trace.rows[c].eps_i) for c in changes] == ["-0.0", "0.0", "0", "1e-300", "0.0"]
         assert trace_bytes(trace) == trace_bytes(_solve_reference(BALL, [2.0, 0.0], opts)[0])
@@ -934,18 +946,40 @@ class TestLockstep:
         for trace in batch + singles:
             assert_plain_record(trace)
 
+    def test_equal_calls_give_equal_traces(self):
+        # Each run builds its rows and final_x anew; traces compare by
+        # final_x's bytes and by their rows' cells.
+        starts = [[-2.0, -2.0], [3.0, 1.0], [1.0, 1.0]]
+        opts = harmonic_opts(record_sublevel_distance=True)
+        assert solve_multistart(AXES_MAX, starts, opts) == solve_multistart(AXES_MAX, starts, opts)
+        trace = solve(BALL, [2.0, 0.0], opts)
+        assert trace == solve(BALL, [2.0, 0.0], opts)
+        assert trace != dataclasses.replace(trace, rows=trace.rows[:-1])
+        assert trace != dataclasses.replace(trace, status_iteration=0)
+        assert_compares_by_bytes(trace, "final_x")
+
 
 class TestNonconvexLocal:
-    def test_multistart_near_boundary_succeeds(self):
+    # 20 starts uniform in a disk about the corner: of radius 0.5 (seed 11),
+    # where at least 19 runs end feasible, and of radius 1.5, the disk of
+    # the nonconvex_multistart benchmark (seeds 0-4). Each batch gives every
+    # start solve's trace; at max_iter 1 and 2 some runs end
+    # MaxIterExceeded inside the batch.
+    @pytest.mark.parametrize("max_iter", [1, 2, 500])
+    @pytest.mark.parametrize("seed, radius", [(11, 0.5), *((seed, 1.5) for seed in range(5))])
+    def test_multistart_near_boundary_succeeds(self, seed, radius, max_iter):
         problem = nonconvex_default_problem()
         corner = nonconvex_default_boundary()
-        rng = np.random.default_rng(11)
+        rng = np.random.default_rng(seed)
         raw = rng.standard_normal((20, 2))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        starts = corner + 0.5 * raw * rng.random((20, 1)) ** 0.5
-        traces = solve_multistart(problem, starts, harmonic_opts(max_iter=500))
-        found = sum(t.status is TerminationStatus.FEASIBLE_FOUND for t in traces)
-        assert found >= 19
+        starts = corner + radius * raw * rng.random((20, 1)) ** 0.5
+        traces = assert_lockstep_matches_solve(problem, starts, harmonic_opts(max_iter=max_iter))
+        statuses = [t.status for t in traces]
+        if max_iter < 500:
+            assert TerminationStatus.MAX_ITER_EXCEEDED in statuses
+        elif radius == 0.5:
+            assert statuses.count(TerminationStatus.FEASIBLE_FOUND) >= 19
 
 
 @st.composite
