@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import struct
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -201,29 +202,38 @@ class CutPolyhedron:
         return bool(np.max(self.scaled_violations(x)) <= tol)
 
 
+_DOUBLE = struct.Struct("d")
+
+
+def _bits(value):
+    """The key by which ``record_eq`` compares ``value``: a float's eight
+    bytes, an array's dtype, shape and bytes, a list or tuple of its items'
+    keys, and any other value itself."""
+    if isinstance(value, float):
+        return _DOUBLE.pack(value)
+    if isinstance(value, np.ndarray):
+        return np.ndarray, value.dtype, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return (list if isinstance(value, list) else tuple)(map(_bits, value))
+    return value
+
+
 def record_eq(self, other) -> bool:
     """``==`` for frozen dataclass records that hold arrays, field by field.
 
-    An array field compares by dtype, shape and bytes, so -0.0 differs from
-    0.0 and a NaN equals a NaN of the same bits; every other field compares
-    with ``==``, under which -0.0 equals 0.0 and a NaN equals nothing. A
-    record of another class gives NotImplemented. The dataclass's own
-    ``__eq__`` compares the fields as one tuple, which asks two arrays that
-    are not one object for the truth value of their ``==``, and that raises
-    ValueError.
+    Every float compares by its bits: a float field, a float cell of a list
+    or tuple field (a trace's rows), and an array field by its dtype, shape
+    and bytes. So -0.0 differs from 0.0, a NaN equals a NaN of the same
+    bits, a float equals no int, and a record equals itself and its copies
+    whatever it holds. Every other value compares with ``==``. A record of
+    another class gives NotImplemented. The dataclass's own ``__eq__``
+    compares the fields as one tuple, which asks two arrays that are not one
+    object for the truth value of their ``==``, and that raises ValueError.
     """
     if other.__class__ is not self.__class__:
         return NotImplemented
-    for f in fields(self):
-        a, b = getattr(self, f.name), getattr(other, f.name)
-        if isinstance(a, np.ndarray):
-            same = (isinstance(b, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape)
-                    and a.tobytes() == b.tobytes())
-        else:
-            same = a == b
-        if not same:
-            return False
-    return True
+    return all(_bits(getattr(self, f.name)) == _bits(getattr(other, f.name))
+               for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -242,8 +252,9 @@ class ProjectionResult:
     array: it shares no memory with the query point, even when it equals it.
 
     Two results compare by ``record_eq``: ``point`` and ``multipliers`` by
-    their bytes, the other fields with ``==``. ``hash()`` raises TypeError,
-    since the fields hold a list and arrays.
+    their dtype, shape and bytes, so -0.0 differs from 0.0 and a NaN equals
+    a NaN of the same bits, and the other fields, all ints, with ``==``.
+    ``hash()`` raises TypeError, since the fields hold a list and arrays.
     """
 
     __eq__ = record_eq
@@ -751,7 +762,7 @@ def check_variational_inequality(
     """
     x0 = as_vector(x0, poly.dim)
     x1 = as_vector(result.point, poly.dim)
-    check_count("samples", samples)
+    samples = check_count("samples", samples)
     # poly.contains(x1, _VI_POINT_TOL) without its second check of x1.
     if not np.max((poly.normals @ x1 - poly.offsets) / poly.normal_norms) <= _VI_POINT_TOL:
         raise ValueError("result.point does not lie in the polyhedron")

@@ -510,7 +510,7 @@ def check_approximate_convexity(
     for name, value in (("delta", delta), ("eps_ac", eps_ac)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite")
-    check_count("pairs", pairs)
+    pairs = check_count("pairs", pairs)
     center = as_vector(center, problem.dim)
     rng = np.random.default_rng(seed)
 

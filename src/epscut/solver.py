@@ -94,7 +94,12 @@ FALLBACK_MODES = ("first_cut_only", "fail")
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs of one run; the defaults match the CLI defaults."""
+    """Knobs of one run; the defaults match the CLI defaults.
+
+    ``j_max`` and ``max_iter`` are stored as the Python ints that
+    ``check_count`` returns, whatever integer type they were given as, so a
+    NumPy count gives the same trace, ints and bytes, as its int.
+    """
 
     j_max: int = DEFAULT_J_MAX
     max_iter: int = 1000
@@ -103,8 +108,8 @@ class SolveOptions:
     record_sublevel_distance: bool = False
 
     def __post_init__(self):
-        check_count("j_max", self.j_max)
-        check_count("max_iter", self.max_iter)
+        object.__setattr__(self, "j_max", check_count("j_max", self.j_max))
+        object.__setattr__(self, "max_iter", check_count("max_iter", self.max_iter))
         if self.infeasible_cut_fallback not in FALLBACK_MODES:
             raise ValueError(
                 f"unknown fallback {self.infeasible_cut_fallback!r}"
@@ -149,10 +154,12 @@ class SolveTrace:
     meaningful only for FEASIBLE_FOUND and records whether f was strictly
     negative.
 
-    Two traces compare by ``geometry.record_eq``: ``final_x`` by its dtype,
-    shape and bytes, the other fields with ``==``, so the rows compare cell
-    by cell as tuples do. ``hash()`` raises TypeError, since ``rows`` is a
-    list.
+    Two traces compare by ``geometry.record_eq``, every float by its bits:
+    ``final_x`` by its dtype, shape and bytes, ``final_f`` and each float
+    cell of the rows by their eight bytes, and the other fields and cells
+    with ``==``. So -0.0 differs from 0.0, and a run that ends with a NaN
+    equals itself, its copies and a second run of the same call.
+    ``hash()`` raises TypeError, since ``rows`` is a list.
     """
 
     __eq__ = record_eq

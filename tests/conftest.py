@@ -7,6 +7,8 @@ active-set kernel it validates.
 """
 
 import dataclasses
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -51,10 +53,21 @@ def brute_force_projection(x0, normals, offsets, feas_tol=1e-9):
 
 def assert_compares_by_bytes(record, field):
     """A record equals its copy, and differs from one whose float64 array
-    ``field`` is one bit off, has another dtype or shape, or holds -0.0
-    where it held 0.0."""
+    or float ``field`` is one bit off, holds -0.0 where it held 0.0, or (an
+    array) has another dtype or shape. A float field equals a new float of
+    its bits, a NaN too, and differs from a NaN of the other sign."""
     array = getattr(record, field)
     assert record == dataclasses.replace(record) and not record != dataclasses.replace(record)
+    if isinstance(array, float):
+        bits = struct.unpack("<Q", struct.pack("<d", array))[0]
+        same, flipped = (struct.unpack("<d", struct.pack("<Q", b))[0] for b in (bits, bits ^ 1))
+        assert record == dataclasses.replace(record, **{field: same})
+        assert record != dataclasses.replace(record, **{field: flipped})
+        for value, negated in ((0.0, -0.0), (math.nan, -math.nan)):
+            changed = dataclasses.replace(record, **{field: value})
+            assert changed == dataclasses.replace(record, **{field: float(str(value))})
+            assert changed != dataclasses.replace(record, **{field: negated})
+        return
     changed = [array.astype(np.float32), array.reshape(-1, 1)]
     if array.size:
         bits = array.copy().view(np.uint64)

@@ -991,6 +991,14 @@ class TestVariationalInequality:
         report = check_variational_inequality([0.0, 0.0], res, P, samples=50, seed=1)
         assert report.max_violation == 0.0
 
+    def test_numpy_sample_count_is_reported_as_an_int(self):
+        # The report carried the NumPy count it was given.
+        P = CutPolyhedron([[1.0, 0.2], [-0.3, 1.0]], [0.4, 0.2])
+        res = project_polyhedron([2.0, 2.0], P)
+        report = check_variational_inequality([2.0, 2.0], res, P, samples=np.int64(64), seed=42)
+        assert type(report.n_samples) is int and type(report.n_attempts) is int
+        assert report == check_variational_inequality([2.0, 2.0], res, P, samples=64, seed=42)
+
     def test_deterministic_given_seed(self):
         P = CutPolyhedron([[1.0, 0.2], [-0.3, 1.0]], [0.4, 0.2])
         res = project_polyhedron([2.0, 2.0], P)

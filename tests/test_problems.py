@@ -301,6 +301,13 @@ class TestApproximateConvexity:
         with pytest.raises(ValueError, match=f"^{field} "):
             check_approximate_convexity(AXES_MAX, [0.0, 0.0], pairs=10, **args)
 
+    def test_numpy_pair_count_is_reported_as_an_int(self):
+        # The report carried the NumPy count it was given.
+        args = (nonconvex_default_problem(), [0.5, 0.3], 0.2, 0.5)
+        report = check_approximate_convexity(*args, pairs=np.int64(50), seed=9)
+        assert type(report.n_pairs) is int
+        assert report == check_approximate_convexity(*args, pairs=50, seed=9)
+
     @pytest.mark.parametrize("pairs", [2.5, True])
     def test_pairs_must_be_an_integer(self, pairs):
         # Both raised a bare TypeError from the sampler.

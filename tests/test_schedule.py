@@ -105,10 +105,35 @@ def test_parse_descriptors():
     assert parse_schedule("harmonic", 0.2) == EpsilonSchedule.harmonic(0.2, 1.0)
     assert parse_schedule("log", 1.0) == EpsilonSchedule.logarithmic(1.0)
     assert parse_schedule("const", 1.0) == EpsilonSchedule.constant_for_testing(1.0)
-    with pytest.raises(ValueError):
-        parse_schedule("harmonic:q=2", 0.1)
-    with pytest.raises(ValueError):
-        parse_schedule("geometric", 0.1)
+    # Every accepted name, in any case and with surrounding spaces, and the
+    # kind it builds.
+    accepted = {
+        "harmonic": ("harmonic", 1.0), "harmonic:p=0.5": ("harmonic", 0.5),
+        "log": ("logarithmic", 1.0), "logarithmic": ("logarithmic", 1.0),
+        "const": ("constant_for_testing", 1.0), "constant": ("constant_for_testing", 1.0),
+        "constant_for_testing": ("constant_for_testing", 1.0),
+    }
+    for descriptor, (kind, p) in accepted.items():
+        for form in (descriptor, descriptor.upper(), f"  {descriptor} \t"):
+            schedule = parse_schedule(form, 0.2)
+            assert (schedule.kind, schedule.eps0, schedule.p) == (kind, 0.2, p)
+            assert schedule == EpsilonSchedule(kind, 0.2, p)
+    # Only the harmonic kind takes an option.
+    for descriptor in ("harmonic:q=2", "geometric", "log:p=1", "const:p=1",
+                       "logarithmic:p=0.5", "constant_for_testing:p=1"):
+        with pytest.raises(ValueError):
+            parse_schedule(descriptor, 0.1)
+
+
+@pytest.mark.parametrize("kind", ["logarithmic", "constant_for_testing"])
+def test_only_the_harmonic_kind_takes_p(kind):
+    # The rules of these kinds do not read p, so a p other than its default
+    # would change nothing and is refused.
+    for p in (1, 1.0, np.float64(1.0)):
+        assert EpsilonSchedule(kind, 0.1, p) == EpsilonSchedule(kind, 0.1)
+    for p in (0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match=f"^p is not read by the {kind} kind"):
+            EpsilonSchedule(kind, 0.1, p)
 
 
 @pytest.mark.parametrize(
@@ -160,7 +185,7 @@ def test_bad_eps0_raises_value_error(kind, eps0):
 @pytest.mark.parametrize("p", BAD_NUMBERS, ids=BAD_IDS)
 @pytest.mark.parametrize("kind", ["harmonic", "logarithmic", "constant_for_testing"])
 def test_bad_exponent_raises_value_error(kind, p):
-    # Only the harmonic kind uses p, but every kind stores it.
+    # Only the harmonic kind reads p, but every kind checks it.
     with pytest.raises(ValueError, match="^p "):
         EpsilonSchedule(kind, 0.1, p)
 

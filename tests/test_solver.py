@@ -252,6 +252,22 @@ class TestSolveErrors:
             assert all(t.status is TerminationStatus.MAX_ITER_EXCEEDED for t in traces)
             assert [trace_bytes(t) for t in traces] == [trace_bytes(t) for t in run(plain)]
 
+    def test_numpy_counts_are_stored_as_ints(self):
+        # The stall fill ends at min(next_change, max_iter), which carried a
+        # NumPy max_iter into the last row and status_iteration, and
+        # trace_to_json could not write it.
+        opts = SolveOptions(j_max=np.int64(3), max_iter=np.int64(50), schedule=ZERO_SHIFT)
+        plain = SolveOptions(j_max=3, max_iter=50, schedule=ZERO_SHIFT)
+        assert type(opts.j_max) is int and type(opts.max_iter) is int and opts == plain
+        x0 = [2.5, -1.5]
+        for run in (lambda o: [solve(BALL, x0, o)],
+                    lambda o: solve_multistart(BALL, [x0, x0], o)):
+            traces = run(opts)
+            assert [t.status_iteration for t in traces] == [50] * len(traces)
+            assert [trace_bytes(t) for t in traces] == [trace_bytes(t) for t in run(plain)]
+            for trace in traces:
+                assert_plain_record(trace)
+
 
 class TestFailureSurface:
     """Every run ends with a status, whatever the arithmetic does."""
@@ -957,6 +973,14 @@ class TestLockstep:
         assert trace != dataclasses.replace(trace, rows=trace.rows[:-1])
         assert trace != dataclasses.replace(trace, status_iteration=0)
         assert_compares_by_bytes(trace, "final_x")
+        assert_compares_by_bytes(trace, "final_f")
+        # A run that ends with a NaN value and NaN cells equals itself.
+        nan_run = solve(self.NAN_VALUE, [1e200, 0.0], opts)
+        assert math.isnan(nan_run.final_f) and math.isnan(nan_run.rows[-1].f_xi)
+        assert nan_run == nan_run and not nan_run != nan_run
+        assert nan_run == dataclasses.replace(nan_run)
+        assert nan_run == solve(self.NAN_VALUE, [1e200, 0.0], opts)
+        assert_compares_by_bytes(nan_run, "final_f")
 
 
 class TestNonconvexLocal:
