@@ -38,7 +38,6 @@ from . import diagnostics
 from .errors import DimensionMismatchError, InsufficientDataError
 from .geometry import as_vector
 from .problems import (
-    DEFAULT_J_MAX,
     Problem,
     problem_from_dict,
     supports_sublevel_distance,
@@ -91,6 +90,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+    # Each run setting's default is the one SolveOptions() holds. The default
+    # schedule's kind reads p, so its descriptor states p.
+    defaults = SolveOptions()
     sub.add_argument("--problem", required=True, help="problem spec JSON file")
     sub.add_argument("--x0", help="start point, comma separated: 'v1,v2,...'")
     sub.add_argument(
@@ -98,19 +100,19 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
         metavar="SEED:RADIUS",
         help="seeded uniform start in the ball of given radius about the origin",
     )
-    sub.add_argument("--eps0", type=float, default=0.1, help="initial shift")
+    sub.add_argument("--eps0", type=float, default=defaults.schedule.eps0, help="initial shift")
     sub.add_argument(
         "--schedule",
-        default="harmonic:p=1",
+        default=f"{defaults.schedule.kind}:p={defaults.schedule.p}",
         help="shift schedule: harmonic:p=P | log | const",
     )
-    sub.add_argument("--j-max", type=int, default=DEFAULT_J_MAX, help="bundle size cap")
-    sub.add_argument("--max-iter", type=int, default=1000)
+    sub.add_argument("--j-max", type=int, default=defaults.j_max, help="bundle size cap")
+    sub.add_argument("--max-iter", type=int, default=defaults.max_iter)
     sub.add_argument("--baseline", choices=list(BASELINES), default="none")
     sub.add_argument(
         "--fallback",
         choices=FALLBACK_MODES,
-        default="first_cut_only",
+        default=defaults.infeasible_cut_fallback,
         help="behavior when the cut polyhedron of a step is empty",
     )
     sub.add_argument("--trace-csv", help="write the trace as CSV here")
@@ -127,18 +129,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="epscut", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "run the solver and emit its trace"),
-        ("compare", "run the solver plus the zero-shift and single-cut baselines"),
-        ("diagnose", "run and report decay-rate and error-bound estimates"),
-    ):
-        sub = subparsers.add_parser(name, help=help_text)
-        _add_common_flags(sub)
+    for name, (_, help_text) in _COMMANDS.items():
+        _add_common_flags(subparsers.add_parser(name, help=help_text))
     return parser
-
-
-# Built once per process: building takes about ten times as long as parsing.
-_PARSER = _build_parser()
 
 
 def _load_problem(path: str) -> Problem:
@@ -321,13 +314,21 @@ def cmd_diagnose(args) -> int:
     return EXIT_CODE_BY_STATUS[trace.status]
 
 
-_COMMANDS = {"solve": cmd_solve, "compare": cmd_compare, "diagnose": cmd_diagnose}
+# Each subcommand's function and help line.
+_COMMANDS = {
+    "solve": (cmd_solve, "run the solver and emit its trace"),
+    "compare": (cmd_compare, "run the solver plus the zero-shift and single-cut baselines"),
+    "diagnose": (cmd_diagnose, "run and report decay-rate and error-bound estimates"),
+}
+
+# Built once per process: building takes about ten times as long as parsing.
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

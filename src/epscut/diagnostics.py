@@ -45,8 +45,10 @@ def fit_decay_rate(values) -> RateFit:
 
     Trailing zeros are trimmed before fitting (a sequence that has reached
     zero carries no rate information at its tail); remaining values must be
-    positive and at least three. The fit is performed on values normalized
-    by the first entry, so it depends on ratios only.
+    at least three, positive and finite, and so must their ratios to the
+    first. The fit is performed on those ratios, so it depends on ratios
+    only. A value or ratio that fails raises ValueError, without a NumPy
+    warning.
     """
     v = [float(x) for x in values]
     while v and v[-1] == 0.0:
@@ -56,9 +58,14 @@ def fit_decay_rate(values) -> RateFit:
             f"need at least 3 positive values, got {len(v)} after trimming"
         )
     arr = np.asarray(v)
-    if np.any(arr <= 0.0):
-        raise ValueError("values must be positive (zeros only at the tail)")
-    y = np.log(arr / arr[0])
+    # An inf or NaN value, or a ratio that overflows or underflows to zero,
+    # fails the check below; NumPy need not warn about it.
+    with np.errstate(all="ignore"):
+        ratios = arr / arr[0]
+    if not ((arr > 0.0) & (ratios > 0.0) & (ratios < math.inf)).all():
+        raise ValueError("values must be positive and finite (zeros only at the tail), "
+                         "and so must their ratios to the first")
+    y = np.log(ratios)
     x = np.arange(arr.size, dtype=float)
     slope, intercept = np.polyfit(x, y, 1)
     pred = slope * x + intercept

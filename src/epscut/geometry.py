@@ -95,15 +95,16 @@ _VI_POINT_TOL = 1e-8
 _VI_TOO_FAR = "x0 is too far from result.point for the check's arithmetic"
 
 
-def check_count(name: str, value) -> int:
-    """Return ``value`` as an int if it is an integer of at least 1: a value
-    of a type with ``__index__`` other than bool. A float is not a count,
-    however integral. Anything else raises ValueError naming ``name``."""
+def check_count(name: str, value, least: int = 1) -> int:
+    """Return ``value`` as an int if it is an integer of at least ``least``:
+    a value of a type with ``__index__`` other than bool. A float is not a
+    count, however integral. Anything else raises ValueError naming
+    ``name``."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer")
     count = operator.index(value)
-    if count < 1:
-        raise ValueError(f"{name} must be at least 1")
+    if count < least:
+        raise ValueError(f"{name} must be at least {least}")
     return count
 
 

@@ -406,6 +406,16 @@ class HalfspaceBody:
         return np.where(outside, self.normal / self._norm, 0.0)
 
 
+def _body_params(body) -> dict:
+    """A SIP body's spec entry. A body that is neither a ``BallBody`` nor a
+    ``HalfspaceBody`` has none, and raises ValueError naming its type."""
+    if isinstance(body, BallBody):
+        return {"type": "ball", "center": body.center.tolist(), "radius": body.radius}
+    if isinstance(body, HalfspaceBody):
+        return {"type": "halfspace", "normal": body.normal.tolist(), "offset": body.offset}
+    raise ValueError(f"cannot serialize a SIP body of type {type(body).__name__!r}")
+
+
 class SipDistanceProblem(Problem):
     """f(x) = max_i dist(x, K_i) over balls and halfspaces.
 
@@ -445,12 +455,7 @@ class SipDistanceProblem(Problem):
         return cls(bodies, activity_tol, name)
 
     def _params(self):
-        return {"bodies": [
-            {"type": "ball", "center": body.center.tolist(), "radius": body.radius}
-            if isinstance(body, BallBody) else
-            {"type": "halfspace", "normal": body.normal.tolist(), "offset": body.offset}
-            for body in self.bodies
-        ]}
+        return {"bodies": list(map(_body_params, self.bodies))}
 
     def piece_values(self, X):
         return np.stack([body.distance(X) for body in self.bodies], axis=-1)
@@ -679,7 +684,9 @@ def problem_from_dict(spec: dict) -> Problem:
 
 def problem_to_dict(problem: Problem) -> dict:
     """Inverse of problem_from_dict for the supported kinds: raises
-    ValueError for a problem that is not an instance of its kind's class."""
+    ValueError for a problem that is not an instance of its kind's class,
+    and for a SIP problem with a body that is neither a ``BallBody`` nor a
+    ``HalfspaceBody``."""
     if not isinstance(problem, _CLASS_OF_KIND.get(problem.kind, ())):
         raise ValueError(f"cannot serialize problem kind {problem.kind!r}")
     spec = {"name": problem.name, "kind": problem.kind, "dim": problem.dim,

@@ -5,12 +5,13 @@ ratio eps_{i+1}/eps_i tends to 1 (slower than every geometric sequence).
 Both non-constant kinds here have that property by construction; the
 constant kind exists only to exercise baselines that violate it. A zero
 constant is the unshifted baseline: the classical linearization cut of
-Fukushima's method. Each kind's rule for eps_i lives in one place, its
-entry of ``_RULES``, which also says whether the rule reads the exponent
-``p``: only the harmonic one does. ``_KIND_BY_NAME`` maps each CLI
-descriptor name to its kind. Each schedule also says where its shift next
-changes (``EpsilonSchedule.next_change``), so that the solver can write the
-rows of a stalled run without stepping.
+Fukushima's method. Each kind states everything it decides in one place,
+its entry of ``_RULES``: its rule for eps_i, whether that rule reads the
+exponent ``p`` (only the harmonic one does), whether it hands back
+``eps0`` itself, and its CLI descriptor names. ``_KIND_BY_NAME`` is built
+from those names. Each schedule also says where its shift next changes
+(``EpsilonSchedule.next_change``), so that the solver can write the rows
+of a stalled run without stepping.
 """
 
 from __future__ import annotations
@@ -18,20 +19,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import as_float
+from .geometry import as_float, check_count
 
-# Each kind's shift at iteration i >= 0, as a function of the schedule and
-# i, and whether that rule reads p. A kind whose rule does not read p takes
-# only its default, 1.0.
+# Each kind's entry holds all that the kind decides, as (shift, reads_p,
+# returns_eps0, names): its shift at iteration i >= 0, as a function of the
+# schedule and i; whether that rule reads p (a kind whose rule does not
+# takes only its default, 1.0); whether the rule hands back eps0 itself, so
+# that its shift never changes (next_change), which is why such a kind
+# alone may take a zero eps0; and its --schedule names.
 _RULES = {
-    "harmonic": (lambda s, i: s.eps0 / (i + 1) ** s.p, True),
-    "logarithmic": (lambda s, i: s.eps0 / math.log(i + math.e), False),
-    "constant_for_testing": (lambda s, i: s.eps0, False),
+    "harmonic": (lambda s, i: s.eps0 / (i + 1) ** s.p, True, False, ("harmonic",)),
+    "logarithmic": (lambda s, i: s.eps0 / math.log(i + math.e), False, False,
+                    ("log", "logarithmic")),
+    "constant_for_testing": (lambda s, i: s.eps0, False, True,
+                             ("const", "constant", "constant_for_testing")),
 }
 
-_KIND_BY_NAME = {"harmonic": "harmonic", "log": "logarithmic", "logarithmic": "logarithmic",
-                 "const": "constant_for_testing", "constant": "constant_for_testing",
-                 "constant_for_testing": "constant_for_testing"}
+_KIND_BY_NAME = {name: kind for kind, rule in _RULES.items() for name in rule[3]}
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,7 @@ class EpsilonSchedule:
     takes zero, stored as +0.0 (so -0.0 gives it too), which is the
     unshifted baseline.
 
-    kinds, each with its rule in its entry of ``_RULES``:
+    kinds, each with all its rules and names in its entry of ``_RULES``:
       harmonic             eps0 / (i+1)**p,  0 < p <= 1
       logarithmic          eps0 / log(i+e)
       constant_for_testing eps0            (deliberately not decreasing)
@@ -67,21 +71,23 @@ class EpsilonSchedule:
         # Adding +0.0 turns -0.0 into +0.0 and leaves every other value as it is.
         object.__setattr__(self, "eps0", as_float("eps0", self.eps0) + 0.0)
         object.__setattr__(self, "p", as_float("p", self.p))
-        zero_ok = self.kind == "constant_for_testing"
+        _, reads_p, zero_ok, _ = _RULES[self.kind]
         if not (0.0 < self.eps0 < math.inf or zero_ok and self.eps0 == 0.0):
             raise ValueError(f"eps0 must be {'nonnegative' if zero_ok else 'positive'} and finite")
-        if self.p != 1.0 and not _RULES[self.kind][1]:
+        if self.p != 1.0 and not reads_p:
             raise ValueError(f"p is not read by the {self.kind} kind, which takes only p = 1.0")
         if not 0.0 < self.p <= 1.0:
             raise ValueError("harmonic exponent p must lie in (0, 1]")
 
-    def next_change(self, i: int) -> float:
+    def next_change(self, i: int) -> int | float:
         """The first iteration after i whose shift may not be the shift
-        object of iteration i: ``math.inf`` for the constant kind, which
-        hands back ``eps0`` itself at every iteration, and i + 1 for the
-        others, which make a new shift at every iteration. The solver's stall
-        fill writes the rows up to that iteration without stepping."""
-        return math.inf if self.kind == "constant_for_testing" else i + 1
+        object of iteration i: ``math.inf`` for a kind that hands back
+        ``eps0`` itself at every iteration (the constant one), and the int
+        i + 1 for the others, which make a new shift at every iteration. The
+        solver's stall fill writes the rows up to that iteration without
+        stepping. ``i`` is read as ``eps_at`` reads it."""
+        i = check_count("iteration index", i, least=0)
+        return math.inf if _RULES[self.kind][2] else i + 1
 
     @classmethod
     def harmonic(cls, eps0: float = 0.1, p: float = 1.0) -> "EpsilonSchedule":
@@ -97,20 +103,22 @@ class EpsilonSchedule:
 
 
 def eps_at(schedule: EpsilonSchedule, i: int) -> float:
-    """Shift value at iteration i >= 0, by the rule of the schedule's kind."""
-    if i < 0:
-        raise ValueError("iteration index must be nonnegative")
-    return _RULES[schedule.kind][0](schedule, i)
+    """Shift value at iteration i >= 0, by the rule of the schedule's kind.
+
+    ``i`` is read as ``check_count`` reads a count, here of at least 0: a
+    NumPy integer gives the shift of its Python int, and a float, a bool or
+    a string raises ValueError."""
+    return _RULES[schedule.kind][0](schedule, check_count("iteration index", i, least=0))
 
 
 def parse_schedule(descriptor: str, eps0: float) -> EpsilonSchedule:
     """Build a schedule from a CLI descriptor.
 
-    The descriptor is a name of ``_KIND_BY_NAME``, in any case and with
-    surrounding spaces: "harmonic", "log" or "logarithmic", and "const",
-    "constant" or "constant_for_testing". The harmonic kind alone also
-    takes its exponent, as in "harmonic:p=0.5". Anything else raises
-    ValueError.
+    The descriptor is one of the names in a kind's ``_RULES`` entry, in
+    any case and with surrounding spaces: "harmonic", "log" or
+    "logarithmic", and "const", "constant" or "constant_for_testing". The
+    harmonic kind alone also takes its exponent, as in "harmonic:p=0.5".
+    Anything else raises ValueError.
     """
     name, colon, option = descriptor.strip().lower().partition(":")
     kind = _KIND_BY_NAME.get(name)

@@ -94,7 +94,7 @@ FALLBACK_MODES = ("first_cut_only", "fail")
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs of one run; the defaults match the CLI defaults.
+    """Knobs of one run. The CLI takes its flag defaults from these.
 
     ``j_max`` and ``max_iter`` are stored as the Python ints that
     ``check_count`` returns, whatever integer type they were given as, so a
@@ -193,10 +193,13 @@ def build_cuts(x, evaluation: Evaluation, eps: float) -> CutPolyhedron:
 
 
 def _sublevel_distance(problem: Problem, x, eps: float) -> float | None:
+    """The distance a row records: None where it is not defined or cannot
+    be computed, a distance that overflowed to inf included."""
     try:
-        return exact_sublevel_distance(problem, x, eps)
+        d = exact_sublevel_distance(problem, x, eps)
     except (SublevelEmptyError, ProjectionFailedError, ValueError):
         return None
+    return d if d < math.inf else None
 
 
 def _step(x, evaluation: Evaluation, eps: float, fallback: str):

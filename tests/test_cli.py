@@ -1090,3 +1090,23 @@ class TestCmdDiagnose:
 
     def test_short_trace_exit_five(self, ball_file):
         assert main(["diagnose", "--problem", ball_file, "--x0", "0.5,0"]) == 5
+
+    def test_overflowed_distances_leave_nothing_to_diagnose(self, tmp_path, capsys):
+        # From (-1e300, 1e300) the wedge's sublevel distances, about 1.4e300,
+        # overflow to inf in their norm. Recorded as inf, they gave a NaN
+        # rate with a RuntimeWarning; recorded empty, they leave diagnose
+        # no rows to fit and no compare variant a decay rate.
+        path, csv_path, report = (write_problem(tmp_path, WEDGE), tmp_path / "t.csv",
+                                  tmp_path / "r.json")
+        argv = ["--problem", path, "--x0=-1e300,1e300", "--max-iter", "2",
+                "--report-json", str(report)]
+        assert main(["diagnose", *argv, "--trace-csv", str(csv_path)]) == 5
+        assert capsys.readouterr() == (
+            "", "diagnose: need >= 3 pre-termination rows with recorded distances, got 0\n")
+        rows = parse_trace_csv(csv_path.read_text())
+        assert len(rows) == 3 and {r.dist_sublevel for r in rows} == {None}
+        assert not report.exists()
+        assert main(["compare", *argv]) == 2
+        variants = json.loads(report.read_text())["variants"]
+        assert [v["decay_rho"] for v in variants.values()] == [None] * 3
+        capsys.readouterr()

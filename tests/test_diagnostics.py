@@ -95,6 +95,15 @@ class TestFitDecayRate:
         with pytest.raises(ValueError):
             fit_decay_rate([1.0, -0.5, 0.25])
 
+    @pytest.mark.parametrize("values", [
+        [1.0, math.nan, 0.5], [1.0, math.inf, 0.5], [math.inf, 1.0, 0.5],
+        [1e300, 1e-300, 1e-30], [1e-300, 1e300, 1.0],
+    ], ids=["nan", "inf", "inf-first", "ratio-underflows", "ratio-overflows"])
+    def test_nonfinite_values_or_ratios_rejected(self, values):
+        # A NaN gave rho = nan; the others warned. Warnings are errors here.
+        with pytest.raises(ValueError, match="positive and finite"):
+            fit_decay_rate(values)
+
 
 class TestEstimateKappa:
     def test_single_point(self):

@@ -33,6 +33,7 @@ from epscut import (
     ShiftedBallProblem,
     SipDistanceProblem,
     SublevelEmptyError,
+    TerminationStatus,
     check_approximate_convexity,
     evaluate,
     exact_sublevel_distance,
@@ -40,6 +41,7 @@ from epscut import (
     nonconvex_default_problem,
     problem_from_dict,
     problem_to_dict,
+    solve,
     supports_sublevel_distance,
 )
 
@@ -732,6 +734,28 @@ class TestSpecSerialization:
         with pytest.raises(ValueError, match="cannot serialize problem kind 'ball'"):
             problem_to_dict(Lookalike(2))
         assert problem_to_dict(Named()) == problem_to_dict(BallProblem())
+
+    def test_a_sip_body_of_another_type_does_not_serialize(self):
+        # A SIP problem takes any body with dim, distance and
+        # distance_gradient, and solve runs on it, but a spec has only
+        # balls and halfspaces. The box was written as a halfspace and
+        # raised AttributeError.
+        class Box:
+            dim = 2
+
+            def distance(self, X):
+                gap = np.maximum(np.abs(X) - 1.0, 0.0)
+                return np.sqrt(np.vecdot(gap, gap))
+
+            def distance_gradient(self, X):
+                gap = np.copysign(np.maximum(np.abs(X) - 1.0, 0.0), X)
+                d = np.sqrt(np.vecdot(gap, gap))[..., None]
+                return np.divide(gap, d, out=np.zeros_like(gap), where=d > 0.0)
+
+        problem = SipDistanceProblem([BallBody([0.0, 0.0], 1.5), Box()])
+        assert solve(problem, [3.0, 2.0]).status is TerminationStatus.FEASIBLE_FOUND
+        with pytest.raises(ValueError, match="^cannot serialize a SIP body of type 'Box'$"):
+            problem_to_dict(problem)
 
     def test_error_messages_name_offending_field(self):
         with pytest.raises(ValueError, match="'kind'"):

@@ -205,3 +205,24 @@ def test_next_change(schedule):
     for i in (0, 1, 7, 10**6):
         assert schedule.next_change(i) == (math.inf if constant else i + 1)
         assert (eps_at(schedule, i + 1) is eps_at(schedule, i)) == constant
+
+
+@pytest.mark.parametrize("schedule", [
+    EpsilonSchedule.harmonic(0.1, 0.5),
+    EpsilonSchedule.logarithmic(0.1),
+    EpsilonSchedule.constant_for_testing(0.1),
+], ids=["harmonic", "log", "const"])
+def test_index_is_read_as_an_int(schedule):
+    # A NumPy index gave a NumPy shift and a NumPy next_change, a float
+    # index a shift between two iterations', and True the shift of 1.
+    for index in (np.int64(0), np.uint8(3), np.int32(1000), np.int64(10**12)):
+        i = int(index)
+        shift = eps_at(schedule, index)
+        assert type(shift) is float and shift.hex() == eps_at(schedule, i).hex()
+        assert type(schedule.next_change(index)) is type(schedule.next_change(i))
+        assert schedule.next_change(index) == schedule.next_change(i)
+    for index in (1.5, True, "3", -1):
+        with pytest.raises(ValueError, match="^iteration index must be"):
+            eps_at(schedule, index)
+        with pytest.raises(ValueError, match="^iteration index must be"):
+            schedule.next_change(index)

@@ -349,6 +349,22 @@ class TestQuietOverflow:
         assert trace.status is status
         assert trace.status_iteration == 0
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_distance_is_recorded_empty(self, bad):
+        # The max-affine distance overflows to inf far from the origin (the
+        # wedge from (-1e300, 1e300)), and both loops recorded it; an empty
+        # cell is what solve promises for a distance that cannot be
+        # computed. The trace is then the one recorded without distances.
+        class Overflowing(BallProblem):
+            def _sublevel_distances(self, X, eps):
+                return np.full(X.shape[:-1], bad)
+
+        opts = SolveOptions(max_iter=3, record_sublevel_distance=True)
+        trace = solve(Overflowing(), [2.0, 0.0], opts)
+        (batch,) = solve_multistart(Overflowing(), [[2.0, 0.0]], opts)
+        assert batch == trace == solve(BALL, [2.0, 0.0], SolveOptions(max_iter=3))
+        assert len(trace.rows) == 4
+
 
 class TestCallPoints:
     """The loop calls each layer through its name in the solver module.
